@@ -21,6 +21,10 @@ import (
 //
 // The engine caches every level of shared state a (k,r) query needs:
 //
+//   - per engine: the similarity key of every edge (the r-independent
+//     value the oracle compares with its threshold), scored once when
+//     the first threshold is filtered, so the dissimilar-edge filter at
+//     any later new r is one compare pass with no metric call;
 //   - per threshold r: the similarity oracle, its bulk similarity
 //     index (see BuildIndex) and the dissimilar-edge-filtered graph,
 //     which depend on r but not on k;
@@ -38,12 +42,35 @@ import (
 type Engine struct {
 	g      *Graph
 	metric Metric
+	ctr    *counters // engine-wide, shared with the snapshots advance makes
+
+	// keys[i] is the similarity key of the i-th edge of g in Edges
+	// order (see simgraph.EdgeKeys), 8 bytes per edge, scored by the
+	// first threshold whose filtered graph is built.
+	keysOnce sync.Once
+	keys     []float64
 
 	mu   sync.Mutex
 	byR  map[float64]*rEntry
 	byKR map[krKey]*krEntry
+}
+
+// counters is one hit/miss pair. advance hands the pointer to the next
+// snapshot instead of copying the counts, so a query counted on the
+// retiring snapshot while its successor is being built still counts
+// once the successor is published.
+type counters struct {
 	hits atomic.Int64
 	miss atomic.Int64
+}
+
+// count records one lookup.
+func (c *counters) count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.miss.Add(1)
+	}
 }
 
 type krKey struct {
@@ -71,16 +98,15 @@ type rEntry struct {
 // krEntry is the prepared problem of one (k,r) setting. ready flips
 // after the once body completed, so concurrent queries can tell a
 // served entry (cache hit) from one still being built (miss: they
-// block on the once alongside the builder). hits/miss are the
-// per-setting split of the engine-wide counters, the series the
-// /metrics endpoint exports per (k,r).
+// block on the once alongside the builder). ctr is the per-setting
+// split of the engine-wide counters, the series the /metrics endpoint
+// exports per (k,r).
 type krEntry struct {
 	once  sync.Once
 	pr    *core.Prepared
 	err   error
 	ready atomic.Bool
-	hits  atomic.Int64
-	miss  atomic.Int64
+	ctr   *counters
 }
 
 // readyREntry wraps already-built per-r state so later queries treat it
@@ -94,9 +120,9 @@ func readyREntry(o *Oracle, filtered *graph.Graph) *rEntry {
 	return ent
 }
 
-// readyKREntry wraps an already-prepared (k,r) problem.
-func readyKREntry(pr *core.Prepared) *krEntry {
-	ent := &krEntry{pr: pr}
+// readyKREntry wraps an already-prepared (k,r) problem counted on ctr.
+func readyKREntry(pr *core.Prepared, ctr *counters) *krEntry {
+	ent := &krEntry{pr: pr, ctr: ctr}
 	ent.once.Do(func() {})
 	ent.ready.Store(true)
 	return ent
@@ -109,6 +135,7 @@ func NewEngine(g *Graph, m Metric) *Engine {
 	return &Engine{
 		g:      g,
 		metric: m,
+		ctr:    &counters{},
 		byR:    map[float64]*rEntry{},
 		byKR:   map[krKey]*krEntry{},
 	}
@@ -144,8 +171,8 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
-		Hits:       e.hits.Load(),
-		Misses:     e.miss.Load(),
+		Hits:       e.ctr.hits.Load(),
+		Misses:     e.ctr.miss.Load(),
 		Thresholds: len(e.byR),
 		Prepared:   len(e.byKR),
 	}
@@ -186,8 +213,8 @@ func (e *Engine) SettingsStats() []SettingStats {
 		out = append(out, SettingStats{
 			K:      it.key.k,
 			R:      it.key.r,
-			Hits:   it.ent.hits.Load(),
-			Misses: it.ent.miss.Load(),
+			Hits:   it.ent.ctr.hits.Load(),
+			Misses: it.ent.ctr.miss.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -214,11 +241,7 @@ func (e *Engine) Oracle(r float64) (*Oracle, error) {
 		return nil, errors.New("krcore: similarity threshold r must not be NaN")
 	}
 	ent := e.rEntryFor(r)
-	if ent.oracleReady.Load() {
-		e.hits.Add(1)
-	} else {
-		e.miss.Add(1)
-	}
+	e.ctr.count(ent.oracleReady.Load())
 	e.buildOracle(ent, r)
 	return ent.oracle, nil
 }
@@ -345,7 +368,7 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	e.mu.Lock()
 	ent, ok := e.byKR[key]
 	if !ok {
-		ent = &krEntry{}
+		ent = &krEntry{ctr: &counters{}}
 		e.byKR[key] = ent
 	}
 	e.mu.Unlock()
@@ -355,13 +378,9 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	// same latency, so it counts as a miss — as does a cached build
 	// error, which serves no prepared state. (Reading ent.err here is
 	// safe: it is written before the ready flag's atomic store.)
-	if ok && ent.ready.Load() && ent.err == nil {
-		e.hits.Add(1)
-		ent.hits.Add(1)
-	} else {
-		e.miss.Add(1)
-		ent.miss.Add(1)
-	}
+	hit := ok && ent.ready.Load() && ent.err == nil
+	e.ctr.count(hit)
+	ent.ctr.count(hit)
 	ent.once.Do(func() {
 		re := e.forR(r)
 		ent.pr, ent.err = core.PrepareFiltered(re.filtered, core.Params{K: k, Oracle: re.oracle})
@@ -399,10 +418,18 @@ func (e *Engine) forR(r float64) *rEntry {
 	ent := e.rEntryFor(r)
 	e.buildOracle(ent, r)
 	ent.filterOnce.Do(func() {
-		ent.filtered = core.FilterDissimilar(e.g, ent.oracle)
+		ent.filtered = simgraph.FilterByKeys(e.g, e.edgeKeys(ent.oracle), ent.oracle)
 		ent.ready.Store(true)
 	})
 	return ent
+}
+
+// edgeKeys returns the engine's per-edge key table, scoring every edge
+// through o on first use. Keys do not depend on the threshold, so any
+// oracle over the engine's metric builds the table every r shares.
+func (e *Engine) edgeKeys(o *Oracle) []float64 {
+	e.keysOnce.Do(func() { e.keys = simgraph.EdgeKeys(e.g, o) })
+	return e.keys
 }
 
 // advanceDelta describes one committed mutation batch to the engine's
@@ -446,15 +473,19 @@ type advanceStats struct {
 //     recompute, and either way every component untouched by the delta
 //     keeps its existing problem, including its dissimilarity lists.
 //
-// Cache hit/miss counters carry over so Stats stays coherent across
-// mutations. The receiver is left unchanged; the caller must serialise
-// advance with queries on the same engine value (DynamicEngine holds
-// its write lock across the call).
+// The per-edge key table is not carried: the new engine scores its
+// graph's edges again on its first new threshold.
+//
+// The new engine shares the receiver's hit/miss counters, and each
+// carried setting its per-setting ones, so a query the receiver still
+// serves while advance runs is counted on the published engine too.
+// The receiver is left unchanged; the caller must not mutate the
+// attribute store while either engine may read it (DynamicEngine holds
+// its write lock across attribute rounds).
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
 	ne := NewEngine(d.g2, e.metric)
-	ne.hits.Store(e.hits.Load())
-	ne.miss.Store(e.miss.Load())
+	ne.ctr = e.ctr
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
 	for r, ent := range e.byR {
@@ -515,12 +546,9 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 			st.patchesFull++
 		}
 		st.coreVisited += pst.CoreVisited
-		kept := readyKREntry(pr)
 		// Per-setting traffic counters follow the entry across the
 		// advance, like the engine-wide ones do.
-		kept.hits.Store(old.hits.Load())
-		kept.miss.Store(old.miss.Load())
-		ne.byKR[key] = kept
+		ne.byKR[key] = readyKREntry(pr, old.ctr)
 	}
 	return ne, st
 }

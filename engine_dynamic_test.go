@@ -350,6 +350,99 @@ func TestDynamicEngineDifferential(t *testing.T) {
 	}
 }
 
+// TestDynamicEngineNewThresholdAfterWrites guards the per-edge key
+// table, which belongs to one snapshot: a threshold first queried after
+// an attribute write, a growth write or a structure-only write must be
+// filtered with the current graph's edges and the current attributes.
+// A table carried over from the previous snapshot would keep stale
+// scores, or misalign with the new edge order.
+func TestDynamicEngineNewThresholdAfterWrites(t *testing.T) {
+	for _, cfg := range diffMetrics() {
+		t.Run(cfg.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(77))
+			m := buildDiffInstance(cfg, rng)
+			store := cfg.newStore()
+			store.Grow(m.n)
+			for u := 0; u < m.n; u++ {
+				store.SetAttributes(int32(u), m.attrs[u])
+			}
+			eng, err := NewDynamicEngine(m.graph(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Score the first snapshot's key table.
+			if _, err := eng.Enumerate(cfg.presets[0].k, cfg.presets[0].r, EnumOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			g := m.graph()
+			hub := int32(0)
+			for u := int32(1); u < int32(g.N()); u++ {
+				if g.Degree(u) > g.Degree(hub) {
+					hub = u
+				}
+			}
+			first := g.Neighbors(hub)[0]
+			nv := int32(m.n)
+			writes := []struct {
+				name  string
+				batch []Update
+			}{
+				// The hub moves to another cluster: its edges' scores change.
+				{"attribute", []Update{SetAttributesUpdate(hub, cfg.randAttr(rng, int(hub+1)%diffClusters))}},
+				{"growth", []Update{
+					AddVertexUpdate(),
+					SetAttributesUpdate(nv, cfg.randAttr(rng, int(hub)%diffClusters)),
+					AddEdgeUpdate(nv, hub),
+					AddEdgeUpdate(nv, first),
+				}},
+				// Same edge count, shifted edge order.
+				{"structure-only", []Update{RemoveEdgeUpdate(hub, first), AddEdgeUpdate(nv, nv-1)}},
+			}
+			for i, w := range writes {
+				if err := eng.ApplyBatch(w.batch); err != nil {
+					t.Fatalf("%s write: %v", w.name, err)
+				}
+				m.apply(w.batch)
+				k, r := cfg.presets[i].k, cfg.presets[i].r*1.15 // a threshold no query used yet
+				label := fmt.Sprintf("after the %s write (k=%d, r=%g)", w.name, k, r)
+				fresh := freshEngine(cfg, m)
+				de, err := eng.Enumerate(k, r, EnumOptions{})
+				if err != nil {
+					t.Fatalf("%s: dynamic enum: %v", label, err)
+				}
+				fe, err := fresh.Enumerate(k, r, EnumOptions{})
+				if err != nil {
+					t.Fatalf("%s: fresh enum: %v", label, err)
+				}
+				sameResult(t, label+" enum", de, fe)
+				dm, err := eng.FindMaximum(k, r, MaxOptions{})
+				if err != nil {
+					t.Fatalf("%s: dynamic max: %v", label, err)
+				}
+				fm, err := fresh.FindMaximum(k, r, MaxOptions{})
+				if err != nil {
+					t.Fatalf("%s: fresh max: %v", label, err)
+				}
+				sameResult(t, label+" max", dm, fm)
+				// The filtered graph itself, against a per-edge oracle
+				// filter of the mirror: sensitive even where the cores
+				// happen to agree.
+				o := NewOracle(fresh.metric, r)
+				want := m.graph().FilterEdges(o.Similar)
+				eng.mu.RLock()
+				e := eng.eng
+				eng.mu.RUnlock()
+				got := e.forR(r).filtered
+				for u := int32(0); u < int32(want.N()); u++ {
+					if fmt.Sprint(got.Neighbors(u)) != fmt.Sprint(want.Neighbors(u)) {
+						t.Fatalf("%s: filtered neighbours of %d = %v, want %v", label, u, got.Neighbors(u), want.Neighbors(u))
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDynamicEngineValidation covers the mutation error paths: invalid
 // updates must be rejected atomically, leaving the snapshot untouched.
 func TestDynamicEngineValidation(t *testing.T) {

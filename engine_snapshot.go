@@ -228,7 +228,7 @@ func engineFromState(st *snapshot.EngineState) (*Engine, error) {
 		}
 	}
 	for _, ps := range st.Prepared {
-		e.byKR[krKey{k: ps.K, r: ps.R}] = readyKREntry(ps.Pr)
+		e.byKR[krKey{k: ps.K, r: ps.R}] = readyKREntry(ps.Pr, &counters{})
 	}
 	return e, nil
 }

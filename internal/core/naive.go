@@ -28,7 +28,7 @@ func BruteForce(g *graph.Graph, p Params) ([][]int32, error) {
 		all[u] = int32(u)
 	}
 	simMask := make([]uint32, n)
-	for u, nbs := range simindex.For(p.Oracle).SimilarAdjacency(all) {
+	for u, nbs := range simindex.For(p.Oracle).SimilarAdjacency(all, nil) {
 		simMask[u] = 1 << uint(u) // a vertex is similar to itself
 		for _, v := range nbs {
 			simMask[u] |= 1 << uint(v)

@@ -82,12 +82,14 @@ func Prepare(g *graph.Graph, p Params) (*Prepared, error) {
 }
 
 // FilterDissimilar drops the edges of g joining dissimilar vertex pairs
-// (Algorithm 1 line 1), answered as one batched query through the
-// oracle's bulk similarity engine. The result depends only on the
-// similarity threshold r, not on k, so a serving layer can share one
-// filtered graph across every k at the same r.
+// (Algorithm 1 line 1): every edge is scored once, sharded across
+// cores (simgraph.EdgeKeys), and its score compared with the threshold.
+// The result depends only on the similarity threshold r, not on k, so
+// a serving layer can share one filtered graph across every k at the
+// same r; krcore.Engine also keeps the scores, which do not depend on
+// r, so each new r costs only the compare (simgraph.FilterByKeys).
 func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
-	return g.FilterEdgesBatch(simindex.For(o).SimilarBatch)
+	return simgraph.FilterByKeys(g, simgraph.EdgeKeys(g, o), o)
 }
 
 // PrepareFiltered builds the candidate components for p on a graph
@@ -101,6 +103,13 @@ func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
 // The engine is bit-identical to the serial oracle path, so the
 // resulting problems — and every core derived from them — are
 // unchanged.
+//
+// The filtered graph's edges are trusted as similar pairs: each
+// component hands its edges to the engine as a known-similar hint
+// (see similarity.BulkSource), which the inverted indexes accept
+// without scoring. The graph must therefore come from FilterDissimilar
+// (or krcore.Engine, or simgraph.PatchFiltered) with the same oracle;
+// a graph holding a dissimilar edge yields wrong dissimilarity lists.
 func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -147,14 +156,11 @@ func prepare(g *graph.Graph, p Params) []*problem {
 // filtered k-core.
 func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, comp []int32) *problem {
 	sub, orig := filtered.Induced(comp)
-	d := simgraph.BuildDissimBulk(src, orig)
 	pr := &problem{
-		k:      p.K,
-		n:      sub.N(),
-		adj:    make([][]int32, sub.N()),
-		dissim: d.Lists,
-		pairs:  d.Pairs,
-		orig:   orig,
+		k:    p.K,
+		n:    sub.N(),
+		adj:  make([][]int32, sub.N()),
+		orig: orig,
 	}
 	for u := 0; u < sub.N(); u++ {
 		pr.adj[u] = sub.Neighbors(int32(u))
@@ -162,6 +168,10 @@ func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, co
 			pr.maxDeg = len(pr.adj[u])
 		}
 	}
+	// Every filtered edge joins a similar pair: the engine need not
+	// score those again.
+	d := simgraph.BuildDissimBulk(src, orig, pr.adj)
+	pr.dissim, pr.pairs = d.Lists, d.Pairs
 	return pr
 }
 

@@ -62,7 +62,9 @@ func (g *Graph) AvgDegree() float64 {
 	return 2 * float64(g.m) / float64(len(g.adj))
 }
 
-// Edges calls fn once for every undirected edge with u < v.
+// Edges calls fn once for every undirected edge with u < v, ordered by
+// u and then v, ascending. Edge i of a graph is the i-th edge of this
+// order (see KeepEdges).
 func (g *Graph) Edges(fn func(u, v int32)) {
 	for u, nb := range g.adj {
 		for _, v := range nb {
@@ -149,50 +151,55 @@ func FromAdjacency(adj [][]int32) *Graph {
 
 // FilterEdges returns a new graph on the same vertex set containing only
 // the edges for which keep returns true. keep is called once per edge
-// with u < v.
+// with u < v, in Edges order.
 func (g *Graph) FilterEdges(keep func(u, v int32) bool) *Graph {
-	adj := make([][]int32, len(g.adj))
-	m := 0
-	for u := range g.adj {
-		for _, v := range g.adj[u] {
-			if int32(u) < v && keep(int32(u), v) {
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], int32(u))
-				m++
+	mask := make([]bool, 0, g.m)
+	g.Edges(func(u, v int32) { mask = append(mask, keep(u, v)) })
+	return g.KeepEdges(mask)
+}
+
+// KeepEdges returns a new graph on the same vertex set containing the
+// edges whose position i in Edges order has keep[i] set; len(keep) must
+// be M. The adjacency lists share one exactly-sized backing array.
+func (g *Graph) KeepEdges(keep []bool) *Graph {
+	if len(keep) != g.m {
+		panic(fmt.Sprintf("graph: KeepEdges mask has %d entries for %d edges", len(keep), g.m))
+	}
+	deg := make([]int32, len(g.adj))
+	m, i := 0, 0
+	for u, nb := range g.adj {
+		for _, v := range nb {
+			if int32(u) < v {
+				if keep[i] {
+					deg[u]++
+					deg[v]++
+					m++
+				}
+				i++
 			}
 		}
 	}
-	// Lists were appended in ascending u order; the half added as adj[v]
-	// may be unsorted relative to the adj[u] half, so sort.
-	for u := range adj {
-		nb := adj[u]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
-	}
-	return &Graph{adj: adj, m: m}
-}
-
-// FilterEdgesBatch returns the same graph as FilterEdges but gathers
-// every edge (u < v) first and evaluates them with a single batched
-// predicate call, so an indexed or parallel similarity engine can
-// answer all edges at once. keep[i] must report whether pairs[i]
-// survives.
-func (g *Graph) FilterEdgesBatch(eval func(pairs [][2]int32) []bool) *Graph {
-	pairs := make([][2]int32, 0, g.m)
-	g.Edges(func(u, v int32) { pairs = append(pairs, [2]int32{u, v}) })
-	keep := eval(pairs)
+	backing := make([]int32, 2*m)
 	adj := make([][]int32, len(g.adj))
-	m := 0
-	for i, e := range pairs {
-		if !keep[i] {
-			continue
-		}
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-		m++
-	}
+	off := int32(0)
 	for u := range adj {
-		nb := adj[u]
-		sort.Slice(nb, func(i, j int) bool { return nb[i] < nb[j] })
+		adj[u] = backing[off : off : off+deg[u]]
+		off += deg[u]
+	}
+	// Vertices are visited ascending, so every list receives its
+	// backward neighbours (pushed while earlier vertices were visited)
+	// in ascending order before its own forward ones: sorted, no sort.
+	i = 0
+	for u, nb := range g.adj {
+		for _, v := range nb {
+			if int32(u) < v {
+				if keep[i] {
+					adj[u] = append(adj[u], v)
+					adj[v] = append(adj[v], int32(u))
+				}
+				i++
+			}
+		}
 	}
 	return &Graph{adj: adj, m: m}
 }

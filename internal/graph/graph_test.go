@@ -157,7 +157,10 @@ func TestFilterEdges(t *testing.T) {
 	}
 }
 
-func TestFilterEdgesBatchMatchesFilterEdges(t *testing.T) {
+// TestKeepEdgesMatchesRebuild checks the mask filter and FilterEdges
+// against a graph rebuilt from the kept edges by the Builder, which
+// sorts and deduplicates independently.
+func TestKeepEdgesMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(30)
@@ -167,29 +170,38 @@ func TestFilterEdgesBatchMatchesFilterEdges(t *testing.T) {
 		}
 		g := b.Build()
 		keep := func(u, v int32) bool { return (u+v)%3 != 0 }
-		want := g.FilterEdges(keep)
-		got := g.FilterEdgesBatch(func(pairs [][2]int32) []bool {
-			out := make([]bool, len(pairs))
-			for i, p := range pairs {
-				out[i] = keep(p[0], p[1])
+		mask := make([]bool, 0, g.M())
+		rb := NewBuilder(n)
+		g.Edges(func(u, v int32) {
+			mask = append(mask, keep(u, v))
+			if keep(u, v) {
+				rb.AddEdge(v, u)
 			}
-			return out
 		})
-		if got.N() != want.N() || got.M() != want.M() {
-			t.Fatalf("trial %d: N/M mismatch: %d/%d vs %d/%d", trial, got.N(), got.M(), want.N(), want.M())
-		}
-		for u := 0; u < n; u++ {
-			gn, wn := got.Neighbors(int32(u)), want.Neighbors(int32(u))
-			if len(gn) != len(wn) {
-				t.Fatalf("trial %d: degree mismatch at %d", trial, u)
+		want := rb.Build()
+		for name, got := range map[string]*Graph{"KeepEdges": g.KeepEdges(mask), "FilterEdges": g.FilterEdges(keep)} {
+			if got.N() != want.N() || got.M() != want.M() {
+				t.Fatalf("trial %d %s: N/M mismatch: %d/%d vs %d/%d", trial, name, got.N(), got.M(), want.N(), want.M())
 			}
-			for i := range wn {
-				if gn[i] != wn[i] {
-					t.Fatalf("trial %d: neighbours differ at %d", trial, u)
+			for u := 0; u < n; u++ {
+				gn, wn := got.Neighbors(int32(u)), want.Neighbors(int32(u))
+				if len(gn) != len(wn) {
+					t.Fatalf("trial %d %s: degree mismatch at %d", trial, name, u)
+				}
+				for i := range wn {
+					if gn[i] != wn[i] {
+						t.Fatalf("trial %d %s: neighbours differ at %d: %v vs %v", trial, name, u, gn, wn)
+					}
 				}
 			}
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a mask of the wrong length must panic")
+		}
+	}()
+	buildPath(3).KeepEdges([]bool{true})
 }
 
 func TestDegreeWithin(t *testing.T) {

@@ -10,7 +10,10 @@
 package simgraph
 
 import (
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
@@ -67,11 +70,13 @@ func SimilarityGraph(o *similarity.Oracle, vertices []int32) *graph.Graph {
 // bulk similarity engine: the engine yields the similar adjacency of
 // the set in bulk (near-linear for the indexed metrics) and the
 // dissimilarity lists are its complement, written with trivial per-item
-// work instead of one metric evaluation per pair. The result is
-// bit-identical to BuildDissim for the engine's oracle.
-func BuildDissimBulk(src similarity.BulkSource, vertices []int32) *Dissim {
+// work instead of one metric evaluation per pair. known is the
+// engine's optional hint of pairs already known similar (see
+// similarity.BulkSource; nil for none). The result is bit-identical to
+// BuildDissim for the engine's oracle.
+func BuildDissimBulk(src similarity.BulkSource, vertices []int32, known [][]int32) *Dissim {
 	n := len(vertices)
-	sim := src.SimilarAdjacency(vertices)
+	sim := src.SimilarAdjacency(vertices, known)
 	d := &Dissim{Lists: make([][]int32, n)}
 	simEdges := 0
 	total := 0
@@ -106,7 +111,91 @@ func BuildDissimBulk(src similarity.BulkSource, vertices []int32) *Dissim {
 // through a bulk similarity engine; identical to SimilarityGraph for
 // the engine's oracle.
 func SimilarityGraphBulk(src similarity.BulkSource, vertices []int32) *graph.Graph {
-	return graph.FromAdjacency(src.SimilarAdjacency(vertices))
+	return graph.FromAdjacency(src.SimilarAdjacency(vertices, nil))
+}
+
+// parallelEdges is the edge count from which EdgeKeys shards its work
+// across cores, the threshold the bulk engines use for pair batches;
+// runEdges is the size of one share a worker claims.
+const (
+	parallelEdges = 4096
+	runEdges      = 1024
+)
+
+// EdgeKeys scores every edge of g once: keys[i] is o.Key(u,v) for the
+// i-th edge in Edges order. A key does not depend on o's threshold, so
+// one table serves the dissimilar-edge filter at every r over the same
+// metric and attribute data (see FilterByKeys). Large graphs are split
+// into runs of consecutive vertices holding about runEdges edges each,
+// scored by up to GOMAXPROCS workers.
+func EdgeKeys(g *graph.Graph, o *similarity.Oracle) []float64 {
+	n := g.N()
+	// off[u] is the position in Edges order of u's first edge (u,v>u).
+	off := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		nb := g.Neighbors(int32(u))
+		back := sort.Search(len(nb), func(i int) bool { return nb[i] > int32(u) })
+		off[u+1] = off[u] + len(nb) - back
+	}
+	m := off[n]
+	keys := make([]float64, m)
+	score := func(lo, hi int) {
+		for u := lo; u < hi; u++ {
+			nb := g.Neighbors(int32(u))
+			i := off[u]
+			for _, v := range nb[len(nb)-(off[u+1]-off[u]):] {
+				keys[i] = o.Key(int32(u), v)
+				i++
+			}
+		}
+	}
+	runs := m / runEdges
+	nw := min(runtime.GOMAXPROCS(0), runs)
+	if m < parallelEdges || nw < 2 {
+		score(0, n)
+		return keys
+	}
+	// first returns the first vertex of run r: the first vertex whose
+	// edges start at or past the r-th share of them.
+	first := func(r int) int {
+		if r == runs {
+			return n
+		}
+		return sort.SearchInts(off[:n], r*m/runs)
+	}
+	// Workers, the caller among them, claim runs from a shared counter,
+	// so one that loses its core (to the garbage collector, say) holds
+	// the table back by one run, not by a fixed share of the edges.
+	var next atomic.Int64
+	claim := func() {
+		for r := int(next.Add(1) - 1); r < runs; r = int(next.Add(1) - 1) {
+			score(first(r), first(r+1))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < nw; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+	return keys
+}
+
+// FilterByKeys drops the edges of g joining dissimilar pairs
+// (Algorithm 1 line 1) as one compare pass with no metric call: keys
+// must be EdgeKeys(g, o') for some oracle o' over o's metric and
+// attribute data, whatever its threshold. The result equals
+// g.FilterEdges(o.Similar).
+func FilterByKeys(g *graph.Graph, keys []float64, o *similarity.Oracle) *graph.Graph {
+	keep := make([]bool, len(keys))
+	for i, k := range keys {
+		keep[i] = o.Accept(k)
+	}
+	return g.KeepEdges(keep)
 }
 
 // Complement returns the similarity graph implied by d (the complement of

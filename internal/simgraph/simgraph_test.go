@@ -97,7 +97,7 @@ func TestBulkBuildersMatchSerial(t *testing.T) {
 			vs[i] = int32(i)
 		}
 		src := simindex.NewSerial(o)
-		d, db := BuildDissim(o, vs), BuildDissimBulk(src, vs)
+		d, db := BuildDissim(o, vs), BuildDissimBulk(src, vs, nil)
 		if d.Pairs != db.Pairs || len(d.Lists) != len(db.Lists) {
 			return false
 		}

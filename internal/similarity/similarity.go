@@ -86,7 +86,14 @@ type BulkSource interface {
 	// similarity graph on the given distinct global vertices: out[i]
 	// lists, sorted ascending, the local ids j != i for which
 	// vertices[i] and vertices[j] are similar.
-	SimilarAdjacency(vertices []int32) [][]int32
+	//
+	// known is an optional hint (nil for none, else one row per
+	// vertex): known[i] lists local ids j whose pair with i is already
+	// known to be similar, such as the edges of a dissimilar-edge
+	// filtered graph. An engine may accept those pairs without scoring
+	// them; every hinted pair must be similar, so the output is the
+	// same with or without the hint.
+	SimilarAdjacency(vertices []int32, known [][]int32) [][]int32
 	// SimilarBatch evaluates many pairs at once: out[i] reports whether
 	// pairs[i] is a similar pair (a pair of equal ids is similar, as in
 	// Oracle.Similar). Implementations may shard the work across
@@ -100,6 +107,7 @@ type BulkSource interface {
 type Oracle struct {
 	metric Metric
 	r      float64
+	dist   bool // metric.Distance(), read once
 	// geo fast path: avoids the sqrt per query.
 	geo *attr.Geo
 	r2  float64
@@ -110,7 +118,7 @@ type Oracle struct {
 
 // NewOracle builds an Oracle for metric at threshold r.
 func NewOracle(metric Metric, r float64) *Oracle {
-	o := &Oracle{metric: metric, r: r}
+	o := &Oracle{metric: metric, r: r, dist: metric.Distance()}
 	if e, ok := metric.(Euclidean); ok {
 		o.geo = e.Store
 		o.r2 = r * r
@@ -147,16 +155,34 @@ func (o *Oracle) Threshold() float64 { return o.r }
 // Similar reports whether u and v are similar with respect to the
 // threshold. A vertex is always similar to itself.
 func (o *Oracle) Similar(u, v int32) bool {
-	if u == v {
-		return true
-	}
+	return u == v || o.Accept(o.Key(u, v))
+}
+
+// Key returns the value Similar compares with the threshold for the
+// distinct pair (u,v): the squared distance on the Euclidean fast path,
+// the metric score otherwise. It does not depend on r, so a key
+// computed through any oracle over the same metric and attribute data
+// serves every threshold: a caller sweeping r scores each pair once and
+// re-tests it with Accept.
+func (o *Oracle) Key(u, v int32) float64 {
 	if o.geo != nil {
-		return o.geo.Distance2(u, v) <= o.r2
+		return o.geo.Distance2(u, v)
 	}
-	if o.metric.Distance() {
-		return o.metric.Score(u, v) <= o.r
+	return o.metric.Score(u, v)
+}
+
+// Accept reports whether a pair whose Key is key is similar at the
+// oracle's threshold; Similar(u,v) == Accept(Key(u,v)) for u != v. A
+// NaN threshold or key accepts nothing.
+func (o *Oracle) Accept(key float64) bool {
+	switch {
+	case o.geo != nil:
+		return key <= o.r2
+	case o.dist:
+		return key <= o.r
+	default:
+		return key >= o.r
 	}
-	return o.metric.Score(u, v) >= o.r
 }
 
 // TopPermille returns the similarity threshold corresponding to the top

@@ -39,7 +39,7 @@ func benchAdjacency(b *testing.B, src similarity.BulkSource, vs []int32) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if adj := src.SimilarAdjacency(vs); len(adj) != len(vs) {
+		if adj := src.SimilarAdjacency(vs, nil); len(adj) != len(vs) {
 			b.Fatal("bad adjacency size")
 		}
 	}

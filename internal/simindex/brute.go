@@ -12,8 +12,9 @@ type Brute struct {
 // NewBrute wraps the oracle in a parallel brute-force bulk engine.
 func NewBrute(o *similarity.Oracle) *Brute { return &Brute{o: o} }
 
-// SimilarAdjacency implements similarity.BulkSource.
-func (b *Brute) SimilarAdjacency(vertices []int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource; the hint is
+// ignored.
+func (b *Brute) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	return bruteAdjacency(len(vertices), func(i, j int32) bool {
 		return b.o.Similar(vertices[i], vertices[j])
 	})
@@ -35,8 +36,9 @@ type Serial struct {
 // NewSerial wraps the oracle in the serial reference engine.
 func NewSerial(o *similarity.Oracle) *Serial { return &Serial{o: o} }
 
-// SimilarAdjacency implements similarity.BulkSource.
-func (s *Serial) SimilarAdjacency(vertices []int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource; the hint is
+// ignored, so the reference scores every pair.
+func (s *Serial) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	n := len(vertices)
 	adj := make([][]int32, n)
 	for i := 0; i < n; i++ {

@@ -39,7 +39,7 @@ func roundTripIndex(t *testing.T, o *similarity.Oracle) similarity.BulkSource {
 	for i := range vs {
 		vs[i] = int32(i)
 	}
-	if fmt.Sprint(got.SimilarAdjacency(vs)) != fmt.Sprint(fresh.SimilarAdjacency(vs)) {
+	if fmt.Sprint(got.SimilarAdjacency(vs, nil)) != fmt.Sprint(fresh.SimilarAdjacency(vs, nil)) {
 		t.Fatal("decoded index disagrees with fresh index")
 	}
 	return got

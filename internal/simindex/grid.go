@@ -77,8 +77,9 @@ func (g *Grid) SimilarBatch(pairs [][2]int32) []bool {
 	return batchPairs(pairs, g.pairSimilar)
 }
 
-// SimilarAdjacency implements similarity.BulkSource.
-func (g *Grid) SimilarAdjacency(vertices []int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource. The hint is
+// ignored: a candidate's distance costs less than looking it up.
+func (g *Grid) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	n := len(vertices)
 	switch {
 	case g.never:

@@ -75,8 +75,9 @@ func (iv *Inverted) SimilarBatch(pairs [][2]int32) []bool {
 	return batchPairs(pairs, iv.pairSimilar)
 }
 
-// SimilarAdjacency implements similarity.BulkSource.
-func (iv *Inverted) SimilarAdjacency(vertices []int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource. Hinted pairs
+// skip the intersection.
+func (iv *Inverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int32 {
 	if math.IsNaN(iv.r) {
 		// score >= NaN holds for no pair.
 		return make([][]int32, len(vertices))
@@ -85,7 +86,7 @@ func (iv *Inverted) SimilarAdjacency(vertices []int32) [][]int32 {
 		// Every score is >= 0 >= r: all pairs are similar.
 		return completeAdjacency(len(vertices))
 	}
-	return invertedAdjacency(len(vertices),
+	return invertedAdjacency(len(vertices), known,
 		func(i int32) []int32 {
 			v := vertices[i]
 			return iv.store.Vertex(v)[:iv.prefix[v]]
@@ -167,8 +168,9 @@ func (iv *WeightedInverted) SimilarBatch(pairs [][2]int32) []bool {
 	return batchPairs(pairs, iv.pairSimilar)
 }
 
-// SimilarAdjacency implements similarity.BulkSource.
-func (iv *WeightedInverted) SimilarAdjacency(vertices []int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource. Hinted pairs
+// skip the weighted merge.
+func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int32 {
 	if math.IsNaN(iv.r) {
 		// score >= NaN holds for no pair.
 		return make([][]int32, len(vertices))
@@ -176,7 +178,7 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32) [][]int32 {
 	if iv.r <= 0 {
 		return completeAdjacency(len(vertices))
 	}
-	return invertedAdjacency(len(vertices),
+	return invertedAdjacency(len(vertices), known,
 		func(i int32) []int32 {
 			v := vertices[i]
 			return iv.store.Keys(v)[:iv.prefix[v]]
@@ -187,7 +189,10 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32) [][]int32 {
 
 // invertedAdjacency is the candidate sweep shared by both inverted
 // indexes. prefixKeys yields the indexed key prefix of a local vertex;
-// accept performs the bound checks and the exact verification.
+// accept performs the bound checks and the exact verification, which
+// pairs hinted similar by known (see similarity.BulkSource) skip. The
+// prefix filter is complete, so every hinted pair is a candidate and
+// the hint changes the work, never the output.
 //
 // The sweep first builds the prefix posting lists for the subset, then
 // probes in parallel: vertex i collects every j < i co-occurring in one
@@ -195,7 +200,7 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32) [][]int32 {
 // unordered candidate pair is examined exactly once, by its larger
 // endpoint. Rows are sorted before the symmetric merge, making the
 // output deterministic.
-func invertedAdjacency(n int, prefixKeys func(int32) []int32, accept func(i, j int32) bool) [][]int32 {
+func invertedAdjacency(n int, known [][]int32, prefixKeys func(int32) []int32, accept func(i, j int32) bool) [][]int32 {
 	lists := make(map[int32][]int32)
 	for i := int32(0); i < int32(n); i++ {
 		for _, t := range prefixKeys(i) {
@@ -209,8 +214,17 @@ func invertedAdjacency(n int, prefixKeys func(int32) []int32, accept func(i, j i
 	}
 	runParallel(nw, func(w int) {
 		seen := make([]int32, n) // stamp = probing vertex + 1
+		var hinted []int32       // same stamps, for pairs known similar
+		if known != nil {
+			hinted = make([]int32, n)
+		}
 		var cand []int32
 		for i := int32(w); i < int32(n); i += int32(nw) {
+			if known != nil {
+				for _, j := range known[i] {
+					hinted[j] = i + 1
+				}
+			}
 			cand = cand[:0]
 			for _, t := range prefixKeys(i) {
 				for _, j := range lists[t] {
@@ -227,7 +241,7 @@ func invertedAdjacency(n int, prefixKeys func(int32) []int32, accept func(i, j i
 			sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
 			var row []int32
 			for _, j := range cand {
-				if accept(i, j) {
+				if (hinted != nil && hinted[j] == i+1) || accept(i, j) {
 					row = append(row, j)
 				}
 			}

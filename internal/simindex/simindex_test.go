@@ -59,16 +59,28 @@ func checkSource(t *testing.T, rng *rand.Rand, name string, src similarity.BulkS
 	serial := simindex.NewSerial(o)
 	for trial := 0; trial < 4; trial++ {
 		vs := subset(rng, n)
-		got := src.SimilarAdjacency(vs)
-		want := serial.SimilarAdjacency(vs)
+		got := src.SimilarAdjacency(vs, nil)
+		want := serial.SimilarAdjacency(vs, nil)
 		if !sameAdjacency(got, want) {
 			t.Fatalf("%s: SimilarAdjacency mismatch on %v (r=%v):\ngot  %v\nwant %v",
 				name, vs, o.Threshold(), got, want)
 		}
+		// A hint of pairs known similar changes the work, never the
+		// output: every similar pair, none, and a random subset.
+		for hint, known := range map[string][][]int32{
+			"all":    want,
+			"none":   make([][]int32, len(vs)),
+			"random": randomHint(rng, want),
+		} {
+			if got := src.SimilarAdjacency(vs, known); !sameAdjacency(got, want) {
+				t.Fatalf("%s: SimilarAdjacency with the %q hint %v differs on %v (r=%v):\ngot  %v\nwant %v",
+					name, hint, known, vs, o.Threshold(), got, want)
+			}
+		}
 		// The bulk dissimilarity lists must be bit-identical to the
 		// serial BuildDissim, and the bulk similarity graph to the
 		// serial SimilarityGraph.
-		d := simgraph.BuildDissimBulk(src, vs)
+		d := simgraph.BuildDissimBulk(src, vs, nil)
 		ds := simgraph.BuildDissim(o, vs)
 		if d.Pairs != ds.Pairs || !sameAdjacency(d.Lists, ds.Lists) {
 			t.Fatalf("%s: BuildDissimBulk mismatch on %v (r=%v): got %v/%d want %v/%d",
@@ -101,6 +113,20 @@ func checkSource(t *testing.T, rng *rand.Rand, name string, src similarity.BulkS
 			t.Fatalf("%s: SimilarBatch(%v) = %v, want %v (r=%v)", name, p, got[i], want, o.Threshold())
 		}
 	}
+}
+
+// randomHint keeps each directed entry of a similar adjacency with
+// probability one half, so a pair may be hinted from one side only.
+func randomHint(rng *rand.Rand, sim [][]int32) [][]int32 {
+	known := make([][]int32, len(sim))
+	for i, row := range sim {
+		for _, j := range row {
+			if rng.Intn(2) == 0 {
+				known[i] = append(known[i], j)
+			}
+		}
+	}
+	return known
 }
 
 // geoStore builds a random geo store, with duplicated coordinates

@@ -185,8 +185,8 @@ func TestDecodedIndexMatchesFresh(t *testing.T) {
 	for i := range vs {
 		vs[i] = int32(i)
 	}
-	fresh := st.Thresholds[0].Oracle.Bulk().SimilarAdjacency(vs)
-	loaded := got.Thresholds[0].Oracle.Bulk().SimilarAdjacency(vs)
+	fresh := st.Thresholds[0].Oracle.Bulk().SimilarAdjacency(vs, nil)
+	loaded := got.Thresholds[0].Oracle.Bulk().SimilarAdjacency(vs, nil)
 	if fmt.Sprint(fresh) != fmt.Sprint(loaded) {
 		t.Fatal("decoded index disagrees with fresh index")
 	}

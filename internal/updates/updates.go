@@ -340,7 +340,12 @@ func Random(d *dataset.Dataset, n int, seed int64) []krcore.Update {
 				krcore.AddVertexUpdate(),
 				krcore.SetAttributesUpdate(id, randomPayload(d, rng)))
 			for i := 0; i < 2 && len(ups) < n; i++ {
-				ups = append(ups, krcore.AddEdgeUpdate(id, commVertex()))
+				// A random draw can name the new user itself: skip
+				// that self-loop, which the engine rejects, but keep
+				// the draw, so the rest of the stream is unchanged.
+				if w := commVertex(); w != id {
+					ups = append(ups, krcore.AddEdgeUpdate(id, w))
+				}
 			}
 		}
 	}

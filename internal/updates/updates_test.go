@@ -85,6 +85,29 @@ func TestRandomReplays(t *testing.T) {
 	}
 }
 
+// TestRandomNoSelfLoops checks every preset's streams over many seeds:
+// the engine rejects a self-loop edge, so a generated stream must never
+// hold one.
+func TestRandomNoSelfLoops(t *testing.T) {
+	for _, name := range []string{"brightkite", "gowalla", "dblp", "pokec"} {
+		d, err := dataset.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 50; seed++ {
+			ups := Random(d, 3000, seed)
+			if len(ups) != 3000 {
+				t.Fatalf("%s seed %d: %d updates, want 3000", name, seed, len(ups))
+			}
+			for i, up := range ups {
+				if (up.Op == krcore.OpAddEdge || up.Op == krcore.OpRemoveEdge) && up.U == up.V {
+					t.Fatalf("%s seed %d: update %d is a self-loop %s(%d,%d)", name, seed, i, up.Op, up.U, up.V)
+				}
+			}
+		}
+	}
+}
+
 // engThreshold picks a valid threshold per kind for a smoke query.
 func engThreshold(d *dataset.Dataset) float64 {
 	if d.Kind == attr.KindGeo {

@@ -133,7 +133,7 @@ func TestBuildIndexFacade(t *testing.T) {
 	}
 	// Direct bulk query: inside group one everything is similar, across
 	// groups nothing is.
-	adj := idx.SimilarAdjacency([]int32{0, 1, 5})
+	adj := idx.SimilarAdjacency([]int32{0, 1, 5}, nil)
 	if len(adj[0]) != 1 || adj[0][0] != 1 || len(adj[2]) != 0 {
 		t.Fatalf("bulk adjacency wrong: %v", adj)
 	}
