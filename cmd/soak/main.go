@@ -28,7 +28,11 @@
 // over the soak — the CI regression gate for "sustained load must not
 // surface daemon faults". Client-side 4xx responses and admission 429s
 // are counted and reported but never gate: the harness itself decides
-// what load to offer.
+// what load to offer. The run also fails if any counter (a series
+// named *_total) present in two consecutive /metrics scrapes — taken
+// before the run, about once a second during it, and after it — went
+// down, and, when self-hosting, if the daemon does not shut down
+// cleanly.
 package main
 
 import (
@@ -44,6 +48,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,7 +112,7 @@ func scrapeCounter(samples map[string]float64, series string) int64 {
 	return int64(samples[series])
 }
 
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
@@ -136,23 +141,32 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-workers must be >= 1")
 	}
 
+	// One keep-alive connection per client: the workers and the
+	// counter scraper. With fewer idle slots than concurrent requests,
+	// the transport keeps dialling connections it cannot pool.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = *workers + 1
 	base := *url
 	if base == "" {
 		var shutdown func() error
-		var err error
 		base, shutdown, err = selfHost(ctx, stdout, *data, *load, *dynamic, *r == 0, r)
 		if err != nil {
 			return err
 		}
 		defer func() {
-			if err := shutdown(); err != nil {
-				log.Printf("self-hosted daemon shutdown: %v", err)
+			// The server waits up to 5 s for a connection it still sees
+			// as new (dialled, never used) before treating it as idle;
+			// closing the client's idle connections first lets the
+			// drain finish at once.
+			tr.CloseIdleConnections()
+			if serr := shutdown(); serr != nil && err == nil {
+				err = fmt.Errorf("self-hosted daemon shutdown: %w", serr)
 			}
 		}()
 	} else if *r == 0 {
 		return fmt.Errorf("-url requires an explicit -r (no dataset to take a default from)")
 	}
-	c := client.New(base)
+	c := client.New(base, client.WithHTTPClient(&http.Client{Transport: tr}))
 
 	if err := c.Health(ctx); err != nil {
 		return err
@@ -185,6 +199,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 
 	sctx, cancel := context.WithTimeout(ctx, *duration)
 	defer cancel()
+	watched := make(chan counterWatch, 1)
+	go func() { watched <- watchCounters(sctx, c, pre, time.Second) }()
 	var wg sync.WaitGroup
 	t0 := time.Now()
 	for w := 0; w < *workers; w++ {
@@ -201,15 +217,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	wg.Wait()
 	elapsed := time.Since(t0)
+	cw := <-watched
 
 	after, err := c.Metrics(ctx)
 	if err != nil {
 		return fmt.Errorf("post-soak scrape: %w", err)
 	}
 	post := client.ParseMetrics(after)
+	decreases := append(cw.decreases, counterDecreases(cw.last, post)...)
 
 	report := buildReport(elapsed, read, write, pre, post)
 	printReport(stdout, report)
+	fmt.Fprintf(stdout, "counters: %d scrapes, %d decreases\n", cw.scrapes+2, len(decreases))
 
 	if *benchOut != "" {
 		blob, err := json.MarshalIndent(report.bench(), "", "  ")
@@ -225,7 +244,58 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *maxSrvErr >= 0 && report.serverErrDelta > *maxSrvErr {
 		return fmt.Errorf("daemon server_errors grew by %d over the soak (gate: %d)", report.serverErrDelta, *maxSrvErr)
 	}
+	if len(decreases) > 0 {
+		return fmt.Errorf("counters went down during the soak: %s", strings.Join(decreases, "; "))
+	}
 	return nil
+}
+
+// counterWatch is what watchCounters saw: the number of scrapes it
+// took, the last scrape (or the one it started from), and every
+// counter decrease between consecutive scrapes.
+type counterWatch struct {
+	scrapes   int
+	last      map[string]float64
+	decreases []string
+}
+
+// watchCounters scrapes /metrics every interval until ctx is done,
+// comparing each scrape with the previous one, starting from prev. A
+// failed scrape is skipped: the next one compares with the last that
+// succeeded.
+func watchCounters(ctx context.Context, c *client.Client, prev map[string]float64, every time.Duration) counterWatch {
+	cw := counterWatch{last: prev}
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return cw
+		case <-tick.C:
+		}
+		text, err := c.Metrics(ctx)
+		if err != nil {
+			continue
+		}
+		next := client.ParseMetrics(text)
+		cw.scrapes++
+		cw.decreases = append(cw.decreases, counterDecreases(cw.last, next)...)
+		cw.last = next
+	}
+}
+
+// counterDecreases lists, sorted, the counters — series whose metric
+// name ends in _total — present in both scrapes whose value went down.
+func counterDecreases(prev, next map[string]float64) []string {
+	var out []string
+	for series, v := range next {
+		name, _, _ := strings.Cut(series, "{")
+		if old, ok := prev[series]; ok && strings.HasSuffix(name, "_total") && v < old {
+			out = append(out, fmt.Sprintf("%s %g -> %g", series, old, v))
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // perWorkerInterval spreads the aggregate rate budget evenly across

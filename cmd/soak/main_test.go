@@ -92,3 +92,35 @@ func TestFmtLatency(t *testing.T) {
 		t.Fatalf("fmtLatency = %q", got)
 	}
 }
+
+// TestCounterDecreases pins the monotonicity comparison: only _total
+// series present in both scrapes count, and any decrease is reported.
+func TestCounterDecreases(t *testing.T) {
+	prev := map[string]float64{
+		"krcored_queries_total":                           10,
+		`krcored_engine_setting_hits_total{k="5",r="10"}`: 7,
+		`krcored_engine_setting_miss_total{k="5",r="10"}`: 2,
+		"krcored_inflight_queries":                        3, // a gauge may go down
+		`krcored_engine_setting_hits_total{k="6",r="10"}`: 4, // gone from the next scrape
+		"krcored_queries_total_bytes":                     9, // not a counter name
+	}
+	next := map[string]float64{
+		"krcored_queries_total":                           12,
+		`krcored_engine_setting_hits_total{k="5",r="10"}`: 6,
+		`krcored_engine_setting_miss_total{k="5",r="10"}`: 0,
+		"krcored_inflight_queries":                        1,
+		`krcored_engine_setting_hits_total{k="7",r="10"}`: 0, // new series
+		"krcored_queries_total_bytes":                     1,
+	}
+	got := counterDecreases(prev, next)
+	want := []string{
+		`krcored_engine_setting_hits_total{k="5",r="10"} 7 -> 6`,
+		`krcored_engine_setting_miss_total{k="5",r="10"} 2 -> 0`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("counterDecreases = %q, want %q", got, want)
+	}
+	if got := counterDecreases(next, next); len(got) != 0 {
+		t.Fatalf("unchanged scrape reported decreases: %q", got)
+	}
+}

@@ -433,12 +433,14 @@ func (e *Engine) edgeKeys(o *Oracle) []float64 {
 }
 
 // advanceDelta describes one committed mutation batch to the engine's
-// scoped invalidation: the post-mutation graph, the effective edge diff
-// (normalized u < v), the vertices with changed attributes, whether the
-// vertex set grew, and the touched mask (endpoints of every changed
-// pair plus every attribute-changed vertex, length g2.N()).
+// scoped invalidation: the post-mutation graph, the metric over the
+// post-mutation attributes, the effective edge diff (normalized u < v),
+// the vertices with changed attributes, whether the vertex set grew,
+// and the touched mask (endpoints of every changed pair plus every
+// attribute-changed vertex, length g2.N()).
 type advanceDelta struct {
 	g2        *graph.Graph
+	metric    Metric
 	addPairs  [][2]int32
 	delPairs  [][2]int32
 	attrVerts []int32
@@ -463,8 +465,8 @@ type advanceStats struct {
 //     vertex growth rebuild them, because indexes snapshot per-vertex
 //     state at construction;
 //   - per-r filtered graphs are patched incrementally — only the new
-//     and attribute-changed pairs consult the similarity engine (see
-//     simgraph.PatchFiltered), never all m edges;
+//     pairs and the edges of attribute-changed vertices are classified
+//     by the oracle (see simgraph.PatchFiltered), never all m edges;
 //   - per-(k,r) prepared candidate components are maintained
 //     incrementally: the per-vertex core numbers are repaired around the
 //     changed edges and only the affected components are rediscovered
@@ -479,12 +481,15 @@ type advanceStats struct {
 // The new engine shares the receiver's hit/miss counters, and each
 // carried setting its per-setting ones, so a query the receiver still
 // serves while advance runs is counted on the published engine too.
-// The receiver is left unchanged; the caller must not mutate the
-// attribute store while either engine may read it (DynamicEngine holds
-// its write lock across attribute rounds).
+// The new engine and the oracles it rebuilds read d.metric; carried
+// oracles keep reading the receiver's store, which an attribute or
+// growth round must therefore leave unchanged (DynamicEngine edits a
+// copy). The receiver is left unchanged and keeps serving its own
+// snapshot. Entries still being built when advance copies the cache
+// maps are not carried; the new engine rebuilds them on demand.
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
-	ne := NewEngine(d.g2, e.metric)
+	ne := NewEngine(d.g2, d.metric)
 	ne.ctr = e.ctr
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
@@ -508,13 +513,13 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 		}
 		oracle := old.oracle
 		if attrsChanged {
-			oracle = NewOracle(e.metric, r)
+			oracle = NewOracle(d.metric, r)
 			BuildIndex(oracle)
 			st.indexesRebuilt++
 		} else {
 			st.indexesKept++
 		}
-		filtered, addF, delF := simgraph.PatchFiltered(old.filtered, oracle.Bulk(), d.g2,
+		filtered, addF, delF := simgraph.PatchFiltered(old.filtered, oracle, d.g2,
 			d.addPairs, d.delPairs, d.attrVerts)
 		diffs[r] = filteredDiff{add: addF, del: delF}
 		ne.byR[r] = readyREntry(oracle, filtered)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
@@ -79,7 +80,7 @@ func SetAttributesUpdate(u int32, a VertexAttributes) Update {
 // DynamicAttributes is the mutable attribute store a DynamicEngine
 // maintains alongside its graph. GeoAttributes, KeywordAttributes and
 // WeightedKeywordAttributes implement it; adapters over custom metrics
-// only need these three methods.
+// only need these four methods.
 type DynamicAttributes interface {
 	// Metric exposes the similarity metric reading the store.
 	Metric() Metric
@@ -89,6 +90,10 @@ type DynamicAttributes interface {
 	// SetAttributes replaces the attributes of vertex u with the
 	// kind-relevant fields of a.
 	SetAttributes(u int32, a VertexAttributes)
+	// Clone returns a deep copy whose writes the original never sees.
+	// An attribute or growth round edits a clone, so the store an
+	// earlier snapshot serves from stays unchanged.
+	Clone() DynamicAttributes
 }
 
 // DynamicStats counts a DynamicEngine's update activity and how much
@@ -99,8 +104,8 @@ type DynamicStats struct {
 	// Batches is the number of ApplyBatch commits (no-op batches
 	// included).
 	Batches int64
-	// Version counts published graph snapshots; a no-op batch does not
-	// bump it.
+	// Version counts the commits that changed the graph or the
+	// attributes; a no-op batch does not bump it.
 	Version int64
 	// IndexesKept / IndexesRebuilt count per-threshold similarity
 	// indexes carried across updates versus rebuilt (structure-only
@@ -154,36 +159,34 @@ type JournalAppender interface {
 // a mutation cost incremental work instead of discarding every cached
 // oracle, similarity index, filtered graph and prepared component.
 //
-// Every committed batch publishes a fresh immutable snapshot (graph
-// plus engine) built by scoped invalidation: structure-only changes
-// keep the per-r similarity indexes; the per-r filtered graphs are
-// patched by classifying only the new or changed pairs; and prepared
-// (k,r) components untouched by the delta are reused verbatim. Results
-// are always bit-identical to a from-scratch Engine over the mutated
-// graph — the differential test harness enforces exactly that.
+// Every committed batch publishes a fresh immutable snapshot (attribute
+// store, graph and engine) built by scoped invalidation: structure-only
+// changes keep the per-r similarity indexes; the per-r filtered graphs
+// are patched by classifying only the new or changed pairs; and
+// prepared (k,r) components untouched by the delta are reused verbatim.
+// Results are always bit-identical to a from-scratch Engine over the
+// mutated graph — the differential test harness enforces exactly that.
 //
-// Concurrency: query methods take a shared lock and run fully in
-// parallel with each other. Mutations go through a group-commit write
-// path: concurrent ApplyBatch calls enqueue their batches and the
-// first caller through becomes the round's leader, validating and
-// merging every queued batch into one delta, one journal append and
-// one snapshot advance. Structure-only rounds build the new snapshot
-// entirely outside the engine lock — queries keep running against the
-// current snapshot for the whole rebuild and are blocked only for the
-// pointer swap; attribute rounds hold the lock across the advance,
-// because the attribute store they mutate is read by concurrent
-// cache-miss preparation. All methods are safe for concurrent use.
+// Concurrency: each query loads the current snapshot with one atomic
+// read and runs on it to completion, so queries never wait for a
+// writer and writers never wait for a query. Mutations go through a
+// group-commit write path: concurrent ApplyBatch calls enqueue their
+// batches and the first caller through becomes the round's leader,
+// validating and merging every queued batch into one delta, one journal
+// append and one snapshot advance. The leader builds the next snapshot
+// beside the current one — an attribute or growth round edits a copy
+// of the attribute store — and publishes it with one atomic store. All
+// methods are safe for concurrent use.
 type DynamicEngine struct {
-	mu    sync.RWMutex
-	attrs DynamicAttributes
-	g     *graph.Graph
-	eng   *Engine
-	stats DynamicStats
+	// cur is the published snapshot. Nothing reachable from it is
+	// written after publication.
+	cur atomic.Pointer[dynSnapshot]
 
 	// commitMu serialises commit rounds; the holder is the round's
-	// leader. journal is guarded by it, and the leader's journal append
-	// (one fsync per group commit) deliberately runs under it — that
-	// ordering is the durability contract. krlint:iolock
+	// leader and the only writer of cur. journal is guarded by it, and
+	// the leader's journal append (one fsync per group commit)
+	// deliberately runs under it — that ordering is the durability
+	// contract. krlint:iolock
 	commitMu  sync.Mutex
 	journal   JournalAppender
 	commitObs func(CommitInfo)
@@ -191,11 +194,15 @@ type DynamicEngine struct {
 	// pendMu guards the queue of batches awaiting a leader.
 	pendMu  sync.Mutex
 	pending []*commitReq
+}
 
-	// preAdvance, when non-nil, runs at the start of a structure-only
-	// round's out-of-lock rebuild. Tests use it to hold a commit
-	// mid-rebuild and prove queries still run.
-	preAdvance func()
+// dynSnapshot is one published state of a DynamicEngine: the attribute
+// store, the engine serving the graph (eng.g) over that store, and the
+// update counters up to this state.
+type dynSnapshot struct {
+	attrs DynamicAttributes
+	eng   *Engine
+	stats DynamicStats
 }
 
 // commitReq is one ApplyBatch call waiting in the commit queue.
@@ -212,8 +219,9 @@ type commitReq struct {
 
 // NewDynamicEngine returns a mutable serving engine over the graph and
 // attribute store. The store is grown to cover the graph's vertices;
-// the engine owns both from here on — mutate them only through engine
-// updates, never directly, or cached state will silently diverge.
+// the engine reads it until its first attribute or growth write, which
+// copies it, and never writes it after construction. The caller must
+// not modify the store while the engine may still read it.
 func NewDynamicEngine(g *Graph, attrs DynamicAttributes) (*DynamicEngine, error) {
 	if g == nil {
 		return nil, errors.New("krcore: dynamic engine needs a graph")
@@ -222,7 +230,9 @@ func NewDynamicEngine(g *Graph, attrs DynamicAttributes) (*DynamicEngine, error)
 		return nil, errors.New("krcore: dynamic engine needs a dynamic attribute store")
 	}
 	attrs.Grow(g.N())
-	return &DynamicEngine{attrs: attrs, g: g, eng: NewEngine(g, attrs.Metric())}, nil
+	d := &DynamicEngine{}
+	d.cur.Store(&dynSnapshot{attrs: attrs, eng: NewEngine(g, attrs.Metric())})
+	return d, nil
 }
 
 // AddEdge inserts the undirected edge (u,v). Inserting an existing edge
@@ -303,7 +313,7 @@ func (d *DynamicEngine) SetJournal(j JournalAppender) {
 
 // SetCommitObserver registers fn (nil to detach), called by each
 // commit round's leader after the round is accepted — journalled and
-// about to publish — with the round's coalescing shape. The serving
+// published — with the round's coalescing shape. The serving
 // layer uses it to feed group-commit batch-size histograms. fn runs
 // under the commit lock: it must be fast and must not block on I/O or
 // call back into the engine.
@@ -319,7 +329,7 @@ func (d *DynamicEngine) SetCommitObserver(fn func(CommitInfo)) {
 // kind-specific text format, so a journal opened for this engine must
 // use the same kind (see updates.OpenJournal).
 func (d *DynamicEngine) AttributeKind() string {
-	switch d.attrs.Metric().(type) {
+	switch d.Metric().(type) {
 	case similarity.Euclidean:
 		return "geo"
 	case similarity.Jaccard:
@@ -390,11 +400,11 @@ func applyToDelta(delta *graph.Delta, batch []Update, attrUps *[]Update) error {
 }
 
 // commitGroup commits one round: validate and merge every queued batch
-// into a single delta, append the accepted updates to the journal, and
-// publish one new snapshot. Caller holds commitMu — the leader is the
-// only writer of d.g/d.eng/d.attrs until it returns, which is what
-// lets the structure-only path read them without d.mu.
+// into a single delta, append the accepted updates to the journal,
+// build the next snapshot beside the current one and publish it. Caller
+// holds commitMu, so cur cannot change under the leader.
 func (d *DynamicEngine) commitGroup(group []*commitReq) {
+	cur := d.cur.Load()
 	errs := make([]error, len(group))
 	var delta *graph.Delta
 	var attrUps []Update
@@ -403,7 +413,7 @@ func (d *DynamicEngine) commitGroup(group []*commitReq) {
 	// reference vertices the excluded one would have added. Each restart
 	// excludes at least one batch, so the loop terminates.
 restart:
-	delta = graph.NewDelta(d.g)
+	delta = graph.NewDelta(cur.eng.g)
 	attrUps = attrUps[:0]
 	for gi, req := range group {
 		if errs[gi] != nil {
@@ -440,39 +450,37 @@ restart:
 		}
 	}
 
-	countGroup := func() {
-		if accepted > 0 {
-			d.stats.GroupCommits++
-		}
-		for gi, req := range group {
-			if errs[gi] == nil {
-				d.stats.Batches++
-				d.stats.Updates += int64(len(req.batch))
-			}
+	next := *cur
+	if accepted > 0 {
+		next.stats.GroupCommits++
+	}
+	next.stats.Batches += int64(accepted)
+	next.stats.Updates += int64(len(ops))
+	if !delta.Empty() || len(attrUps) > 0 {
+		next.advance(delta, attrUps)
+	}
+	d.cur.Store(&next)
+	if d.commitObs != nil && accepted > 0 {
+		d.commitObs(CommitInfo{Batches: accepted, Ops: len(ops)})
+	}
+	deliver(group, errs)
+}
+
+// advance moves the snapshot s past one round's merged delta and
+// attribute updates. An attribute or growth round edits a copy of the
+// store; the engine carries over every cache entry the round left
+// intact (see Engine.advance).
+func (s *dynSnapshot) advance(delta *graph.Delta, attrUps []Update) {
+	g := s.eng.g
+	g2 := g.Apply(delta)
+	grown := g2.N() > g.N()
+	if grown || len(attrUps) > 0 {
+		s.attrs = s.attrs.Clone()
+		s.attrs.Grow(g2.N())
+		for _, up := range attrUps {
+			s.attrs.SetAttributes(up.U, up.Attrs)
 		}
 	}
-
-	// observeCommit reports the accepted round's coalescing shape to the
-	// registered observer (leader-only, under commitMu — never d.mu).
-	observeCommit := func() {
-		if d.commitObs != nil && accepted > 0 {
-			d.commitObs(CommitInfo{Batches: accepted, Ops: len(ops)})
-		}
-	}
-
-	if delta.Empty() && len(attrUps) == 0 {
-		// Effective no-op round: keep the current snapshot.
-		d.mu.Lock()
-		countGroup()
-		d.mu.Unlock()
-		observeCommit()
-		deliver(group, errs)
-		return
-	}
-
-	add, del := delta.Diff()
-	grown := delta.N() > d.g.N()
-	g2 := d.g.Apply(delta)
 	attrVerts := make([]int32, 0, len(attrUps))
 	attrSeen := map[int32]bool{}
 	for _, up := range attrUps {
@@ -488,57 +496,25 @@ restart:
 	for _, u := range attrVerts {
 		touched[u] = true
 	}
-	adv := advanceDelta{
+	add, del := delta.Diff()
+	ne, ast := s.eng.advance(advanceDelta{
 		g2:        g2,
+		metric:    s.attrs.Metric(),
 		addPairs:  add,
 		delPairs:  del,
 		attrVerts: attrVerts,
 		grown:     grown,
 		touched:   touched,
-	}
-
-	publish := func(ne *Engine, ast advanceStats) {
-		d.g, d.eng = g2, ne
-		countGroup()
-		d.stats.Version++
-		d.stats.IndexesKept += int64(ast.indexesKept)
-		d.stats.IndexesRebuilt += int64(ast.indexesRebuilt)
-		d.stats.ComponentsReused += int64(ast.componentsReused)
-		d.stats.ComponentsRebuilt += int64(ast.componentsRebuilt)
-		d.stats.PatchesIncremental += int64(ast.patchesIncremental)
-		d.stats.PatchesFull += int64(ast.patchesFull)
-		d.stats.CoreVisited += int64(ast.coreVisited)
-	}
-
-	if len(attrUps) == 0 && !grown {
-		// Structure-only round: the attribute store is untouched, so the
-		// whole snapshot rebuild runs outside d.mu — queries keep
-		// serving the current snapshot — and the lock is held only for
-		// the pointer swap.
-		if d.preAdvance != nil {
-			d.preAdvance()
-		}
-		ne, ast := d.eng.advance(adv)
-		d.mu.Lock()
-		publish(ne, ast)
-		d.mu.Unlock()
-	} else {
-		// Attribute or growth round: the store mutations below are read
-		// by concurrent cache-miss preparation, so the rebuild stays
-		// under the write lock.
-		d.mu.Lock()
-		if grown {
-			d.attrs.Grow(g2.N())
-		}
-		for _, up := range attrUps {
-			d.attrs.SetAttributes(up.U, up.Attrs)
-		}
-		ne, ast := d.eng.advance(adv)
-		publish(ne, ast)
-		d.mu.Unlock()
-	}
-	observeCommit()
-	deliver(group, errs)
+	})
+	s.eng = ne
+	s.stats.Version++
+	s.stats.IndexesKept += int64(ast.indexesKept)
+	s.stats.IndexesRebuilt += int64(ast.indexesRebuilt)
+	s.stats.ComponentsReused += int64(ast.componentsReused)
+	s.stats.ComponentsRebuilt += int64(ast.componentsRebuilt)
+	s.stats.PatchesIncremental += int64(ast.patchesIncremental)
+	s.stats.PatchesFull += int64(ast.patchesFull)
+	s.stats.CoreVisited += int64(ast.coreVisited)
 }
 
 // deliver sends each request its outcome. Channels are buffered, so
@@ -550,114 +526,86 @@ func deliver(group []*commitReq, errs []error) {
 	}
 }
 
+// engine returns the engine of the current snapshot.
+func (d *DynamicEngine) engine() *Engine { return d.cur.Load().eng }
+
 // Graph returns the current immutable graph snapshot. It stays valid
 // (and unchanged) however many updates follow.
-func (d *DynamicEngine) Graph() *Graph {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g
-}
+func (d *DynamicEngine) Graph() *Graph { return d.engine().g }
+
+// Metric returns the similarity metric over the current snapshot's
+// attributes. Like Graph, it stays valid and unchanged after later
+// updates, so NewEngine(d.Graph(), d.Metric()) between writes is a
+// from-scratch engine over the same state.
+func (d *DynamicEngine) Metric() Metric { return d.engine().metric }
 
 // N returns the current vertex count.
-func (d *DynamicEngine) N() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g.N()
-}
+func (d *DynamicEngine) N() int { return d.Graph().N() }
 
 // M returns the current undirected edge count.
-func (d *DynamicEngine) M() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.g.M()
-}
+func (d *DynamicEngine) M() int { return d.Graph().M() }
 
 // Enumerate returns all maximal (k,r)-cores of the current snapshot
 // (see Engine.Enumerate).
 func (d *DynamicEngine) Enumerate(k int, r float64, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Enumerate(k, r, opt)
+	return d.engine().Enumerate(k, r, opt)
 }
 
 // EnumerateContaining returns the maximal (k,r)-cores containing v in
 // the current snapshot (see Engine.EnumerateContaining).
 func (d *DynamicEngine) EnumerateContaining(k int, r float64, v int32, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContaining(k, r, v, opt)
+	return d.engine().EnumerateContaining(k, r, v, opt)
 }
 
 // FindMaximum returns the maximum (k,r)-core of the current snapshot
 // (see Engine.FindMaximum).
 func (d *DynamicEngine) FindMaximum(k int, r float64, opt MaxOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.FindMaximum(k, r, opt)
+	return d.engine().FindMaximum(k, r, opt)
 }
 
 // EnumerateContext is Enumerate bound to a request context (see
-// Engine.EnumerateContext). The context also covers the time the query
-// may spend waiting for an in-flight mutation to publish its snapshot.
+// Engine.EnumerateContext).
 func (d *DynamicEngine) EnumerateContext(ctx context.Context, k int, r float64, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContext(ctx, k, r, opt)
+	return d.engine().EnumerateContext(ctx, k, r, opt)
 }
 
 // EnumerateContainingContext is EnumerateContaining bound to a request
 // context (see Engine.EnumerateContext).
 func (d *DynamicEngine) EnumerateContainingContext(ctx context.Context, k int, r float64, v int32, opt EnumOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.EnumerateContainingContext(ctx, k, r, v, opt)
+	return d.engine().EnumerateContainingContext(ctx, k, r, v, opt)
 }
 
 // FindMaximumContext is FindMaximum bound to a request context (see
 // Engine.EnumerateContext).
 func (d *DynamicEngine) FindMaximumContext(ctx context.Context, k int, r float64, opt MaxOptions) (*Result, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.FindMaximumContext(ctx, k, r, opt)
+	return d.engine().FindMaximumContext(ctx, k, r, opt)
 }
 
 // Warm prepares the (k,r) setting ahead of traffic; subsequent updates
-// keep it prepared through scoped invalidation.
+// keep it prepared through scoped invalidation. A commit carries only
+// settings already built when it copies the cache: a build still
+// running then is not carried into the next snapshot, and the next
+// query there rebuilds it.
 func (d *DynamicEngine) Warm(k int, r float64) error {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Warm(k, r)
+	return d.engine().Warm(k, r)
 }
 
 // Oracle returns the current snapshot's similarity oracle at threshold
-// r (see Engine.Oracle).
+// r (see Engine.Oracle). It keeps answering for the attributes of that
+// snapshot after later updates.
 func (d *DynamicEngine) Oracle(r float64) (*Oracle, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Oracle(r)
+	return d.engine().Oracle(r)
 }
 
 // Stats reports the serving cache counters. Hit and miss counts carry
 // across updates, so Hits+Misses always equals the number of queries
 // answered since construction.
-func (d *DynamicEngine) Stats() EngineStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.Stats()
-}
+func (d *DynamicEngine) Stats() EngineStats { return d.engine().Stats() }
 
 // SettingsStats reports the current snapshot's per-(k,r) cache
 // traffic (see Engine.SettingsStats). Counts persist across updates
 // for every setting the scoped invalidation carries over.
-func (d *DynamicEngine) SettingsStats() []SettingStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.eng.SettingsStats()
-}
+func (d *DynamicEngine) SettingsStats() []SettingStats { return d.engine().SettingsStats() }
 
 // DynamicStats reports update activity and invalidation reuse counters.
-func (d *DynamicEngine) DynamicStats() DynamicStats {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.stats
-}
+func (d *DynamicEngine) DynamicStats() DynamicStats { return d.cur.Load().stats }

@@ -243,9 +243,7 @@ func randomBatch(cfg diffMetric, m *dynMirror, rng *rand.Rand) []Update {
 // must preserve across every update.
 func assertMaintainedCores(t *testing.T, d *DynamicEngine, label string) {
 	t.Helper()
-	d.mu.RLock()
-	e := d.eng
-	d.mu.RUnlock()
+	e := d.engine()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	checked := 0
@@ -429,10 +427,7 @@ func TestDynamicEngineNewThresholdAfterWrites(t *testing.T) {
 				// happen to agree.
 				o := NewOracle(fresh.metric, r)
 				want := m.graph().FilterEdges(o.Similar)
-				eng.mu.RLock()
-				e := eng.eng
-				eng.mu.RUnlock()
-				got := e.forR(r).filtered
+				got := eng.engine().forR(r).filtered
 				for u := int32(0); u < int32(want.N()); u++ {
 					if fmt.Sprint(got.Neighbors(u)) != fmt.Sprint(want.Neighbors(u)) {
 						t.Fatalf("%s: filtered neighbours of %d = %v, want %v", label, u, got.Neighbors(u), want.Neighbors(u))
@@ -690,81 +685,253 @@ func TestDynamicEngineCoreMaintenanceStreams(t *testing.T) {
 	}
 }
 
-// TestDynamicEngineReadersNotStarvedByRebuild is the regression for
-// the write path holding the engine lock across snapshot rebuilds: a
-// structure-only commit is parked mid-rebuild (via the preAdvance test
-// hook, which runs outside d.mu) and queries must still complete —
-// they would block forever on d.mu under the old
-// rebuild-under-write-lock behaviour.
-func TestDynamicEngineReadersNotStarvedByRebuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
+// scoreGate parks the first Score call made after it is armed until
+// release closes; every other call passes straight through.
+type scoreGate struct {
+	armed   atomic.Bool
+	entered chan struct{} // closed when the parked call arrives
+	release chan struct{}
+}
+
+func newScoreGate() *scoreGate {
+	return &scoreGate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *scoreGate) pass() {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+}
+
+// parkingMetric is Euclidean distance scored through a gate. As a custom
+// metric it has no index fast path: the engine scores every pair it
+// classifies through Score.
+type parkingMetric struct {
+	inner Metric
+	gate  *scoreGate
+}
+
+func (m parkingMetric) Score(u, v int32) float64 {
+	m.gate.pass()
+	return m.inner.Score(u, v)
+}
+func (m parkingMetric) Distance() bool { return true }
+func (m parkingMetric) Name() string   { return "parking-euclidean" }
+
+// parkingAttrs is a geo store whose metric scores through a gate.
+type parkingAttrs struct {
+	geo  *GeoAttributes
+	gate *scoreGate
+}
+
+func (a *parkingAttrs) Metric() Metric { return parkingMetric{inner: a.geo.Metric(), gate: a.gate} }
+func (a *parkingAttrs) Grow(n int)     { a.geo.Grow(n) }
+func (a *parkingAttrs) SetAttributes(u int32, v VertexAttributes) {
+	a.geo.SetAttributes(u, v)
+}
+func (a *parkingAttrs) Clone() DynamicAttributes {
+	return &parkingAttrs{geo: a.geo.Clone().(*GeoAttributes), gate: a.gate}
+}
+
+// parkingInstance builds a dynamic engine over the Euclidean harness
+// instance whose metric scores through gate.
+func parkingInstance(t *testing.T, rng *rand.Rand, gate *scoreGate) (*DynamicEngine, *dynMirror, diffMetric) {
+	t.Helper()
 	cfg := diffMetrics()[0]
 	m := buildDiffInstance(cfg, rng)
-	store := cfg.newStore()
-	store.Grow(m.n)
+	geo := NewGeoAttributes(m.n)
 	for u := 0; u < m.n; u++ {
-		store.SetAttributes(int32(u), m.attrs[u])
+		geo.SetAttributes(int32(u), m.attrs[u])
 	}
-	eng, err := NewDynamicEngine(m.graph(), store)
+	eng, err := NewDynamicEngine(m.graph(), &parkingAttrs{geo: geo, gate: gate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := cfg.presets[0]
-	if err := eng.Warm(p.k, p.r); err != nil {
-		t.Fatal(err)
-	}
-	versionBefore := eng.DynamicStats().Version
+	return eng, m, cfg
+}
 
-	// Pick an edge that is genuinely absent: adding an existing edge is
-	// an effective no-op and would skip the rebuild entirely.
-	var au, av int32 = -1, -1
-	for u := int32(0); u < int32(m.n) && au < 0; u++ {
+// absentEdge returns a pair that is not an edge of the mirror: adding
+// an existing edge is an effective no-op, which rebuilds nothing.
+func absentEdge(t *testing.T, m *dynMirror) (int32, int32) {
+	t.Helper()
+	for u := int32(0); u < int32(m.n); u++ {
 		for v := u + 1; v < int32(m.n); v++ {
 			if !m.edges[normPair(u, v)] {
-				au, av = u, v
-				break
+				return u, v
 			}
 		}
 	}
-	if au < 0 {
-		t.Fatal("instance is a complete graph; cannot pick an absent edge")
+	t.Fatal("instance is a complete graph; cannot pick an absent edge")
+	return 0, 0
+}
+
+// within waits up to 30 s for the outcome of an operation that must not
+// block.
+func within(t *testing.T, what string, done <-chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s blocked", what)
+	}
+}
+
+// TestDynamicEngineReadersNotStarvedByRebuild parks a commit at the
+// first pair its rebuild scores, once for a structure-only round and
+// once for an attribute round. A query must still complete on the
+// current snapshot meanwhile, and the commit must publish only once
+// released.
+func TestDynamicEngineReadersNotStarvedByRebuild(t *testing.T) {
+	for _, round := range []string{"structure-only", "attribute"} {
+		t.Run(round, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(8))
+			gate := newScoreGate()
+			eng, m, cfg := parkingInstance(t, rng, gate)
+			p := cfg.presets[0]
+			if err := eng.Warm(p.k, p.r); err != nil {
+				t.Fatal(err)
+			}
+			versionBefore := eng.DynamicStats().Version
+
+			var write func() error
+			if round == "structure-only" {
+				u, v := absentEdge(t, m)
+				write = func() error { return eng.AddEdge(u, v) }
+			} else {
+				// Vertex 0 has edges, so the rebuild re-scores them.
+				if eng.Graph().Degree(0) == 0 {
+					t.Fatal("vertex 0 is isolated")
+				}
+				a := cfg.randAttr(rng, 1)
+				write = func() error { return eng.SetAttributes(0, a) }
+			}
+			gate.armed.Store(true)
+			done := make(chan error, 1)
+			go func() { done <- write() }()
+			<-gate.entered // the commit is now parked mid-rebuild
+
+			queried := make(chan error, 1)
+			go func() {
+				_, err := eng.Enumerate(p.k, p.r, EnumOptions{})
+				queried <- err
+			}()
+			within(t, "query during an in-flight snapshot rebuild", queried)
+			if v := eng.DynamicStats().Version; v != versionBefore {
+				t.Fatalf("snapshot published before the rebuild finished: version %d -> %d", versionBefore, v)
+			}
+			close(gate.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v := eng.DynamicStats().Version; v != versionBefore+1 {
+				t.Fatalf("commit did not publish: version %d -> %d", versionBefore, v)
+			}
+		})
+	}
+}
+
+// TestDynamicEngineParkedSearchBlocksNothing parks a cold query inside
+// its preparation. A commit and a read at a warmed setting must both
+// complete meanwhile, and the parked query must finish once released.
+func TestDynamicEngineParkedSearchBlocksNothing(t *testing.T) {
+	gate := newScoreGate()
+	eng, m, cfg := parkingInstance(t, rand.New(rand.NewSource(8)), gate)
+	hot, cold := cfg.presets[0], cfg.presets[1]
+	if err := eng.Warm(hot.k, hot.r); err != nil {
+		t.Fatal(err)
 	}
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	eng.preAdvance = func() {
-		close(entered)
-		<-release
-	}
-	done := make(chan error, 1)
-	go func() { done <- eng.AddEdge(au, av) }() // structure-only commit
-	<-entered                                   // the commit is now mid-rebuild
-
-	// Queries against the still-current snapshot must complete while
-	// the rebuild is parked; a timeout here means the write path held
-	// the engine lock across the rebuild.
-	queried := make(chan error, 1)
+	gate.armed.Store(true)
+	searched := make(chan error, 1)
 	go func() {
-		_, err := eng.Enumerate(p.k, p.r, EnumOptions{})
-		queried <- err
+		_, err := eng.Enumerate(cold.k, cold.r, EnumOptions{})
+		searched <- err
 	}()
 	select {
-	case err := <-queried:
+	case <-gate.entered: // the cold query is parked mid-prepare
+	case err := <-searched:
+		t.Fatalf("cold query finished without scoring a pair (err %v)", err)
+	}
+
+	u, v := absentEdge(t, m)
+	committed := make(chan error, 1)
+	go func() { committed <- eng.AddEdge(u, v) }()
+	within(t, "commit during a parked search", committed)
+	m.apply([]Update{AddEdgeUpdate(u, v)})
+
+	read := make(chan error, 1)
+	go func() {
+		_, err := eng.Enumerate(hot.k, hot.r, EnumOptions{})
+		read <- err
+	}()
+	within(t, "warm read during a parked search", read)
+
+	close(gate.release)
+	within(t, "parked search after release", searched)
+
+	// The engine still agrees with a from-scratch one over its state.
+	fresh := NewEngine(eng.Graph(), eng.Metric())
+	for _, p := range []struct {
+		k int
+		r float64
+	}{hot, cold} {
+		de, err := eng.Enumerate(p.k, p.r, EnumOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("query blocked behind an in-flight snapshot rebuild")
+		fe, err := fresh.Enumerate(p.k, p.r, EnumOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("(k=%d, r=%g)", p.k, p.r), de, fe)
 	}
-	if v := eng.DynamicStats().Version; v != versionBefore {
-		t.Fatalf("snapshot published before the rebuild finished: version %d -> %d", versionBefore, v)
-	}
-	close(release)
-	if err := <-done; err != nil {
+}
+
+// TestDynamicEngineCopiesStoreOnWrite pins the store contract: the
+// store passed to NewDynamicEngine keeps its construction-time
+// attributes after attribute and growth writes, and an Oracle taken
+// before an attribute write keeps answering for the attributes it was
+// taken under.
+func TestDynamicEngineCopiesStoreOnWrite(t *testing.T) {
+	b := NewGraphBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(1, 2)
+	geo := NewGeoAttributes(3)
+	geo.Set(1, 1, 0)
+	geo.Set(2, 50, 0)
+	eng, err := NewDynamicEngine(b.Build(), geo)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if v := eng.DynamicStats().Version; v != versionBefore+1 {
-		t.Fatalf("commit did not publish: version %d -> %d", versionBefore, v)
+	before, err := eng.Oracle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetAttributes(1, VertexAttributes{X: 49}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AddVertex(); err != nil {
+		t.Fatal(err)
+	}
+	if n, p := geo.store.N(), geo.store.Vertex(1); n != 3 || p.X != 1 || p.Y != 0 {
+		t.Fatalf("caller's store written: %d vertices, vertex 1 at %+v", n, p)
+	}
+	if !before.Similar(0, 1) {
+		t.Fatal("an oracle taken before the write answers for the written attributes")
+	}
+	after, err := eng.Oracle(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Similar(0, 1) || !after.Similar(1, 2) {
+		t.Fatal("the current oracle does not answer for the written attributes")
+	}
+	if eng.N() != 4 {
+		t.Fatalf("N = %d after AddVertex, want 4", eng.N())
 	}
 }
 
@@ -791,11 +958,11 @@ func TestDynamicEngineGroupCommitStress(t *testing.T) {
 	if err := eng.Warm(p.k, p.r); err != nil {
 		t.Fatal(err)
 	}
-	// Slow each structure-only rebuild down slightly so followers pile
-	// up behind the leader and rounds genuinely coalesce; on a bare
-	// 56-vertex instance commits otherwise finish faster than writers
-	// can collide.
-	eng.preAdvance = func() { time.Sleep(500 * time.Microsecond) }
+	// Slow each round down slightly, as an fsynced journal would, so
+	// followers pile up behind the leader and rounds genuinely coalesce;
+	// on a bare 56-vertex instance commits otherwise finish faster than
+	// writers can collide.
+	eng.SetJournal(slowJournal{500 * time.Microsecond})
 
 	// Writer w owns the edge slots {(w, w+16+i)}: all writers' update
 	// sets commute, so the final edge set is each writer's last word on
@@ -912,6 +1079,14 @@ func TestDynamicEngineGroupCommitStress(t *testing.T) {
 	sameResult(t, "settled", de, fe)
 	t.Logf("batches=%d rounds=%d coalesce=%.2f", ds.Batches, ds.GroupCommits,
 		float64(ds.Batches)/float64(ds.GroupCommits))
+}
+
+// slowJournal stands in for an fsynced journal: each append sleeps.
+type slowJournal struct{ d time.Duration }
+
+func (j slowJournal) AppendBatch([]Update) error {
+	time.Sleep(j.d)
+	return nil
 }
 
 // TestDynamicEngineGroupCommitAtomicity drives mixed valid/invalid

@@ -51,58 +51,25 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 // Engine.SaveSnapshot captures plus the update journal position
 // (JournalOffset) and maintenance counters, so a crashed process
 // recovers by loading the snapshot and replaying its update journal
-// from that offset (see updates.Stream.ReplayStreamFrom). Only the
-// capture runs under the engine's read lock — the attribute store (the
-// one piece of captured state mutations modify in place) is cloned
-// before the lock is released, and the snapshot encoding streams to w
-// with no lock held, so neither queries nor mutations wait for the
-// write I/O.
+// from that offset (see updates.Stream.ReplayStreamFrom). It encodes
+// the snapshot current when it is called; later updates publish new
+// snapshots and never change that one, so neither queries nor
+// mutations wait for the write I/O.
 func (d *DynamicEngine) SaveSnapshot(w io.Writer) error {
-	st, err := d.snapshotLocked()
+	cur := d.cur.Load()
+	st, err := cur.eng.snapshotState()
 	if err != nil {
 		return err
 	}
+	// DynamicStats and DynamicState list the same counters in the same
+	// order, so each converts to the other.
+	ds := snapshot.DynamicState(cur.stats)
+	st.Dynamic = &ds
 	return snapshot.Write(w, st)
 }
 
-// snapshotLocked captures a consistent serialisable state under the
-// read lock. Everything captured is immutable-after-publication
-// (patched CSR graphs, built oracles, prepared components) except the
-// attribute store, which SetAttributes/AddVertex mutate in place — it
-// is deep-cloned here so the caller can encode after unlock.
-func (d *DynamicEngine) snapshotLocked() (*snapshot.EngineState, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	st, err := d.eng.snapshotState()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case st.Geo != nil:
-		st.Geo = st.Geo.Clone()
-	case st.Keywords != nil:
-		st.Keywords = st.Keywords.Clone()
-	case st.Weighted != nil:
-		st.Weighted = st.Weighted.Clone()
-	}
-	st.Dynamic = &snapshot.DynamicState{
-		Updates:            d.stats.Updates,
-		Batches:            d.stats.Batches,
-		Version:            d.stats.Version,
-		IndexesKept:        d.stats.IndexesKept,
-		IndexesRebuilt:     d.stats.IndexesRebuilt,
-		ComponentsReused:   d.stats.ComponentsReused,
-		ComponentsRebuilt:  d.stats.ComponentsRebuilt,
-		GroupCommits:       d.stats.GroupCommits,
-		PatchesIncremental: d.stats.PatchesIncremental,
-		PatchesFull:        d.stats.PatchesFull,
-		CoreVisited:        d.stats.CoreVisited,
-	}
-	return st, nil
-}
-
 // LoadDynamicEngine reconstructs a mutable serving engine from a
-// snapshot. The engine owns a fresh attribute store decoded from the
+// snapshot. The engine serves the attribute store decoded from the
 // snapshot, accepts updates immediately, and reports the saved journal
 // position through JournalOffset — zero when the snapshot was written
 // by a static Engine. Malformed input returns a
@@ -116,27 +83,17 @@ func LoadDynamicEngine(r io.Reader) (*DynamicEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	attrs, err := dynamicAttrsFor(st)
+	attrs, err := DynamicAttributesFor(eng.metric)
 	if err != nil {
 		return nil, err
 	}
-	de := &DynamicEngine{attrs: attrs, g: eng.g, eng: eng}
+	cur := &dynSnapshot{attrs: attrs, eng: eng}
 	if st.Dynamic != nil {
-		de.stats = DynamicStats{
-			Updates:            st.Dynamic.Updates,
-			Batches:            st.Dynamic.Batches,
-			Version:            st.Dynamic.Version,
-			IndexesKept:        st.Dynamic.IndexesKept,
-			IndexesRebuilt:     st.Dynamic.IndexesRebuilt,
-			ComponentsReused:   st.Dynamic.ComponentsReused,
-			ComponentsRebuilt:  st.Dynamic.ComponentsRebuilt,
-			GroupCommits:       st.Dynamic.GroupCommits,
-			PatchesIncremental: st.Dynamic.PatchesIncremental,
-			PatchesFull:        st.Dynamic.PatchesFull,
-			CoreVisited:        st.Dynamic.CoreVisited,
-		}
+		cur.stats = DynamicStats(*st.Dynamic)
 	}
-	return de, nil
+	d := &DynamicEngine{}
+	d.cur.Store(cur)
+	return d, nil
 }
 
 // JournalOffset returns the number of update operations the engine has
@@ -144,11 +101,7 @@ func LoadDynamicEngine(r io.Reader) (*DynamicEngine, error) {
 // update journal should resume from after loading a snapshot of this
 // engine. It equals DynamicStats().Updates and survives
 // SaveSnapshot/LoadDynamicEngine round trips.
-func (d *DynamicEngine) JournalOffset() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.stats.Updates
-}
+func (d *DynamicEngine) JournalOffset() int64 { return d.DynamicStats().Updates }
 
 // snapshotState captures the engine's fully built cache entries as a
 // serialisable state. Entries mid-construction are skipped.
@@ -241,19 +194,4 @@ func oracleOnlyREntry(o *Oracle) *rEntry {
 	ent.oracleOnce.Do(func() {})
 	ent.oracleReady.Store(true)
 	return ent
-}
-
-// dynamicAttrsFor wraps the decoded attribute store as the engine's
-// mutable store.
-func dynamicAttrsFor(st *snapshot.EngineState) (DynamicAttributes, error) {
-	switch st.Kind {
-	case attr.KindGeo:
-		return &GeoAttributes{store: st.Geo}, nil
-	case attr.KindKeywords:
-		return &KeywordAttributes{store: st.Keywords}, nil
-	case attr.KindWeighted:
-		return &WeightedKeywordAttributes{store: st.Weighted}, nil
-	default:
-		return nil, fmt.Errorf("krcore: unknown attribute kind %d", st.Kind)
-	}
 }

@@ -29,11 +29,11 @@ func (g *gateWriter) Write(p []byte) (int, error) {
 }
 
 // TestDynamicSaveSnapshotDoesNotBlockWrites pins the lockheld fix:
-// SaveSnapshot captures state under the read lock but streams the
-// encoding with no lock held, so a slow snapshot destination (NFS, a
-// throttled disk) cannot stall the write path. Pre-fix the encode ran
-// under d.mu.RLock and the AddEdge below sat blocked until the writer
-// released, tripping the timeout.
+// SaveSnapshot streams the encoding with no lock held, so a slow
+// snapshot destination (NFS, a throttled disk) cannot stall the write
+// path. Before the fix the encode ran under the engine's read lock and
+// the AddEdge below sat blocked until the writer released, tripping
+// the timeout.
 func TestDynamicSaveSnapshotDoesNotBlockWrites(t *testing.T) {
 	g, geo := snapGeoInstance()
 	eng, err := krcore.NewDynamicEngine(g, geo)
@@ -49,7 +49,7 @@ func TestDynamicSaveSnapshotDoesNotBlockWrites(t *testing.T) {
 	<-gw.entered
 
 	// With the snapshot encode parked inside Write, a mutation must
-	// still commit: the serving lock was released after capture.
+	// still commit.
 	mutated := make(chan error, 1)
 	go func() { mutated <- eng.AddEdge(0, int32(eng.N()-1)) }()
 	select {
@@ -81,10 +81,11 @@ func TestDynamicSaveSnapshotDoesNotBlockWrites(t *testing.T) {
 	}
 }
 
-// TestDynamicSaveSnapshotCloneIsolation pins the clone half of the same
-// fix: the attribute store captured for encoding is deep-copied under
-// the lock, so attribute mutations applied while the encoder streams
-// cannot leak into (or race with) the snapshot bytes.
+// TestDynamicSaveSnapshotCloneIsolation pins the isolation half of the
+// same fix: the encoder streams the attribute store of the snapshot it
+// captured, which an attribute write applied meanwhile leaves alone (the
+// write edits a copy), so the mutation cannot leak into (or race with)
+// the snapshot bytes.
 func TestDynamicSaveSnapshotCloneIsolation(t *testing.T) {
 	g, geo := snapGeoInstance()
 	eng, err := krcore.NewDynamicEngine(g, geo)
@@ -120,6 +121,6 @@ func TestDynamicSaveSnapshotCloneIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p := st.Geo.Vertex(0); p.X == 9999 && p.Y == 9999 {
-		t.Fatal("snapshot bytes contain the post-capture attribute mutation: the store was not cloned before unlock")
+		t.Fatal("snapshot bytes contain the post-capture attribute mutation")
 	}
 }

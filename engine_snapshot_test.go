@@ -711,7 +711,7 @@ func TestSnapshotCrashRecoveryDifferential(t *testing.T) {
 					restored.N(), restored.M(), fresh.N(), fresh.M())
 			}
 			// And a from-scratch static engine over the final graph.
-			static := krcore.NewEngine(fresh.Graph(), attrs2.Metric())
+			static := krcore.NewEngine(fresh.Graph(), fresh.Metric())
 			for _, q := range sc.queries {
 				a, err := restored.Enumerate(q.k, q.r, krcore.EnumOptions{})
 				if err != nil {

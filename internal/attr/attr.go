@@ -300,9 +300,9 @@ func (s *Geo) Distance2(u, v int32) float64 {
 }
 
 // Clone returns a deep copy of the store sharing no backing storage,
-// so a caller can keep reading a consistent state (a snapshot encoder
-// writing outside the serving lock) while the original resumes
-// mutating.
+// so readers of the original keep a consistent state while the copy
+// is modified (the dynamic engine edits a copy on each attribute
+// write and leaves the store its published snapshot reads unchanged).
 func (s *Keywords) Clone() *Keywords {
 	return &Keywords{
 		keys:  append([]int32(nil), s.keys...),

@@ -155,9 +155,8 @@ type enumSearch struct {
 	st  *state
 	opt EnumOptions
 	// emit receives each discovered core. Every value stored here is an
-	// in-memory collector (runEnumeration's mutex-guarded append): the
-	// search runs under the serving engine's read lock, so emit must
-	// never perform I/O.
+	// in-memory collector (runEnumeration's mutex-guarded append), which
+	// never performs I/O.
 	//
 	// krlint:nonblocking
 	emit   func([]int32)

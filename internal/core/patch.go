@@ -19,8 +19,7 @@ type PatchStats struct {
 	// filtered graph.
 	Rebuilt int
 	// Incremental reports whether Li & Yu-style core repair handled the
-	// batch; false means the O(n+m) full recompute ran (always for
-	// PatchPrepared, as a fallback for PatchPreparedDelta).
+	// batch; false means the O(n+m) full recompute ran as its fallback.
 	Incremental bool
 	// CoreVisited counts the vertices whose neighbourhoods the
 	// incremental path scanned — core repair plus affected-region
@@ -39,9 +38,10 @@ type PatchDelta struct {
 	AddFiltered, DelFiltered [][2]int32
 	// AttrVerts lists the vertices whose attributes changed.
 	AttrVerts []int32
-	// Touched is the conservative taint mask over filtered.N() vertices
-	// (same contract as PatchPrepared's touched argument); components
-	// containing a touched vertex are never reused verbatim.
+	// Touched is the conservative taint mask over filtered.N() vertices:
+	// it marks both endpoints of every edge added to or removed from the
+	// filtered graph and every vertex whose attributes changed.
+	// Components containing a touched vertex are never reused verbatim.
 	Touched []bool
 	// MaxVisit bounds the vertices the incremental path may walk —
 	// core repair plus region discovery — before falling back to full
@@ -57,20 +57,25 @@ func defaultMaxVisit(n int) int {
 	return 64 + n/8
 }
 
-// PatchPreparedDelta is the incremental successor of PatchPrepared: it
-// repairs the maintained core numbers around the changed edges (see
+// PatchPreparedDelta maintains the prepared candidate components of a
+// (k,r) problem across a mutation of its filtered graph. It repairs
+// the maintained core numbers around the changed edges (see
 // kcore.Repair), discovers the affected candidate components by
 // walking only the region around the change, and reuses every other
 // component object untouched — no O(n+m) re-peeling, no full component
 // scan. When the touched region exceeds d.MaxVisit the call falls back
-// to the full recompute of PatchPrepared (PatchStats.Incremental
+// to a full recompute that still reuses every component with an
+// unchanged vertex set and no touched member (PatchStats.Incremental
 // reports which path ran).
 //
-// Contracts are PatchPrepared's, plus: d.AddFiltered/d.DelFiltered
-// must be the exact effective edge diff between old's filtered graph
-// and the new one (simgraph.PatchFiltered returns it), and d.Touched
-// must cover their endpoints and every attribute-changed vertex. The
-// result is bit-identical to PrepareFiltered(filtered, p).
+// filtered must already be dissimilar-edge-filtered under p.Oracle
+// (simgraph.PatchFiltered maintains it), and p must carry the same K
+// as old and an oracle that agrees with old's on untouched vertex
+// pairs. d.AddFiltered/d.DelFiltered must be the exact effective edge
+// diff between old's filtered graph and the new one (PatchFiltered
+// returns it), and d.Touched must cover their endpoints and every
+// attribute-changed vertex. The result is bit-identical to
+// PrepareFiltered(filtered, p).
 func PatchPreparedDelta(old *Prepared, filtered *graph.Graph, p Params, d PatchDelta) (*Prepared, PatchStats, error) {
 	var st PatchStats
 	if err := p.validate(); err != nil {
@@ -82,9 +87,9 @@ func PatchPreparedDelta(old *Prepared, filtered *graph.Graph, p Params, d PatchD
 		st.CoreVisited = visited
 		return pr, st, nil
 	}
-	full, fst, err := PatchPrepared(old, filtered, p, d.Touched)
+	full, fst := prepareFull(filtered, p, old, d.Touched)
 	fst.CoreVisited = visited // what the abandoned walk cost before giving up
-	return full, fst, err
+	return full, fst, nil
 }
 
 // patchIncremental runs the incremental path; ok=false means the
@@ -334,70 +339,6 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 	pr.byDeg = append([]*problem(nil), pr.probs...)
 	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
 	return pr, visited, true
-}
-
-// PatchPrepared rebuilds the candidate components of a (k,r) problem
-// for a mutated filtered graph, reusing every component of old that the
-// mutation provably left intact. It recomputes the structural part from
-// scratch — the k-core of the new filtered graph and its connected
-// components, O(n+m) — but a component whose vertex set is unchanged
-// and contains no touched vertex keeps its existing problem object,
-// including the dissimilarity lists that would otherwise cost bulk
-// similarity work to rebuild. PatchPreparedDelta is the incremental
-// form that avoids the linear re-peeling; this full recompute remains
-// its fallback for oversized batches.
-//
-// filtered must already be dissimilar-edge-filtered under p.Oracle
-// (see simgraph.PatchFiltered for the incremental way to maintain it).
-// touched[v] marks the vertices whose incident structure or attributes
-// changed; it must cover both endpoints of every edge added to or
-// removed from the filtered graph and every vertex whose attributes
-// changed, and its length must be filtered.N(). p must carry the same K
-// as old and an oracle that agrees with old's on untouched vertex
-// pairs. Under those contracts the result is bit-identical to
-// PrepareFiltered(filtered, p).
-func PatchPrepared(old *Prepared, filtered *graph.Graph, p Params, touched []bool) (*Prepared, PatchStats, error) {
-	var st PatchStats
-	if err := p.validate(); err != nil {
-		return nil, st, err
-	}
-	pr := &Prepared{p: p, n: filtered.N()}
-	pr.coreNums = kcore.Decompose32(filtered)
-	pr.compID = newCompIDs(pr.n)
-	// Components are sorted ascending, so the smallest member identifies
-	// a candidate old component in O(1).
-	oldByMin := make(map[int32]*problem, len(old.probs))
-	for _, ob := range old.probs {
-		if len(ob.orig) > 0 {
-			oldByMin[ob.orig[0]] = ob
-		}
-	}
-	var src similarity.BulkSource // built lazily: only rebuilt components need it
-	kc := coreMembers(pr.coreNums, p.K)
-	if len(kc) == 0 {
-		return pr, st, nil
-	}
-	for _, comp := range filtered.ComponentsOf(kc) {
-		if len(comp) < p.K+1 {
-			continue
-		}
-		for _, v := range comp {
-			pr.compID[v] = comp[0]
-		}
-		if ob := oldByMin[comp[0]]; ob != nil && reusable(ob, comp, touched) {
-			pr.probs = append(pr.probs, ob)
-			st.Reused++
-			continue
-		}
-		if src == nil {
-			src = simindex.For(p.Oracle)
-		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
-		st.Rebuilt++
-	}
-	pr.byDeg = append([]*problem(nil), pr.probs...)
-	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
-	return pr, st, nil
 }
 
 // reusable reports whether the old problem covers exactly the new

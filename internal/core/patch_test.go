@@ -30,6 +30,9 @@ func twoClusters() (*graph.Graph, *similarity.Oracle) {
 	return b.Build(), similarity.NewOracle(similarity.Euclidean{Store: store}, 20)
 }
 
+// TestPatchPreparedReusesUntouchedComponent checks the full recompute
+// behind PatchPreparedDelta's fallback: a component with no touched
+// member keeps its problem object.
 func TestPatchPreparedReusesUntouchedComponent(t *testing.T) {
 	g, oracle := twoClusters()
 	p := Params{K: 2, Oracle: oracle}
@@ -51,10 +54,7 @@ func TestPatchPreparedReusesUntouchedComponent(t *testing.T) {
 	touched := make([]bool, filtered2.N())
 	touched[6], touched[7] = true, true
 
-	pr2, st, err := PatchPrepared(pr, filtered2, p, touched)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pr2, st := prepareFull(filtered2, p, pr, touched)
 	if st.Reused != 1 || st.Rebuilt != 1 {
 		t.Fatalf("stats = %+v, want 1 reused + 1 rebuilt", st)
 	}
@@ -128,10 +128,7 @@ func TestPatchPreparedRandomized(t *testing.T) {
 			for _, v := range d.Touched() {
 				touched[v] = true
 			}
-			pr2, _, err := PatchPrepared(pr, filtered2, p, touched)
-			if err != nil {
-				t.Fatal(err)
-			}
+			pr2, _ := prepareFull(filtered2, p, pr, touched)
 			fresh, err := PrepareFiltered(filtered2, p)
 			if err != nil {
 				t.Fatal(err)

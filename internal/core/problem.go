@@ -114,14 +114,30 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	pr, _ := prepareFull(filtered, p, nil, nil)
+	return pr, nil
+}
+
+// prepareFull computes the k-core of the filtered graph, splits it into
+// connected components and builds their local problems, in O(n+m) plus
+// the components it builds. With old non-nil, a component whose vertex
+// set is unchanged and has no touched member keeps old's problem
+// object, including the dissimilarity lists that would otherwise cost
+// bulk similarity work to rebuild. touched[v] must then mark every
+// vertex whose incident filtered edges or attributes changed (length
+// filtered.N()), and p must carry old's K and an oracle that agrees with
+// old's on untouched pairs; the result is bit-identical to
+// PrepareFiltered(filtered, p) either way.
+func prepareFull(filtered *graph.Graph, p Params, old *Prepared, touched []bool) (*Prepared, PatchStats) {
+	var st PatchStats
 	pr := &Prepared{p: p, n: filtered.N()}
 	pr.coreNums = kcore.Decompose32(filtered)
 	pr.compID = newCompIDs(pr.n)
-	src := simindex.For(p.Oracle)
 	kc := coreMembers(pr.coreNums, p.K)
 	if len(kc) == 0 {
-		return pr, nil
+		return pr, st // ComponentsOf(nil) would mean every vertex
 	}
+	var src similarity.BulkSource // built on first use: reused components need none
 	for _, comp := range filtered.ComponentsOf(kc) {
 		if len(comp) < p.K+1 {
 			continue
@@ -129,7 +145,18 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 		for _, v := range comp {
 			pr.compID[v] = comp[0]
 		}
+		if old != nil {
+			if ob := probByMin(old.probs, comp[0]); ob != nil && reusable(ob, comp, touched) {
+				pr.probs = append(pr.probs, ob)
+				st.Reused++
+				continue
+			}
+		}
+		if src == nil {
+			src = simindex.For(p.Oracle)
+		}
 		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		st.Rebuilt++
 	}
 	// The maximum search starts from the component holding the
 	// highest-degree vertex (Section 6.1): a large core early tightens
@@ -137,7 +164,7 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	// FindMaximum calls share the read-only order.
 	pr.byDeg = append([]*problem(nil), pr.probs...)
 	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
-	return pr, nil
+	return pr, st
 }
 
 // Components reports the number of prepared candidate components.

@@ -25,8 +25,7 @@ import (
 //   - batched update: 64-op commits, amortising one invalidation across
 //     the batch.
 //
-// The updates experiment loads private dataset copies: its engines
-// mutate graph and attribute stores, which must never leak into the
+// The updates experiment loads private dataset copies, apart from the
 // runner's cache shared by the other experiments.
 func DynamicUpdates(r *Runner) *Report {
 	rep := &Report{

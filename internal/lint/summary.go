@@ -1191,8 +1191,8 @@ func valueBlocks(pkg *Package, sums *Summaries, arg ast.Expr, params map[types.O
 
 // funcValueBlocks classifies a named function or method used as a
 // value, with the same rules a direct call would get — passing
-// src.SimilarBatch as a callback must not be judged more harshly than
-// calling it inline. The verdict must hold for *any* arguments the
+// o.Similar as a callback must not be judged more harshly than calling
+// it inline. The verdict must hold for *any* arguments the
 // eventual caller supplies, so param-sensitive callees are widened to
 // blocking here.
 func funcValueBlocks(sums *Summaries, f *types.Func) blockClass {

@@ -7,17 +7,16 @@ import (
 
 // PatchFiltered incrementally maintains a dissimilar-edge-filtered
 // graph (the output of filtering a base graph's edges through a
-// similarity oracle) across a mutation batch, consulting the bulk
-// similarity engine only for the new and changed pairs instead of
-// re-filtering all m edges.
+// similarity oracle) across a mutation batch, classifying only the new
+// and changed pairs with o.Similar instead of re-filtering all m edges.
 //
 // filtered is the filter of the pre-mutation graph; g2 is the
 // post-mutation graph; addPairs and delPairs are the effective edge
 // diff between them (normalized u < v, as produced by graph.Delta.Diff);
 // attrVerts lists the vertices whose attributes changed, so every g2
-// edge incident to one of them is re-classified under src. src must
-// answer similarity for the post-mutation attributes; the result is
-// identical to re-filtering g2 from scratch with src.
+// edge incident to one of them is re-classified under o. o must answer
+// similarity for the post-mutation attributes; the result is identical
+// to re-filtering g2 from scratch with o.
 //
 // Alongside the patched graph, PatchFiltered returns the effective
 // edge diff OF THE FILTERED GRAPH itself (normalized u < v, sorted):
@@ -25,42 +24,32 @@ import (
 // never appear, and because an attribute change can flip edges whose
 // far endpoint is nowhere in the batch. Incremental core maintenance
 // consumes exactly this diff (see core.PatchPreparedDelta).
-func PatchFiltered(filtered *graph.Graph, src similarity.BulkSource, g2 *graph.Graph,
+func PatchFiltered(filtered *graph.Graph, o *similarity.Oracle, g2 *graph.Graph,
 	addPairs, delPairs [][2]int32, attrVerts []int32) (patched *graph.Graph, addF, delF [][2]int32) {
 	d := graph.NewDelta(filtered)
 	d.Grow(g2.N())
-	seen := map[[2]int32]bool{}
-	classify := make([][2]int32, 0, len(addPairs))
-	push := func(u, v int32) {
-		if u > v {
-			u, v = v, u
+	// Delta's set semantics make a pair classified twice (an added edge
+	// of an attribute-changed vertex) harmless.
+	classify := func(u, v int32) {
+		var err error
+		if o.Similar(u, v) {
+			err = d.AddEdge(u, v)
+		} else {
+			err = d.RemoveEdge(u, v)
 		}
-		p := [2]int32{u, v}
-		if !seen[p] {
-			seen[p] = true
-			classify = append(classify, p)
+		if err != nil {
+			// classified pairs are valid g2 edges (or effective
+			// additions), so a failure here is an internal invariant
+			// violation.
+			panic("simgraph: " + err.Error())
 		}
 	}
 	for _, p := range addPairs {
-		push(p[0], p[1])
+		classify(p[0], p[1])
 	}
 	for _, u := range attrVerts {
 		for _, v := range g2.Neighbors(u) {
-			push(u, v)
-		}
-	}
-	keep := src.SimilarBatch(classify)
-	for i, p := range classify {
-		var err error
-		if keep[i] {
-			err = d.AddEdge(p[0], p[1])
-		} else {
-			err = d.RemoveEdge(p[0], p[1])
-		}
-		if err != nil {
-			// classify pairs are valid g2 edges (or effective additions),
-			// so a failure here is an internal invariant violation.
-			panic("simgraph: " + err.Error())
+			classify(u, v)
 		}
 	}
 	for _, p := range delPairs {

@@ -8,7 +8,6 @@ import (
 	"krcore/internal/attr"
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
-	"krcore/internal/simindex"
 )
 
 // scratchFilter filters g's edges through the oracle from scratch — the
@@ -92,10 +91,7 @@ func TestPatchFilteredEquivalence(t *testing.T) {
 			}
 			g2 := g.Apply(d)
 			add, del := d.Diff()
-			// A fresh index over the post-mutation attributes, as the
-			// serving layer rebuilds it when attributes changed.
-			src := simindex.New(oracle)
-			got, addF, delF := PatchFiltered(filtered, src, g2, add, del, attrVerts)
+			got, addF, delF := PatchFiltered(filtered, oracle, g2, add, del, attrVerts)
 			want := scratchFilter(g2, oracle)
 			sameGraph(t, fmt.Sprintf("trial %d batch %d", trial, batch), got, want)
 			// The reported filtered diff must be exactly the edge change
@@ -128,7 +124,7 @@ func TestPatchFilteredNoop(t *testing.T) {
 	g := b.Build()
 	oracle := similarity.NewOracle(similarity.Euclidean{Store: store}, 1)
 	filtered := scratchFilter(g, oracle)
-	got, addF, delF := PatchFiltered(filtered, simindex.New(oracle), g, nil, nil, nil)
+	got, addF, delF := PatchFiltered(filtered, oracle, g, nil, nil, nil)
 	if got != filtered {
 		t.Fatal("no-op patch must return the filtered graph unchanged")
 	}

@@ -76,7 +76,8 @@ func (m Euclidean) Name() string { return "euclidean" }
 // implementations (spatial grid, inverted keyword index, parallel
 // brute force) live in package simindex; this interface sits here so an
 // Oracle can carry one as an optional capability without an import
-// cycle.
+// cycle. Callers that classify a few known pairs, such as a filter
+// patch after a write, call Oracle.Similar directly.
 //
 // Every implementation must agree exactly with Oracle.Similar on
 // distinct vertices: bulk and per-pair preprocessing yield bit-identical
@@ -94,11 +95,6 @@ type BulkSource interface {
 	// them; every hinted pair must be similar, so the output is the
 	// same with or without the hint.
 	SimilarAdjacency(vertices []int32, known [][]int32) [][]int32
-	// SimilarBatch evaluates many pairs at once: out[i] reports whether
-	// pairs[i] is a similar pair (a pair of equal ids is similar, as in
-	// Oracle.Similar). Implementations may shard the work across
-	// goroutines; the output is positional, hence deterministic.
-	SimilarBatch(pairs [][2]int32) []bool
 }
 
 // Oracle answers thresholded pairwise similarity queries: Similar(u,v)

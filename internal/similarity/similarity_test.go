@@ -228,7 +228,6 @@ type fakeBulk struct{}
 func (fakeBulk) SimilarAdjacency(vs []int32, _ [][]int32) [][]int32 {
 	return make([][]int32, len(vs))
 }
-func (fakeBulk) SimilarBatch(ps [][2]int32) []bool { return make([]bool, len(ps)) }
 
 // TestTopPermilleClamping covers the clamping and tiny-graph branches.
 func TestTopPermilleClamping(t *testing.T) {

@@ -20,11 +20,6 @@ func (b *Brute) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	})
 }
 
-// SimilarBatch implements similarity.BulkSource.
-func (b *Brute) SimilarBatch(pairs [][2]int32) []bool {
-	return batchPairs(pairs, b.o.Similar)
-}
-
 // Serial is the non-indexed reference engine: one Oracle.Similar call
 // per pair, single-threaded — exactly the preprocessing the indexes
 // replace. Equivalence tests and benchmarks attach it via
@@ -50,13 +45,4 @@ func (s *Serial) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 		}
 	}
 	return adj
-}
-
-// SimilarBatch implements similarity.BulkSource.
-func (s *Serial) SimilarBatch(pairs [][2]int32) []bool {
-	out := make([]bool, len(pairs))
-	for i, p := range pairs {
-		out[i] = s.o.Similar(p[0], p[1])
-	}
-	return out
 }

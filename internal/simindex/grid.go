@@ -72,11 +72,6 @@ func (g *Grid) pairSimilar(u, v int32) bool {
 	return g.store.Distance2(u, v) <= g.r2
 }
 
-// SimilarBatch implements similarity.BulkSource.
-func (g *Grid) SimilarBatch(pairs [][2]int32) []bool {
-	return batchPairs(pairs, g.pairSimilar)
-}
-
 // SimilarAdjacency implements similarity.BulkSource. The hint is
 // ignored: a candidate's distance costs less than looking it up.
 func (g *Grid) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {

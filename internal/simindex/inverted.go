@@ -70,11 +70,6 @@ func (iv *Inverted) pairSimilar(u, v int32) bool {
 	return iv.store.Jaccard(u, v) >= iv.r
 }
 
-// SimilarBatch implements similarity.BulkSource.
-func (iv *Inverted) SimilarBatch(pairs [][2]int32) []bool {
-	return batchPairs(pairs, iv.pairSimilar)
-}
-
 // SimilarAdjacency implements similarity.BulkSource. Hinted pairs
 // skip the intersection.
 func (iv *Inverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int32 {
@@ -161,11 +156,6 @@ func (iv *WeightedInverted) pairSimilar(u, v int32) bool {
 		}
 	}
 	return iv.store.WeightedJaccard(u, v) >= iv.r
-}
-
-// SimilarBatch implements similarity.BulkSource.
-func (iv *WeightedInverted) SimilarBatch(pairs [][2]int32) []bool {
-	return batchPairs(pairs, iv.pairSimilar)
 }
 
 // SimilarAdjacency implements similarity.BulkSource. Hinted pairs

@@ -137,29 +137,6 @@ func mergeRows(n int, rows [][]int32) [][]int32 {
 	return adj
 }
 
-// batchPairs evaluates pred positionally over all pairs, sharding
-// across cores for large batches. Pairs of equal ids are similar by
-// definition, matching Oracle.Similar.
-func batchPairs(pairs [][2]int32, pred func(u, v int32) bool) []bool {
-	out := make([]bool, len(pairs))
-	nw := 1
-	if len(pairs) >= 4096 {
-		nw = workers(len(pairs))
-	}
-	chunk := (len(pairs) + nw - 1) / nw
-	runParallel(nw, func(w int) {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
-		for idx := lo; idx < hi; idx++ {
-			p := pairs[idx]
-			out[idx] = p[0] == p[1] || pred(p[0], p[1])
-		}
-	})
-	return out
-}
-
 // bruteAdjacency computes similar adjacency by sharding the strict
 // upper triangle of the pair matrix across workers: row i (all j > i)
 // is owned by exactly one worker, so rows need no locking and the

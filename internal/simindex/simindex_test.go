@@ -101,18 +101,6 @@ func checkSource(t *testing.T, rng *rand.Rand, name string, src similarity.BulkS
 			}
 		}
 	}
-	// Batched pair evaluation, including self-pairs.
-	pairs := make([][2]int32, 0, 64)
-	for i := 0; i < 60; i++ {
-		pairs = append(pairs, [2]int32{int32(rng.Intn(n)), int32(rng.Intn(n))})
-	}
-	pairs = append(pairs, [2]int32{0, 0})
-	got := src.SimilarBatch(pairs)
-	for i, p := range pairs {
-		if want := o.Similar(p[0], p[1]); got[i] != want {
-			t.Fatalf("%s: SimilarBatch(%v) = %v, want %v (r=%v)", name, p, got[i], want, o.Threshold())
-		}
-	}
 }
 
 // randomHint keeps each directed entry of a similar adjacency with

@@ -28,55 +28,14 @@ import (
 	"krcore"
 	"krcore/internal/attr"
 	"krcore/internal/dataset"
-	"krcore/internal/similarity"
 )
 
 // Attrs wraps the dataset's attribute store as a
 // krcore.DynamicAttributes, so the dataset can back a DynamicEngine.
-// The engine owns the store from then on (see NewDynamicEngine).
+// The engine never writes the store after construction (see
+// NewDynamicEngine).
 func Attrs(d *dataset.Dataset) (krcore.DynamicAttributes, error) {
-	switch d.Kind {
-	case attr.KindGeo:
-		return geoAttrs{store: d.Geo}, nil
-	case attr.KindWeighted:
-		return weightedAttrs{store: d.Weighted}, nil
-	case attr.KindKeywords:
-		return keywordAttrs{store: d.Keywords}, nil
-	default:
-		return nil, fmt.Errorf("updates: unsupported attribute kind %d", d.Kind)
-	}
-}
-
-type geoAttrs struct{ store *attr.Geo }
-
-func (a geoAttrs) Metric() krcore.Metric { return similarity.Euclidean{Store: a.store} }
-func (a geoAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a geoAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
-	a.store.SetVertex(u, attr.Point{X: v.X, Y: v.Y})
-}
-
-type keywordAttrs struct{ store *attr.Keywords }
-
-func (a keywordAttrs) Metric() krcore.Metric { return similarity.Jaccard{Store: a.store} }
-func (a keywordAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a keywordAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
-	a.store.SetVertex(u, append([]int32(nil), v.Keys...))
-}
-
-type weightedAttrs struct{ store *attr.Weighted }
-
-func (a weightedAttrs) Metric() krcore.Metric { return similarity.WeightedJaccard{Store: a.store} }
-func (a weightedAttrs) Grow(n int)            { a.store.Grow(n) }
-func (a weightedAttrs) SetAttributes(u int32, v krcore.VertexAttributes) {
-	entries := make([]attr.WeightedEntry, 0, len(v.Keys))
-	for i, k := range v.Keys {
-		w := 1.0
-		if i < len(v.Weights) {
-			w = v.Weights[i]
-		}
-		entries = append(entries, attr.WeightedEntry{Key: k, Weight: w})
-	}
-	a.store.SetVertex(u, entries)
+	return krcore.DynamicAttributesFor(d.Metric())
 }
 
 // Stream is a parsed update stream that remembers the source line of

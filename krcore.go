@@ -31,6 +31,8 @@
 package krcore
 
 import (
+	"fmt"
+
 	"krcore/internal/attr"
 	"krcore/internal/core"
 	"krcore/internal/graph"
@@ -178,6 +180,12 @@ func (a *GeoAttributes) SetAttributes(u int32, v VertexAttributes) {
 	a.store.SetVertex(u, attr.Point{X: v.X, Y: v.Y})
 }
 
+// Clone returns a deep copy of the store; part of the
+// DynamicAttributes interface.
+func (a *GeoAttributes) Clone() DynamicAttributes {
+	return &GeoAttributes{store: a.store.Clone()}
+}
+
 // KeywordAttributes stores one keyword set per vertex and builds
 // Jaccard similarity oracles.
 type KeywordAttributes struct{ store *attr.Keywords }
@@ -209,6 +217,12 @@ func (a *KeywordAttributes) Grow(n int) { a.store.Grow(n) }
 // DynamicAttributes interface.
 func (a *KeywordAttributes) SetAttributes(u int32, v VertexAttributes) {
 	a.store.SetVertex(u, append([]int32(nil), v.Keys...))
+}
+
+// Clone returns a deep copy of the store; part of the
+// DynamicAttributes interface.
+func (a *KeywordAttributes) Clone() DynamicAttributes {
+	return &KeywordAttributes{store: a.store.Clone()}
 }
 
 // WeightedKeywordAttributes stores keyword->weight lists per vertex
@@ -256,6 +270,29 @@ func (a *WeightedKeywordAttributes) Grow(n int) { a.store.Grow(n) }
 // DynamicAttributes interface.
 func (a *WeightedKeywordAttributes) SetAttributes(u int32, v VertexAttributes) {
 	a.Set(u, append([]int32(nil), v.Keys...), v.Weights)
+}
+
+// Clone returns a deep copy of the store; part of the
+// DynamicAttributes interface.
+func (a *WeightedKeywordAttributes) Clone() DynamicAttributes {
+	return &WeightedKeywordAttributes{store: a.store.Clone()}
+}
+
+// DynamicAttributesFor wraps the store behind a built-in metric
+// (Euclidean, Jaccard or weighted Jaccard) as the DynamicAttributes
+// whose Metric it is: the inverse of Metric on the three attribute
+// stores above. Custom metrics return an error.
+func DynamicAttributesFor(m Metric) (DynamicAttributes, error) {
+	switch m := m.(type) {
+	case similarity.Euclidean:
+		return &GeoAttributes{store: m.Store}, nil
+	case similarity.Jaccard:
+		return &KeywordAttributes{store: m.Store}, nil
+	case similarity.WeightedJaccard:
+		return &WeightedKeywordAttributes{store: m.Store}, nil
+	default:
+		return nil, fmt.Errorf("krcore: no dynamic attribute store for metric %T", m)
+	}
 }
 
 // TopPermilleThreshold returns the similarity value at the top p

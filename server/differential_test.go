@@ -59,7 +59,7 @@ func TestServerDifferentialStatic(t *testing.T) {
 func TestServerDifferentialDynamic(t *testing.T) {
 	for _, name := range diffPresets {
 		t.Run(name, func(t *testing.T) {
-			mkDynamic := func() (*krcore.DynamicEngine, krcore.DynamicAttributes) {
+			mkDynamic := func() *krcore.DynamicEngine {
 				d, err := dataset.Load(name)
 				if err != nil {
 					t.Fatal(err)
@@ -75,10 +75,10 @@ func TestServerDifferentialDynamic(t *testing.T) {
 				if err := deng.Warm(diffGrid[0].k, diffGrid[0].r); err != nil {
 					t.Fatal(err)
 				}
-				return deng, attrs
+				return deng
 			}
-			served, _ := mkDynamic()
-			local, localAttrs := mkDynamic()
+			served := mkDynamic()
+			local := mkDynamic()
 			s, err := New(served, Config{Dataset: name})
 			if err != nil {
 				t.Fatal(err)
@@ -114,7 +114,7 @@ func TestServerDifferentialDynamic(t *testing.T) {
 			// Both must also equal a cold engine over the mutated graph
 			// (the dynamic engine's core guarantee, checked end to end
 			// through the HTTP path).
-			fresh := krcore.NewEngine(local.Graph(), localAttrs.Metric())
+			fresh := krcore.NewEngine(local.Graph(), local.Metric())
 			assertGridIdentical(t, c, fresh)
 		})
 	}
