@@ -18,14 +18,14 @@ import (
 // Endpoint paths served by krcored.
 const (
 	PathHealth    = "/healthz"
-	PathStats     = "/v1/stats"
 	PathEnumerate = "/v1/enumerate"
 	PathMaximum   = "/v1/maximum"
 	PathWarm      = "/v1/warm"
 	PathUpdate    = "/v1/update"
 	// PathMetrics serves the daemon's full metric registry in Prometheus
 	// text exposition format (0.0.4) — latency histograms, admission and
-	// cache counters, write-path instrumentation. GET, not JSON.
+	// cache counters, graph size, write-path instrumentation. It is the
+	// daemon's one stats surface. GET, not JSON.
 	PathMetrics = "/metrics"
 
 	// PathSnapshot (GET) streams the engine's current snapshot in the
@@ -209,85 +209,6 @@ type UpdateResponse struct {
 	// commit.
 	N int `json:"n"`
 	M int `json:"m"`
-}
-
-// EngineStats mirrors krcore.EngineStats on the wire.
-type EngineStats struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Thresholds int   `json:"thresholds"`
-	Prepared   int   `json:"prepared"`
-}
-
-// DynamicStats mirrors krcore.DynamicStats on the wire (PathStats,
-// dynamic daemons only). Batches/GroupCommits is the write-path
-// coalescing factor: how many ApplyBatch calls shared one commit round
-// on average. PatchesIncremental vs PatchesFull says how often core
-// maintenance stayed on the bounded repair path instead of re-peeling.
-type DynamicStats struct {
-	Updates            int64 `json:"updates"`
-	Batches            int64 `json:"batches"`
-	GroupCommits       int64 `json:"group_commits"`
-	Version            int64 `json:"version"`
-	IndexesKept        int64 `json:"indexes_kept"`
-	IndexesRebuilt     int64 `json:"indexes_rebuilt"`
-	ComponentsReused   int64 `json:"components_reused"`
-	ComponentsRebuilt  int64 `json:"components_rebuilt"`
-	PatchesIncremental int64 `json:"patches_incremental"`
-	PatchesFull        int64 `json:"patches_full"`
-	CoreVisited        int64 `json:"core_visited"`
-	// JournalOps is the number of operations in the daemon's update
-	// journal tail — the replay cost of a crash recovery, reset by
-	// journal compaction. Zero when the daemon runs without -journal.
-	JournalOps int64 `json:"journal_ops"`
-}
-
-// ServerStats reports the daemon's expvar-style serving counters.
-//
-// Failed requests are split by blame since the error counters were
-// divided: ClientErrors covers 4xx failures the caller can fix (bad
-// JSON, invalid parameters, cancelled while queued), ServerErrors
-// covers 5xx daemon faults (a failed write-ahead journal append, for
-// example). Errors remains their sum so callers written against the
-// lumped counter keep working unchanged; admission-control 429s stay
-// in Rejected and count toward neither.
-type ServerStats struct {
-	// Queries counts search queries answered successfully.
-	Queries int64 `json:"queries"`
-	// Rejected counts requests turned away by admission control (429).
-	Rejected int64 `json:"rejected"`
-	// Errors counts all failed requests: ClientErrors + ServerErrors.
-	// Kept for backward compatibility with the pre-split counter.
-	Errors int64 `json:"errors"`
-	// ClientErrors counts requests failed by the client (4xx other than
-	// 429).
-	ClientErrors int64 `json:"client_errors"`
-	// ServerErrors counts requests failed by the daemon (5xx).
-	ServerErrors int64 `json:"server_errors"`
-	// UpdatesApplied counts update operations committed.
-	UpdatesApplied int64 `json:"updates_applied"`
-	// InFlight is the number of searches running right now.
-	InFlight int64 `json:"in_flight"`
-	// PeakInFlight is the highest concurrent-search count observed; it
-	// never exceeds the admission-control limit.
-	PeakInFlight int64 `json:"peak_in_flight"`
-	// MaxConcurrent echoes the admission-control limit.
-	MaxConcurrent int64 `json:"max_concurrent"`
-}
-
-// StatsResponse is the body of PathStats.
-type StatsResponse struct {
-	// Dataset names the served dataset (as given to the daemon).
-	Dataset string `json:"dataset,omitempty"`
-	// N and M are the current vertex and undirected-edge counts.
-	N int `json:"n"`
-	M int `json:"m"`
-	// Dynamic reports whether the daemon accepts updates.
-	Dynamic bool        `json:"dynamic"`
-	Engine  EngineStats `json:"engine"`
-	Server  ServerStats `json:"server"`
-	// DynamicEngine is set on dynamic daemons only.
-	DynamicEngine *DynamicStats `json:"dynamic_engine,omitempty"`
 }
 
 // HealthResponse is the body of PathHealth.

@@ -1,8 +1,9 @@
 // Package client is the Go client for the krcored serving daemon: a
 // thin, dependency-free wrapper over the JSON-over-HTTP wire format of
 // krcore/api, exposing the same query surface as the in-process
-// krcore.Engine — Enumerate, EnumerateContaining, FindMaximum, Warm,
-// Stats — plus the batch update endpoint of dynamic daemons.
+// krcore.Engine — Enumerate, EnumerateContaining, FindMaximum, Warm —
+// plus the batch update endpoint of dynamic daemons. Counters come from
+// the daemon's Prometheus export: see Metrics and ParseMetrics.
 //
 // Responses are bit-identical to in-process results: cores arrive as
 // the same sorted int32 vertex ids the engine would return. A Client is
@@ -208,15 +209,6 @@ func ParseMetrics(text string) map[string]float64 {
 		out[line[:i]] = v
 	}
 	return out
-}
-
-// Stats fetches the daemon's cache and serving counters.
-func (c *Client) Stats(ctx context.Context) (*api.StatsResponse, error) {
-	var st api.StatsResponse
-	if err := c.do(ctx, http.MethodGet, api.PathStats, nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
 }
 
 // Warm prepares the (k,r) setting on the daemon ahead of traffic.

@@ -111,13 +111,21 @@ func TestClientRoundTrip(t *testing.T) {
 		}
 	}
 
-	st, err := c.Stats(ctx)
+	st := scrape(t, c)
+	if st[`krcored_dataset_info{dataset="toy"}`] != 1 || st["krcored_engine_prepared"] < 1 || st["krcored_queries_total"] != 3 {
+		t.Fatalf("bad metrics: dataset_info %v, prepared %v, queries %v",
+			st[`krcored_dataset_info{dataset="toy"}`], st["krcored_engine_prepared"], st["krcored_queries_total"])
+	}
+}
+
+// scrape fetches and parses a daemon's /metrics export.
+func scrape(t *testing.T, c *client.Client) map[string]float64 {
+	t.Helper()
+	text, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Dataset != "toy" || st.Engine.Prepared < 1 || st.Server.Queries != 3 {
-		t.Fatalf("bad stats: %+v", st)
-	}
+	return client.ParseMetrics(text)
 }
 
 func TestClientApplyBatch(t *testing.T) {
@@ -181,7 +189,7 @@ func TestClientErrors(t *testing.T) {
 		fmt.Fprint(w, "not json")
 	}))
 	defer garbage.Close()
-	if _, err := client.New(garbage.URL).Stats(ctx); err == nil {
+	if err := client.New(garbage.URL).Health(ctx); err == nil {
 		t.Fatal("garbage body decoded")
 	}
 

@@ -55,8 +55,9 @@ func ExampleClient() {
 	one, _ := c.EnumerateContaining(ctx, 2, 10, 7, client.Options{})
 	fmt.Println("communities of user 7:", one.Count)
 
-	st, _ := c.Stats(ctx)
-	fmt.Printf("served %d queries, %d cache hits\n", st.Server.Queries, st.Engine.Hits)
+	text, _ := c.Metrics(ctx)
+	st := client.ParseMetrics(text)
+	fmt.Printf("served %.0f queries, %.0f cache hits\n", st["krcored_queries_total"], st["krcored_engine_cache_hits_total"])
 	// Output:
 	// communities: 2
 	// maximum community: [0 1 2 3 4]

@@ -50,51 +50,42 @@ func TestDaemonJournalRecoveryAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st := scrape(t, c)
+	if st["krcored_journal_tail_ops"] != 3 || st["krcored_dynamic_group_commits_total"] < 1 {
+		t.Fatalf("journal not reflected in metrics: tail %v ops, %v group commits",
+			st["krcored_journal_tail_ops"], st["krcored_dynamic_group_commits_total"])
 	}
-	if st.DynamicEngine == nil || st.DynamicEngine.JournalOps != 3 || st.DynamicEngine.GroupCommits < 1 {
-		t.Fatalf("journal not reflected in stats: %+v", st.DynamicEngine)
-	}
-	mAfter := st.M
+	mAfter := st["krcored_graph_edges"]
 	shutdown()
 
 	// Lifetime 2: same dataset + journal — the 3 logged ops replay on
 	// start (crash recovery), then a checkpoint compacts the journal.
 	c, shutdown = startDaemon(t, "-load", dataPath, "-dynamic",
 		"-journal", jPath, "-snapshot-save", ckpt, "-warm", "4:12")
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DynamicEngine.Updates != 3 || st.M != mAfter {
-		t.Fatalf("journal replay lost updates: %+v (M=%d, want %d)", st.DynamicEngine, st.M, mAfter)
+	st = scrape(t, c)
+	if st["krcored_dynamic_updates_total"] != 3 || st["krcored_graph_edges"] != mAfter {
+		t.Fatalf("journal replay lost updates: %v updates (M=%v, want %v)",
+			st["krcored_dynamic_updates_total"], st["krcored_graph_edges"], mAfter)
 	}
 	if _, err := c.ApplyBatch(ctx, []krcore.Update{krcore.AddEdgeUpdate(2, 7)}); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st = scrape(t, c)
+	if st["krcored_journal_tail_ops"] != 4 {
+		t.Fatalf("journal tail = %v ops, want 4", st["krcored_journal_tail_ops"])
 	}
-	if st.DynamicEngine.JournalOps != 4 {
-		t.Fatalf("journal tail = %d ops, want 4: %+v", st.DynamicEngine.JournalOps, st.DynamicEngine)
-	}
-	if st.DynamicEngine.PatchesIncremental+st.DynamicEngine.PatchesFull < 1 {
-		t.Fatalf("no core-maintenance patches counted after a warmed update: %+v", st.DynamicEngine)
+	if st["krcored_dynamic_patches_incremental_total"]+st["krcored_dynamic_patches_full_total"] < 1 {
+		t.Fatalf("no core-maintenance patches counted after a warmed update: %v incremental, %v full",
+			st["krcored_dynamic_patches_incremental_total"], st["krcored_dynamic_patches_full_total"])
 	}
 	shutdown() // shutdown checkpoint compacts the journal
 
 	// Lifetime 3: restart from the checkpoint + compacted journal — no
 	// replay needed, empty tail, nothing lost.
 	c, shutdown = startDaemon(t, "-snapshot", ckpt, "-dynamic", "-journal", jPath)
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DynamicEngine.Updates != 4 || st.DynamicEngine.JournalOps != 0 {
-		t.Fatalf("post-compaction restart: %+v", st.DynamicEngine)
+	st = scrape(t, c)
+	if tail, ok := st["krcored_journal_tail_ops"]; st["krcored_dynamic_updates_total"] != 4 || !ok || tail != 0 {
+		t.Fatalf("post-compaction restart: %v updates, tail %v ops (exported: %v)", st["krcored_dynamic_updates_total"], tail, ok)
 	}
 	shutdown()
 }

@@ -1,8 +1,8 @@
 // Command krcored serves (k,r)-core queries over HTTP: it loads one
 // attributed social network, builds the caching serving engine and
-// exposes enumerate / enumerate-containing / find-maximum / warm /
-// stats endpoints as JSON (see krcore/api for the wire format and
-// krcore/client for the Go client). With -dynamic it serves the
+// exposes enumerate / enumerate-containing / find-maximum / warm
+// endpoints as JSON (see krcore/api for the wire format and
+// krcore/client for the Go client) and its counters on /metrics. With -dynamic it serves the
 // mutable engine instead and additionally accepts atomic update
 // batches, so the graph can evolve under live query traffic.
 //
@@ -16,7 +16,7 @@
 //	krcored -load mygraph.txt -dynamic -journal updates.journal -snapshot-save checkpoint.snap
 //
 //	curl -s localhost:8420/v1/enumerate -d '{"k":5,"r":10}'
-//	curl -s localhost:8420/v1/stats
+//	curl -s localhost:8420/metrics
 //
 // The daemon answers every query under a per-request deadline and node
 // budget (request fields, clamped by -max-timeout / -max-nodes), bounds
@@ -27,16 +27,16 @@
 // # Observability
 //
 // GET /metrics serves the daemon's full metric registry in Prometheus
-// text format: per-endpoint request and search latency histograms,
-// admission-wait times and queue depth, cache hit/miss counters
-// (engine-wide and per prepared (k,r) setting), the client/server
-// error split, group-commit coalescing and journal fsync latency on
-// dynamic daemons, and Go runtime gauges — everything a scraper needs
-// to alert on the daemon without parsing /v1/stats. -pprof additionally
-// mounts net/http/pprof under /debug/pprof/ for live CPU and heap
-// profiles (opt-in; leave it off on exposed listeners). cmd/soak
-// drives a daemon with sustained mixed load and reports latency
-// percentiles from both sides of the wire.
+// text format: the served dataset and graph size, per-endpoint request
+// and search latency histograms, admission-wait times and queue depth,
+// cache hit/miss counters (engine-wide and per prepared (k,r)
+// setting), the client/server error split, group-commit coalescing,
+// scoped-invalidation counters and journal fsync latency on dynamic
+// daemons, and Go runtime gauges — every counter the daemon keeps, in
+// one place. -pprof additionally mounts net/http/pprof under
+// /debug/pprof/ for live CPU and heap profiles (opt-in; leave it off
+// on exposed listeners). cmd/soak drives a daemon with sustained mixed
+// load and reports latency percentiles from both sides of the wire.
 //
 // # Checkpoints
 //
@@ -63,8 +63,8 @@
 // When -snapshot-save is also set, each checkpoint compacts the
 // journal to the operations the snapshot does not yet contain, keeping
 // crash-recovery replay cost proportional to the traffic since the
-// last checkpoint. The stats endpoint reports the tail length as
-// dynamic_engine.journal_ops.
+// last checkpoint. /metrics reports the tail length as
+// krcored_journal_tail_ops.
 package main
 
 import (
@@ -365,7 +365,8 @@ func emit(w io.Writer, format string, args ...any) error {
 // openBackend resolves the engine source: an engine snapshot, or a
 // dataset (preset or file) built from scratch. It returns the backend,
 // the dataset when one was loaded (nil for snapshots; -warm then needs
-// explicit k:r settings), and the serving name for /v1/stats.
+// explicit k:r settings), and the serving name for the
+// krcored_dataset_info series.
 func openBackend(stdout io.Writer, snapLoad, data, load string, dynamic bool) (server.Backend, *dataset.Dataset, string, error) {
 	if snapLoad != "" {
 		if data != "" || load != "" {

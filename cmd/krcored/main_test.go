@@ -83,6 +83,16 @@ func startDaemon(t *testing.T, args ...string) (*client.Client, func()) {
 	return client.New("http://" + addr), shutdown
 }
 
+// scrape fetches and parses the daemon's /metrics export.
+func scrape(t *testing.T, c *client.Client) map[string]float64 {
+	t.Helper()
+	text, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client.ParseMetrics(text)
+}
+
 func TestDaemonSmoke(t *testing.T) {
 	c, shutdown := startDaemon(t,
 		"-data", "brightkite", "-addr", "127.0.0.1:0", "-warm", "5,4:25", "-concurrency", "2")
@@ -90,12 +100,11 @@ func TestDaemonSmoke(t *testing.T) {
 	if err := c.Health(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Dataset != "brightkite" || st.Engine.Prepared != 2 || st.Dynamic {
-		t.Fatalf("bad stats after warm: %+v", st)
+	st := scrape(t, c)
+	_, dynamic := st["krcored_dynamic_version"]
+	if st[`krcored_dataset_info{dataset="brightkite"}`] != 1 || st["krcored_engine_prepared"] != 2 || dynamic {
+		t.Fatalf("bad metrics after warm: dataset_info %v, prepared %v, dynamic %v",
+			st[`krcored_dataset_info{dataset="brightkite"}`], st["krcored_engine_prepared"], dynamic)
 	}
 
 	// Round-trip a warmed query and compare with an in-process engine.
@@ -116,12 +125,8 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatal("daemon result differs from in-process engine")
 	}
 	// The warmed setting was a cache hit.
-	st2, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Engine.Hits < 1 {
-		t.Fatalf("warmed query was not a hit: %+v", st2.Engine)
+	if hits := scrape(t, c)["krcored_engine_cache_hits_total"]; hits < 1 {
+		t.Fatalf("warmed query was not a hit: %v hits", hits)
 	}
 	shutdown()
 }
@@ -152,12 +157,9 @@ func TestDaemonDynamic(t *testing.T) {
 
 	c, shutdown := startDaemon(t, "-load", path, "-dynamic", "-addr", "127.0.0.1:0", "-warm", "4:12")
 	ctx := context.Background()
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Dynamic || st.N != 200 {
-		t.Fatalf("bad dynamic stats: %+v", st)
+	st := scrape(t, c)
+	if _, dynamic := st["krcored_dynamic_version"]; !dynamic || st["krcored_graph_vertices"] != 200 {
+		t.Fatalf("bad dynamic metrics: dynamic %v, %v vertices", dynamic, st["krcored_graph_vertices"])
 	}
 	if _, err := c.ApplyBatch(ctx, []krcore.Update{
 		krcore.AddVertexUpdate(),
@@ -165,12 +167,9 @@ func TestDaemonDynamic(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.N != 201 || st.DynamicEngine == nil || st.DynamicEngine.Updates != 2 {
-		t.Fatalf("update not visible: %+v", st)
+	st = scrape(t, c)
+	if st["krcored_graph_vertices"] != 201 || st["krcored_dynamic_updates_total"] != 2 {
+		t.Fatalf("update not visible: %v vertices, %v updates", st["krcored_graph_vertices"], st["krcored_dynamic_updates_total"])
 	}
 	if _, err := c.Enumerate(ctx, 4, 12, client.Options{}); err != nil {
 		t.Fatal(err)

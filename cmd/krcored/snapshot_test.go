@@ -36,12 +36,10 @@ func TestDaemonShutdownCheckpointRestart(t *testing.T) {
 
 	c2, shutdown2 := startDaemon(t, "-snapshot", ck, "-addr", "127.0.0.1:0")
 	defer shutdown2()
-	st, err := c2.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Dataset != "ck.snap" || st.Engine.Prepared != 1 || st.Engine.Thresholds != 1 {
-		t.Fatalf("restarted stats: %+v", st)
+	st := scrape(t, c2)
+	if st[`krcored_dataset_info{dataset="ck.snap"}`] != 1 || st["krcored_engine_prepared"] != 1 || st["krcored_engine_thresholds"] != 1 {
+		t.Fatalf("restarted metrics: dataset_info %v, prepared %v, thresholds %v",
+			st[`krcored_dataset_info{dataset="ck.snap"}`], st["krcored_engine_prepared"], st["krcored_engine_thresholds"])
 	}
 	got, err := c2.Enumerate(ctx, 4, 25, client.Options{})
 	if err != nil {
@@ -50,12 +48,9 @@ func TestDaemonShutdownCheckpointRestart(t *testing.T) {
 	if fmt.Sprint(got.Cores) != fmt.Sprint(want.Cores) || got.Nodes != want.Nodes {
 		t.Fatal("restarted daemon answers differently from the original")
 	}
-	st, err = c2.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Engine.Hits != 1 || st.Engine.Misses != 0 {
-		t.Fatalf("restored setting was not a pure cache hit: %+v", st.Engine)
+	st = scrape(t, c2)
+	if hits, misses := st["krcored_engine_cache_hits_total"], st["krcored_engine_cache_misses_total"]; hits != 1 || misses != 0 {
+		t.Fatalf("restored setting was not a pure cache hit: %v hits, %v misses", hits, misses)
 	}
 }
 
@@ -69,14 +64,11 @@ func TestDaemonDynamicCheckpointRestart(t *testing.T) {
 
 	c, shutdown := startDaemon(t,
 		"-data", "brightkite", "-dynamic", "-addr", "127.0.0.1:0", "-warm", "4:25", "-snapshot-save", ck)
-	before, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := int32(scrape(t, c)["krcored_graph_vertices"])
 	if _, err := c.ApplyBatch(ctx, []krcore.Update{
 		krcore.AddVertexUpdate(),
-		krcore.AddEdgeUpdate(int32(before.N), 0),
-		krcore.AddEdgeUpdate(int32(before.N), 1),
+		krcore.AddEdgeUpdate(n, 0),
+		krcore.AddEdgeUpdate(n, 1),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -86,15 +78,12 @@ func TestDaemonDynamicCheckpointRestart(t *testing.T) {
 	// offset and serves the mutated graph.
 	c2, shutdown2 := startDaemon(t, "-snapshot", ck, "-dynamic", "-addr", "127.0.0.1:0")
 	defer shutdown2()
-	st, err := c2.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	st := scrape(t, c2)
+	if _, dynamic := st["krcored_dynamic_version"]; st["krcored_graph_vertices"] != float64(n+1) || !dynamic {
+		t.Fatalf("restart lost committed updates: n=%v want %d, dynamic=%v", st["krcored_graph_vertices"], n+1, dynamic)
 	}
-	if st.N != before.N+1 || !st.Dynamic {
-		t.Fatalf("restart lost committed updates: n=%d want %d, dynamic=%v", st.N, before.N+1, st.Dynamic)
-	}
-	if st.DynamicEngine == nil || st.DynamicEngine.Updates != 3 {
-		t.Fatalf("journal offset lost: %+v", st.DynamicEngine)
+	if st["krcored_dynamic_updates_total"] != 3 {
+		t.Fatalf("journal offset lost: %v updates", st["krcored_dynamic_updates_total"])
 	}
 }
 

@@ -8,13 +8,12 @@
 //
 //	soak -data brightkite -k 5 -duration 30s -rate 300 -write-mix 0.1
 //	soak -url http://127.0.0.1:8420 -k 5 -r 10 -duration 1m
-//	soak -data gowalla -k 5 -duration 30s -bench-out BENCH_soak.json
 //
 // Without -url the harness self-hosts: it builds the dataset, serves
 // it through the same krcore/server stack as krcored on a loopback
 // listener, and soaks that — one command, no daemon to manage, which
-// is how CI smoke-tests the serving path and how BENCH artifacts are
-// produced. With -url it drives an already-running daemon instead.
+// is how CI smoke-tests the serving path. With -url it drives an
+// already-running daemon (or a replica router) instead.
 //
 // Load shape: -workers concurrent clients share a -rate requests/s
 // budget (0 = unthrottled). Each request is an update batch with
@@ -37,7 +36,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -56,6 +54,7 @@ import (
 	"time"
 
 	"krcore"
+	"krcore/api"
 	"krcore/client"
 	"krcore/internal/dataset"
 	"krcore/internal/metrics"
@@ -128,7 +127,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 		writeMix  = fs.Float64("write-mix", 0, "fraction of requests that are update batches (dynamic targets only)")
 		parallel  = fs.Int("parallelism", 0, "per-query worker count sent with each request (0 = server default)")
 		seed      = fs.Int64("seed", 1, "workload RNG seed")
-		benchOut  = fs.String("bench-out", "", "write the BENCH-format artifact to this file")
 		maxSrvErr = fs.Int64("max-server-errors", -1, "fail if the daemon's server_errors counter grows by more than this (-1 = no gate)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -171,11 +169,13 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	if err := c.Health(ctx); err != nil {
 		return err
 	}
-	st, err := c.Stats(ctx)
+	// Daemons and the replica router both answer the replication
+	// endpoint; only a static daemon cannot take writes.
+	rs, err := c.Replication(ctx)
 	if err != nil {
 		return err
 	}
-	if *writeMix > 0 && !st.Dynamic {
+	if *writeMix > 0 && rs.Role == api.RoleStatic {
 		return fmt.Errorf("-write-mix %v needs a dynamic daemon; target is static", *writeMix)
 	}
 	if err := c.Warm(ctx, *k, *r); err != nil {
@@ -229,17 +229,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	report := buildReport(elapsed, read, write, pre, post)
 	printReport(stdout, report)
 	fmt.Fprintf(stdout, "counters: %d scrapes, %d decreases\n", cw.scrapes+2, len(decreases))
-
-	if *benchOut != "" {
-		blob, err := json.MarshalIndent(report.bench(), "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*benchOut, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "bench artifact written to %s\n", *benchOut)
-	}
 
 	if *maxSrvErr >= 0 && report.serverErrDelta > *maxSrvErr {
 		return fmt.Errorf("daemon server_errors grew by %d over the soak (gate: %d)", report.serverErrDelta, *maxSrvErr)
@@ -506,70 +495,4 @@ func printReport(w io.Writer, rp *report) {
 		rp.queriesDelta, rp.updatesDelta, rp.rejectedDelta, rp.clientErrDelta, rp.serverErrDelta, rp.writeFailDelta)
 	fmt.Fprintf(w, "server: %d MB allocated (%d B/op), %d GC cycles\n",
 		rp.allocDelta>>20, allocPerOp, rp.gcDelta)
-}
-
-// benchTable is the repo's BENCH artifact schema.
-type benchTable struct {
-	ID     string        `json:"id"`
-	Title  string        `json:"title"`
-	Xlabel string        `json:"xlabel"`
-	Xs     []string      `json:"xs"`
-	Series []benchSeries `json:"series"`
-}
-
-type benchSeries struct {
-	Name  string   `json:"name"`
-	Cells []string `json:"cells"`
-}
-
-func (rp *report) bench() []benchTable {
-	row := func(name string, cell func(t *tally) string) benchSeries {
-		return benchSeries{Name: name, Cells: []string{cell(rp.read), cell(rp.write)}}
-	}
-	ops := rp.read.ok.Load() + rp.write.ok.Load()
-	allocPerOp := int64(0)
-	if ops > 0 {
-		allocPerOp = rp.allocDelta / ops
-	}
-	return []benchTable{
-		{
-			ID:     "soak-latency",
-			Title:  fmt.Sprintf("Sustained mixed load over HTTP: client-observed latency (%v soak)", rp.elapsed.Round(time.Second)),
-			Xlabel: "operation",
-			Xs:     []string{"read", "write"},
-			Series: []benchSeries{
-				row("p50", func(t *tally) string { q, _, _, _ := quantiles(t); return q }),
-				row("p99", func(t *tally) string { _, q, _, _ := quantiles(t); return q }),
-				row("p999", func(t *tally) string { _, _, q, _ := quantiles(t); return q }),
-				row("mean", func(t *tally) string { _, _, _, q := quantiles(t); return q }),
-				row("throughput", func(t *tally) string {
-					return fmt.Sprintf("%.1f/s", float64(t.ok.Load())/rp.elapsed.Seconds())
-				}),
-				row("errors", func(t *tally) string { return fmt.Sprintf("%d", t.failures()) }),
-			},
-		},
-		{
-			ID:     "soak-server",
-			Title:  "Daemon-side counters over the soak (from /metrics)",
-			Xlabel: "counter",
-			Xs: []string{
-				"queries", "updates_applied", "rejected",
-				"client_errors", "server_errors", "response_write_failures",
-				"alloc_bytes_per_op", "gc_cycles",
-			},
-			Series: []benchSeries{{
-				Name: "delta",
-				Cells: []string{
-					fmt.Sprintf("%d", rp.queriesDelta),
-					fmt.Sprintf("%d", rp.updatesDelta),
-					fmt.Sprintf("%d", rp.rejectedDelta),
-					fmt.Sprintf("%d", rp.clientErrDelta),
-					fmt.Sprintf("%d", rp.serverErrDelta),
-					fmt.Sprintf("%d", rp.writeFailDelta),
-					fmt.Sprintf("%d", allocPerOp),
-					fmt.Sprintf("%d", rp.gcDelta),
-				},
-			}},
-		},
-	}
 }

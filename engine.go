@@ -148,9 +148,7 @@ type EngineStats struct {
 	// calls that found their threshold's oracle already built. A query
 	// that arrives while another query is still building the same
 	// setting is NOT a hit: it blocks until the build completes, so it
-	// pays the preparation latency and is counted as a miss. (Earlier
-	// revisions counted those as hits, overstating cache efficiency
-	// exactly when a cold setting was stampeded.)
+	// pays the preparation latency and is counted as a miss.
 	Hits int64
 	// Misses counts queries that had to prepare their (k,r) setting or
 	// wait for a concurrent preparation of it, plus Oracle calls that
@@ -230,9 +228,8 @@ func (e *Engine) SettingsStats() []SettingStats {
 // (with its bulk index attached), building it on first use. Only the
 // oracle and its index are built: the dissimilar-edge filter over the
 // whole graph — which a (k,r) query needs but an oracle caller does
-// not — stays lazy until the first query at this threshold. (An
-// earlier revision forced the full per-r build here and bypassed the
-// hit/miss counters; both are regression-tested now.)
+// not — stays lazy until the first query at this threshold. The call
+// counts as a hit or a miss in Stats.
 func (e *Engine) Oracle(r float64) (*Oracle, error) {
 	if e.metric == nil {
 		return nil, errors.New("krcore: engine has no similarity metric")

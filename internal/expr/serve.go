@@ -86,25 +86,30 @@ func Serve(r *Runner) *Report {
 		}
 		wg.Wait()
 		wall := time.Since(start)
+		text, err := c.Metrics(ctx)
 		hs.Close()
+		if err != nil {
+			panic(fmt.Sprintf("%s: scrape: %v", name, err))
+		}
 
 		const total = clients * perClient
-		st := srv.ServerStats()
+		samples := client.ParseMetrics(text)
+		queries, peakInFlight := int(samples["krcored_queries_total"]), int(samples["krcored_peak_in_flight"])
 		est := eng.Stats()
-		if st.Queries != total {
-			panic(fmt.Sprintf("%s: served %d of %d queries: %+v", name, st.Queries, total, st))
+		if queries != total {
+			panic(fmt.Sprintf("%s: served %d of %d queries", name, queries, total))
 		}
-		if st.PeakInFlight > maxConcurrent {
-			panic(fmt.Sprintf("%s: admission control leaked: peak %d > limit %d", name, st.PeakInFlight, maxConcurrent))
+		if peakInFlight > maxConcurrent {
+			panic(fmt.Sprintf("%s: admission control leaked: peak %d > limit %d", name, peakInFlight, maxConcurrent))
 		}
 		if est.Misses > 1 { // the single Warm is the only allowed miss
 			panic(fmt.Sprintf("%s: warmed serving missed the cache: %+v", name, est))
 		}
 		qps = append(qps, fmt.Sprintf("%.0f q/s", float64(total)/wall.Seconds()))
 		lat = append(lat, fmtDuration(time.Duration(totalNS.Load()/total), false))
-		peak = append(peak, fmt.Sprintf("%d (cap %d)", st.PeakInFlight, maxConcurrent))
+		peak = append(peak, fmt.Sprintf("%d (cap %d)", peakInFlight, maxConcurrent))
 		hitRate = append(hitRate, fmt.Sprintf("%.1f%%", 100*float64(est.Hits)/float64(est.Hits+est.Misses)))
-		rejected = append(rejected, fmt.Sprintf("%d", st.Rejected))
+		rejected = append(rejected, fmt.Sprintf("%.0f", samples["krcored_rejected_total"]))
 	}
 	rep.AddSeries("throughput", qps)
 	rep.AddSeries("mean latency (incl. queueing)", lat)

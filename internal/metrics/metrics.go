@@ -1,17 +1,17 @@
 // Package metrics is the self-contained observability substrate of the
-// serving layer: lock-free counters, gauges and fixed-bucket latency
+// serving layer: lock-free counters and fixed-bucket latency
 // histograms, collected in a Registry that renders the Prometheus text
 // exposition format (version 0.0.4) — no external dependencies, so the
 // daemon's /metrics endpoint costs nothing to ship and nothing to
 // scrape.
 //
-// Hot-path instruments (Counter, Gauge, Histogram and their labelled
-// Vec variants) are updated with single atomic operations; label
+// Hot-path instruments (Counter, Histogram and their labelled Vec
+// variants) are updated with single atomic operations; label
 // resolution (Vec.With) takes a read lock only on the child-map lookup
 // and callers on a steady label set should cache the returned child.
 // Pull-style series — values that live elsewhere, like engine cache
-// counters or runtime stats — register a SampleFunc callback gathered
-// at scrape time.
+// counters, gauges or runtime stats — register a SampleFunc callback
+// gathered at scrape time.
 //
 // Histograms estimate quantiles the standard Prometheus way: the
 // observation count per fixed bucket, with linear interpolation inside
@@ -70,20 +70,6 @@ func (c *Counter) Add(delta int64) { c.v.Add(delta) }
 
 // Value returns the current total.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution of float64 observations
 // (latencies in seconds, batch sizes, ...). Observations are two
@@ -192,20 +178,6 @@ func ExponentialBuckets(start, factor float64, count int) []float64 {
 	return b
 }
 
-// LinearBuckets returns count bounds starting at start, each width
-// apart.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("metrics: LinearBuckets needs width > 0, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start
-		start += width
-	}
-	return b
-}
-
 // DefLatencyBuckets spans 50µs to ~27s geometrically (×2 per bucket,
 // 20 buckets): sub-millisecond cache hits, multi-second cold searches
 // and everything between resolve with ≤ 2× relative quantile error.
@@ -258,15 +230,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return c
 }
 
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", func() []string {
-		return []string{sampleLine(name, "", g.Value())}
-	})
-	return g
-}
-
 // Histogram registers and returns a histogram with the given bucket
 // upper bounds (strictly increasing; a +Inf overflow bucket is
 // implicit).
@@ -285,19 +248,6 @@ func (r *Registry) CounterVec(name, help string, labelNames ...string) *CounterV
 		var lines []string
 		for _, ch := range v.vec.children() {
 			lines = append(lines, sampleLine(name, ch.labels, ch.metric.(*Counter).Value()))
-		}
-		return lines
-	})
-	return v
-}
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	v := &GaugeVec{vec: newVec(labelNames)}
-	r.register(name, help, "gauge", func() []string {
-		var lines []string
-		for _, ch := range v.vec.children() {
-			lines = append(lines, sampleLine(name, ch.labels, ch.metric.(*Gauge).Value()))
 		}
 		return lines
 	})
@@ -441,14 +391,6 @@ type CounterVec struct{ vec *vec }
 // hot path with a fixed label set should cache the result.
 func (v *CounterVec) With(values ...string) *Counter {
 	return v.vec.with(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// GaugeVec is a family of gauges distinguished by label values.
-type GaugeVec struct{ vec *vec }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return v.vec.with(values, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // HistogramVec is a family of histograms distinguished by label

@@ -12,11 +12,13 @@ import (
 func TestCounterGaugeRender(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_ops_total", "operations")
-	g := r.Gauge("test_depth", "queue depth")
+	depth := int64(7)
+	r.SampleFunc("test_depth", "queue depth", KindGauge, nil, func() []Sample {
+		return []Sample{{Value: float64(depth)}}
+	})
 	c.Add(41)
 	c.Inc()
-	g.Set(7)
-	g.Add(-3)
+	depth -= 3
 
 	var b strings.Builder
 	if err := r.WriteText(&b); err != nil {
@@ -62,7 +64,11 @@ func TestVecLabelsAndEscaping(t *testing.T) {
 // known uniform distribution: with fine buckets, p50/p99/p999 must
 // land within one bucket width of the true quantiles.
 func TestHistogramQuantileUniform(t *testing.T) {
-	h := newHistogram(LinearBuckets(0.01, 0.01, 100)) // 0.01 .. 1.00
+	bounds := make([]float64, 100) // 0.01 .. 1.00
+	for i := range bounds {
+		bounds[i] = float64(i+1) / 100
+	}
+	h := newHistogram(bounds)
 	const n = 100000
 	for i := 0; i < n; i++ {
 		h.Observe((float64(i) + 0.5) / n)
@@ -209,7 +215,6 @@ func TestSampleFunc(t *testing.T) {
 func TestConcurrentInstruments(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "x")
-	g := r.Gauge("test_g", "x")
 	h := r.Histogram("test_h", "x", DefLatencyBuckets())
 	v := r.CounterVec("test_v_total", "x", "who")
 
@@ -222,8 +227,6 @@ func TestConcurrentInstruments(t *testing.T) {
 			lab := []string{"a", "b"}[w%2]
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(0.001 * float64(i%10))
 				v.With(lab).Inc()
 				if i%100 == 0 {
@@ -237,9 +240,6 @@ func TestConcurrentInstruments(t *testing.T) {
 	if c.Value() != workers*per {
 		t.Fatalf("counter = %d, want %d", c.Value(), workers*per)
 	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %d, want 0", g.Value())
-	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
 	}
@@ -252,7 +252,7 @@ func TestRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup_total", "x")
 	for name, fn := range map[string]func(){
-		"duplicate name": func() { r.Gauge("dup_total", "x") },
+		"duplicate name": func() { r.Counter("dup_total", "x") },
 		"invalid name":   func() { r.Counter("bad-name", "x") },
 		"empty bounds":   func() { r.Histogram("h_total", "x", nil) },
 		"bad bounds":     func() { r.Histogram("h2_total", "x", []float64{2, 1}) },

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -565,9 +566,23 @@ func TestRouterAffinityReads(t *testing.T) {
 		}
 	}
 
-	// Control-plane reads forward to the leader.
-	if _, err := rc.Stats(ctx); err != nil {
+	// Control-plane reads forward to the leader; there is no JSON stats
+	// endpoint to forward.
+	snap, info, err := rc.Snapshot(ctx)
+	if err != nil {
 		t.Fatal(err)
+	}
+	snap.Close()
+	if info.Kind != leader.deng.AttributeKind() {
+		t.Fatalf("snapshot through the router has kind %q, want the leader's %q", info.Kind, leader.deng.AttributeKind())
+	}
+	resp, err := http.Get(rhs.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("router GET /v1/stats got %d, want 404", resp.StatusCode)
 	}
 
 	// All queries landed on followers, and each setting stuck to one:
@@ -615,15 +630,15 @@ func TestRouterAdoptsRedirectedLeader(t *testing.T) {
 	}
 }
 
-// scrapeQueries reads a node's served-query counter via its stats
-// endpoint.
+// scrapeQueries reads a node's served-query counter from its /metrics
+// export.
 func scrapeQueries(t *testing.T, c *client.Client) int64 {
 	t.Helper()
-	st, err := c.Stats(context.Background())
+	text, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.Server.Queries
+	return int64(client.ParseMetrics(text)["krcored_queries_total"])
 }
 
 // routerProxyErrors reads the router's proxy-error counter from its

@@ -336,7 +336,7 @@ func (f *Follower) Stats() krcore.EngineStats { return f.cur().Stats() }
 // Graph implements server.Backend.
 func (f *Follower) Graph() *krcore.Graph { return f.cur().Graph() }
 
-// SettingsStats surfaces per-(k,r) cache traffic for /metrics.
+// SettingsStats implements server.Backend.
 func (f *Follower) SettingsStats() []krcore.SettingStats { return f.cur().SettingsStats() }
 
 // ApplyBatch implements server.Updater. It reaches the engine only

@@ -108,7 +108,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux.HandleFunc("POST "+api.PathMaximum, rt.handleRead)
 	rt.mux.HandleFunc("POST "+api.PathWarm, rt.handleRead)
 	rt.mux.HandleFunc("POST "+api.PathUpdate, rt.handleWrite)
-	rt.mux.HandleFunc("GET "+api.PathStats, rt.handleToLeader)
 	rt.mux.HandleFunc("GET "+api.PathSnapshot, rt.handleToLeader)
 	rt.mux.HandleFunc("GET "+api.PathJournal, rt.handleToLeader)
 	return rt, nil
@@ -116,7 +115,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 
 func (rt *Router) initMetrics() {
 	rt.reg = metrics.NewRegistry()
-	rt.forwarded = rt.reg.CounterVec("krcored_router_forwarded_total", "requests forwarded, by role (read: affinity-routed query; write: leader update; control: stats/snapshot/journal)", "role")
+	rt.forwarded = rt.reg.CounterVec("krcored_router_forwarded_total", "requests forwarded, by role (read: affinity-routed query; write: leader update; control: snapshot/journal)", "role")
 	rt.proxyErrs = rt.reg.Counter("krcored_router_proxy_errors_total", "forwards that failed to reach any backend (502)")
 	rt.failovers = rt.reg.Counter("krcored_router_failovers_total", "leader promotions performed after probe failures")
 	rt.reg.SampleFunc("krcored_router_backend_healthy", "1 per backend answering probes", metrics.KindGauge, []string{"backend"}, func() []metrics.Sample {
@@ -408,8 +407,8 @@ func (rt *Router) adoptLeader(url string) {
 	}
 }
 
-// handleToLeader forwards control-plane reads (stats, snapshot,
-// journal) to the leader.
+// handleToLeader forwards control-plane reads (snapshot, journal) to
+// the leader.
 func (rt *Router) handleToLeader(w http.ResponseWriter, r *http.Request) {
 	rt.forwarded.With("control").Inc()
 	rt.forward(w, r, rt.Leader(), nil)

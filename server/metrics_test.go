@@ -57,8 +57,7 @@ func (f *faultyUpdater) ApplyBatch([]krcore.Update) error {
 
 // TestErrorCounterSplit is the regression test for splitting the
 // lumped errs counter: client faults land in client_errors, engine
-// faults in server_errors, admission rejections in neither, and the
-// legacy Errors field stays their sum.
+// faults in server_errors, admission rejections in neither.
 func TestErrorCounterSplit(t *testing.T) {
 	s, c := newTestServer(t, &faultyUpdater{testDynamic(t)}, Config{})
 	ctx := context.Background()
@@ -86,32 +85,25 @@ func TestErrorCounterSplit(t *testing.T) {
 		t.Fatalf("journal-style fault returned %v, want APIError 500", err)
 	}
 
-	st := s.ServerStats()
-	if st.ClientErrors != 2 {
-		t.Fatalf("ClientErrors = %d, want 2", st.ClientErrors)
+	if got := s.clientErrs.Value(); got != 2 {
+		t.Fatalf("client errors = %d, want 2", got)
 	}
-	if st.ServerErrors != 1 {
-		t.Fatalf("ServerErrors = %d, want 1", st.ServerErrors)
+	if got := s.serverErrs.Value(); got != 1 {
+		t.Fatalf("server errors = %d, want 1", got)
 	}
-	if st.Errors != st.ClientErrors+st.ServerErrors {
-		t.Fatalf("Errors = %d, not the sum %d+%d", st.Errors, st.ClientErrors, st.ServerErrors)
-	}
-	if st.Rejected != 0 {
-		t.Fatalf("Rejected = %d, want 0", st.Rejected)
+	if got := s.rejected.Value(); got != 0 {
+		t.Fatalf("rejected = %d, want 0", got)
 	}
 
-	// The split must survive the wire format too.
-	wire, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wire.Server.ClientErrors != 2 || wire.Server.ServerErrors != 1 || wire.Server.Errors != 3 {
-		t.Fatalf("wire stats = %+v, want 2/1/3", wire.Server)
+	// The split must survive the export too.
+	samples := scrape(t, c)
+	if ce, se := samples["krcored_client_errors_total"], samples["krcored_server_errors_total"]; ce != 2 || se != 1 {
+		t.Fatalf("exported errors = %v client, %v server, want 2 and 1", ce, se)
 	}
 }
 
-// TestRejectionNotAnError pins that a 429 increments Rejected only —
-// neither error counter moves.
+// TestRejectionNotAnError pins that a 429 increments the rejected
+// counter only — neither error counter moves.
 func TestRejectionNotAnError(t *testing.T) {
 	eng, _ := testEngine(t)
 	s, _ := newTestServer(t, eng, Config{MaxConcurrent: 1, MaxQueue: 1, QueueWait: 10 * time.Millisecond})
@@ -128,9 +120,8 @@ func TestRejectionNotAnError(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", rec.Code)
 	}
-	st := s.ServerStats()
-	if st.Rejected != 1 || st.Errors != 0 || st.ClientErrors != 0 || st.ServerErrors != 0 {
-		t.Fatalf("stats after 429 = %+v, want rejected=1 and zero errors", st)
+	if r, ce, se := s.rejected.Value(), s.clientErrs.Value(), s.serverErrs.Value(); r != 1 || ce != 0 || se != 0 {
+		t.Fatalf("after 429: rejected=%d client errors=%d server errors=%d, want 1, 0, 0", r, ce, se)
 	}
 }
 
@@ -348,8 +339,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestDynamicMetricsWiring checks the dynamic-only series: update
-// counters, group-commit observers routed from the engine, and the
-// journal gauge fed by Config.JournalLen.
+// counters, group-commit observers routed from the engine, the journal
+// gauge fed by Config.JournalLen, and the scoped-invalidation counters
+// of DynamicStats.
 func TestDynamicMetricsWiring(t *testing.T) {
 	d := testDynamic(t)
 	var tail atomic.Int64
@@ -357,13 +349,16 @@ func TestDynamicMetricsWiring(t *testing.T) {
 	d.SetCommitObserver(s.ObserveGroupCommit)
 	ctx := context.Background()
 
+	if err := c.Warm(ctx, 3, 25); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.ApplyBatch(ctx, []krcore.Update{krcore.AddVertexUpdate()}); err != nil {
 		t.Fatal(err)
 	}
 	s.ObserveJournalAppend(1, 250*time.Microsecond)
 	tail.Store(7)
 
-	samples := client.ParseMetrics(mustMetrics(t, c))
+	samples := scrape(t, c)
 	for series, want := range map[string]float64{
 		"krcored_updates_applied_total":        1,
 		"krcored_dynamic_batches_total":        1,
@@ -378,15 +373,40 @@ func TestDynamicMetricsWiring(t *testing.T) {
 			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
+
+	// A structure-only batch after the growth batch: the growth rebuilt
+	// the warmed index, this one keeps it, so every scoped-invalidation
+	// counter has moved and none of the checks below compares 0 with 0.
+	if _, err := c.ApplyBatch(ctx, []krcore.Update{krcore.AddEdgeUpdate(0, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	ds := d.DynamicStats()
+	if ds.IndexesKept == 0 || ds.IndexesRebuilt == 0 || ds.ComponentsReused == 0 || ds.ComponentsRebuilt == 0 {
+		t.Fatalf("writes left a scoped-invalidation counter at zero: %+v", ds)
+	}
+	samples = scrape(t, c)
+	for series, want := range map[string]int64{
+		"krcored_dynamic_indexes_kept_total":       ds.IndexesKept,
+		"krcored_dynamic_indexes_rebuilt_total":    ds.IndexesRebuilt,
+		"krcored_dynamic_components_reused_total":  ds.ComponentsReused,
+		"krcored_dynamic_components_rebuilt_total": ds.ComponentsRebuilt,
+		"krcored_dynamic_core_visited_total":       ds.CoreVisited,
+		"krcored_graph_vertices":                   41,
+	} {
+		if got, ok := samples[series]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (exported: %v), want %d", series, got, ok, want)
+		}
+	}
 }
 
-func mustMetrics(t *testing.T, c *client.Client) string {
+// scrape fetches and parses the server's /metrics export.
+func scrape(t *testing.T, c *client.Client) map[string]float64 {
 	t.Helper()
 	text, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return text
+	return client.ParseMetrics(text)
 }
 
 // TestParseMetrics pins the client-side scraper on a hand-written

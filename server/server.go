@@ -48,6 +48,7 @@ type Backend interface {
 	FindMaximumContext(ctx context.Context, k int, r float64, opt krcore.MaxOptions) (*krcore.Result, error)
 	Warm(k int, r float64) error
 	Stats() krcore.EngineStats
+	SettingsStats() []krcore.SettingStats
 	Graph() *krcore.Graph
 }
 
@@ -59,17 +60,11 @@ type Updater interface {
 	DynamicStats() krcore.DynamicStats
 }
 
-// settingsStatser is the optional per-(k,r) cache-traffic surface;
-// both engine flavours implement it. Backends that do get per-setting
-// hit/miss series on /metrics.
-type settingsStatser interface {
-	SettingsStats() []krcore.SettingStats
-}
-
 // Config parameterises a Server. The zero value of every field has a
 // serviceable default.
 type Config struct {
-	// Dataset names the served dataset in PathStats (cosmetic).
+	// Dataset names the served dataset in the krcored_dataset_info
+	// series (cosmetic).
 	Dataset string
 
 	// MaxConcurrent bounds the searches running at once; further
@@ -94,8 +89,8 @@ type Config struct {
 	MaxParallelism int
 
 	// JournalLen, when set, reports the operation count of the daemon's
-	// update journal tail for PathStats and the journal_tail_ops gauge
-	// (see cmd/krcored -journal).
+	// update journal tail as the krcored_journal_tail_ops gauge (see
+	// cmd/krcored -journal).
 	JournalLen func() int64
 
 	// Snapshot, when set, enables GET PathSnapshot: the hook streams one
@@ -201,7 +196,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	s.initMetrics()
 	s.mux = http.NewServeMux()
 	s.handle("GET "+api.PathHealth, "health", s.handleHealth)
-	s.handle("GET "+api.PathStats, "stats", s.handleStats)
 	s.handle("GET "+api.PathMetrics, "metrics", s.handleMetrics)
 	s.handle("GET "+api.PathReplication, "replication", s.handleReplication)
 	s.handle("POST "+api.PathEnumerate, "enumerate", s.handleEnumerate)
@@ -265,6 +259,12 @@ func (s *Server) initMetrics() {
 	gaugeOf("krcored_peak_in_flight", "highest concurrent-search count observed", s.peak.Load)
 	gaugeOf("krcored_search_slots", "admission-control concurrency limit", func() int64 { return int64(s.cfg.MaxConcurrent) })
 
+	gaugeOf("krcored_graph_vertices", "vertices in the served graph", func() int64 { return int64(s.backend.Graph().N()) })
+	gaugeOf("krcored_graph_edges", "undirected edges in the served graph", func() int64 { return int64(s.backend.Graph().M()) })
+	reg.SampleFunc("krcored_dataset_info", "always 1; the dataset label names the served dataset", metrics.KindGauge, []string{"dataset"}, func() []metrics.Sample {
+		return []metrics.Sample{{Labels: []string{s.cfg.Dataset}, Value: 1}}
+	})
+
 	engineOf := func(name, help string, kind metrics.Kind, get func(krcore.EngineStats) float64) {
 		reg.SampleFunc(name, help, kind, nil, func() []metrics.Sample {
 			return []metrics.Sample{{Value: get(s.backend.Stats())}}
@@ -279,25 +279,23 @@ func (s *Server) initMetrics() {
 	engineOf("krcored_engine_prepared", "distinct (k,r) settings with cached candidate components", metrics.KindGauge,
 		func(st krcore.EngineStats) float64 { return float64(st.Prepared) })
 
-	if ss, ok := s.backend.(settingsStatser); ok {
-		settingOf := func(name, help string, get func(krcore.SettingStats) float64) {
-			reg.SampleFunc(name, help, metrics.KindCounter, []string{"k", "r"}, func() []metrics.Sample {
-				stats := ss.SettingsStats()
-				out := make([]metrics.Sample, 0, len(stats))
-				for _, st := range stats {
-					out = append(out, metrics.Sample{
-						Labels: []string{strconv.Itoa(st.K), strconv.FormatFloat(st.R, 'g', -1, 64)},
-						Value:  get(st),
-					})
-				}
-				return out
-			})
-		}
-		settingOf("krcored_engine_setting_hits_total", "cache hits per prepared (k,r) setting",
-			func(st krcore.SettingStats) float64 { return float64(st.Hits) })
-		settingOf("krcored_engine_setting_misses_total", "cache misses per (k,r) setting",
-			func(st krcore.SettingStats) float64 { return float64(st.Misses) })
+	settingOf := func(name, help string, get func(krcore.SettingStats) float64) {
+		reg.SampleFunc(name, help, metrics.KindCounter, []string{"k", "r"}, func() []metrics.Sample {
+			stats := s.backend.SettingsStats()
+			out := make([]metrics.Sample, 0, len(stats))
+			for _, st := range stats {
+				out = append(out, metrics.Sample{
+					Labels: []string{strconv.Itoa(st.K), strconv.FormatFloat(st.R, 'g', -1, 64)},
+					Value:  get(st),
+				})
+			}
+			return out
+		})
 	}
+	settingOf("krcored_engine_setting_hits_total", "cache hits per prepared (k,r) setting",
+		func(st krcore.SettingStats) float64 { return float64(st.Hits) })
+	settingOf("krcored_engine_setting_misses_total", "cache misses per (k,r) setting",
+		func(st krcore.SettingStats) float64 { return float64(st.Misses) })
 
 	if s.updater != nil {
 		dynOf := func(name, help string, kind metrics.Kind, get func(krcore.DynamicStats) int64) {
@@ -317,6 +315,16 @@ func (s *Server) initMetrics() {
 			func(st krcore.DynamicStats) int64 { return st.PatchesIncremental })
 		dynOf("krcored_dynamic_patches_full_total", "cached settings maintained by full recompute fallback", metrics.KindCounter,
 			func(st krcore.DynamicStats) int64 { return st.PatchesFull })
+		dynOf("krcored_dynamic_indexes_kept_total", "per-threshold similarity indexes carried across a commit", metrics.KindCounter,
+			func(st krcore.DynamicStats) int64 { return st.IndexesKept })
+		dynOf("krcored_dynamic_indexes_rebuilt_total", "per-threshold similarity indexes rebuilt by a commit", metrics.KindCounter,
+			func(st krcore.DynamicStats) int64 { return st.IndexesRebuilt })
+		dynOf("krcored_dynamic_components_reused_total", "prepared (k,r) candidate components carried across a commit", metrics.KindCounter,
+			func(st krcore.DynamicStats) int64 { return st.ComponentsReused })
+		dynOf("krcored_dynamic_components_rebuilt_total", "prepared (k,r) candidate components rebuilt by a commit", metrics.KindCounter,
+			func(st krcore.DynamicStats) int64 { return st.ComponentsRebuilt })
+		dynOf("krcored_dynamic_core_visited_total", "vertices scanned by incremental core maintenance", metrics.KindCounter,
+			func(st krcore.DynamicStats) int64 { return st.CoreVisited })
 	}
 	if s.cfg.JournalLen != nil {
 		gaugeOf("krcored_journal_tail_ops", "operations in the journal tail (crash-recovery replay cost)", s.cfg.JournalLen)
@@ -343,9 +351,6 @@ func (s *Server) initMetrics() {
 // Handler returns the HTTP handler serving every endpoint.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Dynamic reports whether the server accepts updates.
-func (s *Server) Dynamic() bool { return s.updater != nil }
-
 // Metrics returns the server's metric registry — the families behind
 // GET /metrics. The embedding daemon may register additional series on
 // it before serving.
@@ -366,22 +371,6 @@ func (s *Server) ObserveGroupCommit(ci krcore.CommitInfo) {
 func (s *Server) ObserveJournalAppend(ops int, elapsed time.Duration) {
 	s.journalOps.Add(int64(ops))
 	s.journalWrite.Observe(elapsed.Seconds())
-}
-
-// ServerStats snapshots the serving counters.
-func (s *Server) ServerStats() api.ServerStats {
-	ce, se := s.clientErrs.Value(), s.serverErrs.Value()
-	return api.ServerStats{
-		Queries:        s.queries.Value(),
-		Rejected:       s.rejected.Value(),
-		Errors:         ce + se,
-		ClientErrors:   ce,
-		ServerErrors:   se,
-		UpdatesApplied: s.applied.Value(),
-		InFlight:       s.inFlight.Load(),
-		PeakInFlight:   s.peak.Load(),
-		MaxConcurrent:  int64(s.cfg.MaxConcurrent),
-	}
 }
 
 // errBusy reports an admission-control rejection.
@@ -497,44 +486,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		// the only failure mode is the transport.
 		s.writeFails.With("disconnect").Inc()
 	}
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	est := s.backend.Stats()
-	g := s.backend.Graph()
-	resp := api.StatsResponse{
-		Dataset: s.cfg.Dataset,
-		N:       g.N(),
-		M:       g.M(),
-		Dynamic: s.updater != nil,
-		Engine: api.EngineStats{
-			Hits:       est.Hits,
-			Misses:     est.Misses,
-			Thresholds: est.Thresholds,
-			Prepared:   est.Prepared,
-		},
-		Server: s.ServerStats(),
-	}
-	if s.updater != nil {
-		ds := s.updater.DynamicStats()
-		resp.DynamicEngine = &api.DynamicStats{
-			Updates:            ds.Updates,
-			Batches:            ds.Batches,
-			GroupCommits:       ds.GroupCommits,
-			Version:            ds.Version,
-			IndexesKept:        ds.IndexesKept,
-			IndexesRebuilt:     ds.IndexesRebuilt,
-			ComponentsReused:   ds.ComponentsReused,
-			ComponentsRebuilt:  ds.ComponentsRebuilt,
-			PatchesIncremental: ds.PatchesIncremental,
-			PatchesFull:        ds.PatchesFull,
-			CoreVisited:        ds.CoreVisited,
-		}
-		if s.cfg.JournalLen != nil {
-			resp.DynamicEngine.JournalOps = s.cfg.JournalLen()
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // validateSetting checks a (k,r) pair — the one rejection policy for

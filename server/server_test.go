@@ -108,20 +108,27 @@ func TestServerQueryRoundTrip(t *testing.T) {
 		t.Fatalf("HTTP containing diverged: %v != %v", gotV.Cores, wantV.Cores)
 	}
 
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	samples := scrape(t, c)
+	est := eng.Stats()
+	for series, want := range map[string]float64{
+		"krcored_graph_vertices":              float64(g.N()),
+		"krcored_graph_edges":                 float64(g.M()),
+		`krcored_dataset_info{dataset="toy"}`: 1,
+		"krcored_engine_cache_hits_total":     float64(est.Hits),
+		"krcored_engine_cache_misses_total":   float64(est.Misses),
+		"krcored_queries_total":               3,
+		"krcored_rejected_total":              0,
+	} {
+		if got, ok := samples[series]; !ok || got != want {
+			t.Errorf("%s = %v (exported: %v), want %v", series, got, ok, want)
+		}
 	}
-	if stats.N != g.N() || stats.M != g.M() || stats.Dataset != "toy" || stats.Dynamic {
-		t.Fatalf("bad stats header: %+v", stats)
+	for series := range samples {
+		if strings.HasPrefix(series, "krcored_dynamic_") {
+			t.Errorf("static engine exports dynamic series %s", series)
+		}
 	}
-	if est := eng.Stats(); stats.Engine.Hits != est.Hits || stats.Engine.Misses != est.Misses {
-		t.Fatalf("engine stats diverged: %+v vs %+v", stats.Engine, est)
-	}
-	if stats.Server.Queries != 3 || stats.Server.Rejected != 0 {
-		t.Fatalf("server counters: %+v", stats.Server)
-	}
-	if s.Dynamic() {
+	if s.updater != nil {
 		t.Fatal("static engine reported dynamic")
 	}
 }
@@ -173,6 +180,16 @@ func TestServerValidation(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode == http.StatusOK {
 		t.Fatal("GET on a POST endpoint succeeded")
+	}
+	// /metrics is the only stats surface: there is no JSON stats
+	// endpoint.
+	resp3, err := http.Get(srvURL(t, eng) + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	if resp3.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats got %d, want 404", resp3.StatusCode)
 	}
 }
 
@@ -256,18 +273,17 @@ func TestServerAdmissionControl(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.ServerStats()
-	if st.Rejected != 2 {
-		t.Fatalf("rejected = %d, want 2: %+v", st.Rejected, st)
+	if got := s.rejected.Value(); got != 2 {
+		t.Fatalf("rejected = %d, want 2", got)
 	}
-	if st.PeakInFlight > 2 {
-		t.Fatalf("peak in-flight %d exceeded the limit 2", st.PeakInFlight)
+	if got := s.peak.Load(); got > 2 {
+		t.Fatalf("peak in-flight %d exceeded the limit 2", got)
 	}
-	if st.Queries != 2 {
-		t.Fatalf("queries = %d, want 2", st.Queries)
+	if got := s.queries.Value(); got != 2 {
+		t.Fatalf("queries = %d, want 2", got)
 	}
-	if st.InFlight != 0 {
-		t.Fatalf("in-flight gauge did not return to 0: %+v", st)
+	if got := s.inFlight.Load(); got != 0 {
+		t.Fatalf("in-flight gauge did not return to 0: %d", got)
 	}
 }
 
@@ -347,7 +363,7 @@ func TestServerDynamicUpdates(t *testing.T) {
 	}
 	s, c := newTestServer(t, deng, Config{})
 	ctx := context.Background()
-	if !s.Dynamic() {
+	if s.updater == nil {
 		t.Fatal("dynamic engine not detected")
 	}
 
@@ -380,7 +396,7 @@ func TestServerDynamicUpdates(t *testing.T) {
 		t.Fatal("rejected batch partially committed")
 	}
 
-	// Queries serve the mutated snapshot; stats reports dynamic state.
+	// Queries serve the mutated snapshot; /metrics reports dynamic state.
 	want, err := deng.Enumerate(2, 5, krcore.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -392,15 +408,13 @@ func TestServerDynamicUpdates(t *testing.T) {
 	if fmt.Sprint(got.Cores) != fmt.Sprint(want.Cores) {
 		t.Fatalf("dynamic HTTP enumerate diverged: %v != %v", got.Cores, want.Cores)
 	}
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	samples := scrape(t, c)
+	updates, ok := samples["krcored_dynamic_updates_total"]
+	if !ok {
+		t.Fatal("/metrics missing the dynamic series")
 	}
-	if !stats.Dynamic || stats.DynamicEngine == nil {
-		t.Fatalf("stats missing dynamic section: %+v", stats)
-	}
-	if stats.DynamicEngine.Updates != 3 || stats.Server.UpdatesApplied != 3 {
-		t.Fatalf("update counters: %+v / %+v", stats.DynamicEngine, stats.Server)
+	if applied := samples["krcored_updates_applied_total"]; updates != 3 || applied != 3 {
+		t.Fatalf("update counters: dynamic %v, applied %v, want 3 and 3", updates, applied)
 	}
 
 	// A static server has no update endpoint at all.
