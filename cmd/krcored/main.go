@@ -190,7 +190,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		backend, name = fol, "replica:"+*follow
+		backend, name = fol.Engine(), "replica:"+*follow
 	} else {
 		backend, d, name, err = openBackend(stdout, *snapLoad, *data, *load, *dynamic)
 		if err != nil {
@@ -224,9 +224,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if fol != nil {
 		cfg.LeaderURL = *follow
 		cfg.Lag = fol.Lag
-		cfg.Snapshot = fol.SaveSnapshot
 		cfg.OnPromote = fol.Stop
-	} else if deng, ok := backend.(*krcore.DynamicEngine); ok {
+	}
+	if deng, ok := backend.(*krcore.DynamicEngine); ok {
 		cfg.Snapshot = deng.SaveSnapshot
 	}
 	srv, err := server.New(backend, cfg)
@@ -431,8 +431,8 @@ func writeCheckpoint(stdout io.Writer, backend server.Backend, journal *updates.
 	}
 	t0 := time.Now()
 	if journal != nil {
-		deng := dynamicEngineOf(backend)
-		if deng == nil {
+		deng, ok := backend.(*krcore.DynamicEngine)
+		if !ok {
 			return fmt.Errorf("backend %T has a journal but no dynamic engine", backend)
 		}
 		dropped, err := updates.Compact(deng, journal, path)
@@ -518,18 +518,6 @@ func openJournal(stdout io.Writer, backend server.Backend, path string, dynamic 
 	return j, nil
 }
 
-// dynamicEngineOf unwraps the serving backend's dynamic engine: the
-// engine itself, or a follower's current engine.
-func dynamicEngineOf(b server.Backend) *krcore.DynamicEngine {
-	switch x := b.(type) {
-	case *krcore.DynamicEngine:
-		return x
-	case *replica.Follower:
-		return x.Engine()
-	}
-	return nil
-}
-
 // openFollower builds the -follow replication stack: it learns the
 // leader's attribute kind, opens the local write-ahead journal (when
 // -journal is set), and bootstraps from the leader's snapshot —
@@ -562,21 +550,16 @@ func openFollower(ctx context.Context, stdout io.Writer, leader, journalPath str
 			return nil, nil, fmt.Errorf("-follow: %w", err)
 		}
 	}
-	fol, err := replica.NewFollower(replica.FollowerConfig{
-		Leader:   leader,
-		Client:   cl,
-		Journal:  j,
-		PollWait: pollWait,
-	})
-	if err != nil {
-		if j != nil {
-			j.Close()
-		}
-		return nil, nil, err
-	}
+	var fol *replica.Follower
 	t0 := time.Now()
-	if err := retryStep(ctx, stdout, attempts, "bootstrap from leader snapshot", func() error {
-		return fol.Bootstrap(ctx)
+	if err := retryStep(ctx, stdout, attempts, "bootstrap from leader snapshot", func() (err error) {
+		fol, err = replica.NewFollower(ctx, replica.FollowerConfig{
+			Leader:   leader,
+			Client:   cl,
+			Journal:  j,
+			PollWait: pollWait,
+		})
+		return err
 	}); err != nil {
 		if j != nil {
 			j.Close()
@@ -584,7 +567,7 @@ func openFollower(ctx context.Context, stdout io.Writer, leader, journalPath str
 		return nil, nil, fmt.Errorf("-follow: %w", err)
 	}
 	if err := emit(stdout, "bootstrapped from %s in %v (journal offset %d)\n",
-		leader, time.Since(t0).Round(time.Millisecond), fol.JournalOffset()); err != nil {
+		leader, time.Since(t0).Round(time.Millisecond), fol.Engine().JournalOffset()); err != nil {
 		if j != nil {
 			j.Close()
 		}

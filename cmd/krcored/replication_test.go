@@ -216,6 +216,15 @@ func TestDaemonFollowerMode(t *testing.T) {
 	if fst.Role != api.RoleLeader || fst.JournalEnd != lst.JournalEnd+1 {
 		t.Fatalf("promoted status %+v, want leader journal end %d", fst, lst.JournalEnd+1)
 	}
+	// The follower's engine reports its commit rounds to the server's
+	// group-commit histograms, as a leader's does.
+	metricsText, err = fc.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := client.ParseMetrics(metricsText)["krcored_group_commit_batches_count"]; n < 1 {
+		t.Fatalf("promoted follower counted %v group-commit rounds, want >= 1", n)
+	}
 }
 
 // TestDaemonRouterMode runs a three-daemon fleet — leader, follower,

@@ -120,12 +120,49 @@ func readyREntry(o *Oracle, filtered *graph.Graph) *rEntry {
 	return ent
 }
 
-// readyKREntry wraps an already-prepared (k,r) problem counted on ctr.
-func readyKREntry(pr *core.Prepared, ctr *counters) *krEntry {
-	ent := &krEntry{pr: pr, ctr: ctr}
+// readyKREntry wraps an already-prepared (k,r) problem with fresh
+// counters (see carryCounters).
+func readyKREntry(pr *core.Prepared) *krEntry {
+	ent := &krEntry{pr: pr, ctr: &counters{}}
 	ent.once.Do(func() {})
 	ent.ready.Store(true)
 	return ent
+}
+
+// carryCounters hands e's traffic counters to ne, an engine not yet
+// published: ne counts on e's engine-wide pair, and every (k,r)
+// setting both engines hold counts on e's per-setting pair. A query
+// still running on e is then counted on ne too, so no counter falls
+// when ne replaces e.
+func (e *Engine) carryCounters(ne *Engine) {
+	ne.ctr = e.ctr
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for key, ent := range ne.byKR {
+		if old, ok := e.byKR[key]; ok {
+			ent.ctr = old.ctr
+		}
+	}
+}
+
+// fork returns an engine not yet published that serves e's graph and
+// metric from every cache entry e holds, with fresh counters: the per-r
+// entries are shared (both engines build them over the same graph and
+// metric) and each fully prepared setting is wrapped anew, so
+// carryCounters can rebind its counters without touching e.
+func (e *Engine) fork() *Engine {
+	ne := NewEngine(e.g, e.metric)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for r, ent := range e.byR {
+		ne.byR[r] = ent
+	}
+	for key, ent := range e.byKR {
+		if ent.ready.Load() && ent.err == nil {
+			ne.byKR[key] = readyKREntry(ent.pr)
+		}
+	}
+	return ne
 }
 
 // NewEngine returns a serving engine for the graph and similarity
@@ -476,18 +513,17 @@ type advanceStats struct {
 // graph's edges again on its first new threshold.
 //
 // The new engine shares the receiver's hit/miss counters, and each
-// carried setting its per-setting ones, so a query the receiver still
-// serves while advance runs is counted on the published engine too.
-// The new engine and the oracles it rebuilds read d.metric; carried
-// oracles keep reading the receiver's store, which an attribute or
-// growth round must therefore leave unchanged (DynamicEngine edits a
-// copy). The receiver is left unchanged and keeps serving its own
-// snapshot. Entries still being built when advance copies the cache
+// carried setting its per-setting ones (see carryCounters), so a query
+// the receiver still serves while advance runs is counted on the
+// published engine too. The new engine and the oracles it rebuilds
+// read d.metric; carried oracles keep reading the receiver's store,
+// which an attribute or growth round must therefore leave unchanged
+// (DynamicEngine edits a copy). The receiver is left unchanged and
+// keeps serving its own snapshot. Entries still being built when advance copies the cache
 // maps are not carried; the new engine rebuilds them on demand.
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
 	ne := NewEngine(d.g2, d.metric)
-	ne.ctr = e.ctr
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
 	for r, ent := range e.byR {
@@ -548,9 +584,8 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 			st.patchesFull++
 		}
 		st.coreVisited += pst.CoreVisited
-		// Per-setting traffic counters follow the entry across the
-		// advance, like the engine-wide ones do.
-		ne.byKR[key] = readyKREntry(pr, old.ctr)
+		ne.byKR[key] = readyKREntry(pr)
 	}
+	e.carryCounters(ne)
 	return ne, st
 }

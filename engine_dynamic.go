@@ -323,6 +323,29 @@ func (d *DynamicEngine) SetCommitObserver(fn func(CommitInfo)) {
 	d.commitMu.Unlock()
 }
 
+// Adopt publishes src's current state as d's next snapshot, in one
+// atomic store: the restore path of a replica that re-bootstraps from
+// its leader's snapshot (see LoadDynamicEngine). d takes src's graph,
+// attributes, every cached similarity index, filtered graph and
+// prepared setting, and src's Updates (the journal offset) and Version.
+// d keeps its journal and commit observer, its engine-wide hit/miss
+// counters, the per-setting counters of every (k,r) both engines hold,
+// and its other DynamicStats counters, so none of them falls. Queries
+// already running on d finish on the state they loaded; src is left
+// unchanged. A caller that journals d aligns the journal to
+// src.JournalOffset() before adopting.
+func (d *DynamicEngine) Adopt(src *DynamicEngine) {
+	in := src.cur.Load()
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	cur := d.cur.Load()
+	next := &dynSnapshot{attrs: in.attrs, eng: in.eng.fork(), stats: cur.stats}
+	cur.eng.carryCounters(next.eng)
+	next.stats.Updates = in.stats.Updates
+	next.stats.Version = in.stats.Version
+	d.cur.Store(next)
+}
+
 // AttributeKind names the engine's attribute family — "geo",
 // "keywords", "weighted-keywords", or "custom" for user-supplied
 // metrics. An update journal stores attribute payloads in the

@@ -602,6 +602,143 @@ func TestDynamicEngineStatsCoherence(t *testing.T) {
 	}
 }
 
+// TestDynamicEngineAdopt pins the restore contract a re-bootstrapping
+// replica relies on: d serves src's state (graph, attributes, caches,
+// journal offset and version) while keeping its own journal, commit
+// observer and counters, and a query racing the adopt is still counted
+// once.
+func TestDynamicEngineAdopt(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	cfg := diffMetrics()[0]
+	m := buildDiffInstance(cfg, rng)
+	newEngine := func() *DynamicEngine {
+		store := cfg.newStore()
+		store.Grow(m.n)
+		for u := 0; u < m.n; u++ {
+			store.SetAttributes(int32(u), m.attrs[u])
+		}
+		d, err := NewDynamicEngine(m.graph(), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d, src := newEngine(), newEngine()
+	var journalled, observed int
+	d.SetJournal(journalFunc(func(b []Update) error { journalled += len(b); return nil }))
+	d.SetCommitObserver(func(CommitInfo) { observed++ })
+	shared, own, srcOnly := cfg.presets[0], cfg.presets[1], cfg.presets[2]
+	for _, w := range []struct {
+		e *DynamicEngine
+		k int
+		r float64
+	}{{d, shared.k, shared.r}, {d, own.k, own.r}, {src, shared.k, shared.r}, {src, srcOnly.k, srcOnly.r}} {
+		if err := w.e.Warm(w.k, w.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// d replays three rounds; src, the leader, runs three more.
+	for i := 0; i < 6; i++ {
+		batch := randomBatch(cfg, m, rng)
+		m.apply(batch)
+		if i < 3 {
+			if err := d.ApplyBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := src.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := d.DynamicStats()
+	srcStats, srcSettings := src.Stats(), fmt.Sprint(src.SettingsStats())
+
+	const readers, perReader = 4, 30
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, readers)
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for q := 0; q < perReader; q++ {
+				if _, err := d.Enumerate(shared.k, shared.r, EnumOptions{}); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	d.Adopt(src)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+
+	// Counters: d's own, with every racing query counted once.
+	st := d.Stats()
+	if want := int64(2 + readers*perReader); st.Hits+st.Misses != want {
+		t.Fatalf("hits+misses = %d, want %d (2 warms + every query): %+v", st.Hits+st.Misses, want, st)
+	}
+	if st.Prepared != srcStats.Prepared || st.Thresholds != srcStats.Thresholds {
+		t.Fatalf("cache shape %+v, want src's %+v", st, srcStats)
+	}
+	for _, s := range d.SettingsStats() {
+		switch {
+		case s.K == shared.k && s.R == shared.r:
+			if s.Hits+s.Misses != 1+readers*perReader {
+				t.Fatalf("shared setting %+v lost d's counts", s)
+			}
+		case s.K == srcOnly.k && s.R == srcOnly.r:
+			if s.Hits+s.Misses != 0 {
+				t.Fatalf("src-only setting %+v imported src's counts", s)
+			}
+		default:
+			t.Fatalf("setting %+v is not among src's prepared settings", s)
+		}
+	}
+	after, want := d.DynamicStats(), before
+	want.Updates, want.Version = src.DynamicStats().Updates, src.DynamicStats().Version
+	if after != want {
+		t.Fatalf("dynamic stats %+v, want %+v", after, want)
+	}
+	if fmt.Sprint(src.SettingsStats()) != srcSettings || src.Stats() != srcStats {
+		t.Fatal("Adopt changed src")
+	}
+
+	// d serves src's state and keeps committing through its own journal
+	// and observer.
+	batch := randomBatch(cfg, m, rng)
+	m.apply(batch)
+	jBefore, oBefore := journalled, observed
+	if err := d.ApplyBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if journalled != jBefore+len(batch) || observed != oBefore+1 {
+		t.Fatalf("post-adopt commit: journal %d->%d, observer %d->%d", jBefore, journalled, oBefore, observed)
+	}
+	fresh := freshEngine(cfg, m)
+	for _, p := range cfg.presets {
+		got, err := d.Enumerate(p.k, p.r, EnumOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes, err := fresh.Enumerate(p.k, p.r, EnumOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, fmt.Sprintf("adopted (k=%d, r=%g)", p.k, p.r), got, wantRes)
+	}
+}
+
+// journalFunc adapts a function to JournalAppender.
+type journalFunc func([]Update) error
+
+func (f journalFunc) AppendBatch(b []Update) error { return f(b) }
+
 // TestDynamicEngineCoreMaintenanceStreams drives skewed update streams
 // — insert-heavy and remove-heavy, on both metrics — and asserts after
 // every step that the maintained core numbers equal a fresh peeling of

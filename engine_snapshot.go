@@ -181,7 +181,7 @@ func engineFromState(st *snapshot.EngineState) (*Engine, error) {
 		}
 	}
 	for _, ps := range st.Prepared {
-		e.byKR[krKey{k: ps.K, r: ps.R}] = readyKREntry(ps.Pr, &counters{})
+		e.byKR[krKey{k: ps.K, r: ps.R}] = readyKREntry(ps.Pr)
 	}
 	return e, nil
 }

@@ -22,21 +22,9 @@ func (pr *Prepared) K() int { return pr.p.K }
 // component-id map) is recomputed on decode, keeping the encoding
 // canonical.
 func AppendPrepared(b *binenc.Buffer, pr *Prepared) {
-	appendPrepared(b, pr, true)
-}
-
-// AppendPreparedV1 writes the format-v1 payload (no core numbers);
-// only the snapshot backward-compatibility tests use it.
-func AppendPreparedV1(b *binenc.Buffer, pr *Prepared) {
-	appendPrepared(b, pr, false)
-}
-
-func appendPrepared(b *binenc.Buffer, pr *Prepared, withCore bool) {
 	b.U32(uint32(pr.p.K))
 	b.U64(uint64(pr.n))
-	if withCore {
-		b.I32s(pr.coreNums)
-	}
+	b.I32s(pr.coreNums)
 	b.U64(uint64(len(pr.probs)))
 	for _, p := range pr.probs {
 		graph.AppendAdjacency(b, p.adj)

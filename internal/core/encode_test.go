@@ -88,33 +88,6 @@ func TestPreparedBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodePreparedV1 checks the backward-compatible path: a v1
-// payload (no core numbers) decodes with the core numbers recomputed
-// by linear peeling, searching bit-identically to the original.
-func TestDecodePreparedV1(t *testing.T) {
-	pr, p, filtered := preparedFixture(t)
-	var b binenc.Buffer
-	AppendPreparedV1(&b, pr)
-	got, err := DecodePrepared(binenc.NewReader(b.Bytes()), p.Oracle, filtered.N(), filtered, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Components() != pr.Components() {
-		t.Fatalf("v1 decode has %d components, want %d", got.Components(), pr.Components())
-	}
-	if fmt.Sprint(got.CoreNumbers()) != fmt.Sprint(pr.CoreNumbers()) {
-		t.Fatal("v1 decode recomputed different core numbers")
-	}
-	// Re-encoding at v2 must match the original's v2 encoding: the
-	// recomputed core numbers are canonical.
-	var v2a, v2b binenc.Buffer
-	AppendPrepared(&v2a, pr)
-	AppendPrepared(&v2b, got)
-	if string(v2a.Bytes()) != string(v2b.Bytes()) {
-		t.Fatal("v1 decode re-encodes differently at v2")
-	}
-}
-
 func TestDecodePreparedRejectsCorruption(t *testing.T) {
 	pr, p, filtered := preparedFixture(t)
 	n := filtered.N()

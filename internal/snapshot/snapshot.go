@@ -237,13 +237,6 @@ func (st *EngineState) storeN() int {
 // Thresholds and prepared settings are written in sorted order
 // whatever order the caller supplies, keeping the encoding canonical.
 func Write(w io.Writer, st *EngineState) error {
-	return writeVersion(w, st, Version)
-}
-
-// writeVersion serialises the state at the given format version. Only
-// the backward-compatibility tests ask for versionV1; production
-// writers always emit the current version.
-func writeVersion(w io.Writer, st *EngineState, ver uint32) error {
 	if _, err := st.Metric(); err != nil {
 		return err
 	}
@@ -257,7 +250,7 @@ func writeVersion(w io.Writer, st *EngineState, ver uint32) error {
 	hdr := make([]byte, 0, 16)
 	hdr = append(hdr, magic[:]...)
 	var hb binenc.Buffer
-	hb.U32(ver)
+	hb.U32(Version)
 	hb.U8(uint8(st.Kind))
 	hb.U8(0)
 	hb.U8(0)
@@ -338,11 +331,7 @@ func writeVersion(w io.Writer, st *EngineState, ver uint32) error {
 		}
 		b = binenc.Buffer{}
 		b.F64(ps.R)
-		if ver >= 2 {
-			core.AppendPrepared(&b, ps.Pr)
-		} else {
-			core.AppendPreparedV1(&b, ps.Pr)
-		}
+		core.AppendPrepared(&b, ps.Pr)
 		if err := writeSection(w, secPrepared, b.Bytes()); err != nil {
 			return err
 		}
@@ -350,7 +339,7 @@ func writeVersion(w io.Writer, st *EngineState, ver uint32) error {
 
 	if st.Dynamic != nil {
 		b = binenc.Buffer{}
-		for _, f := range st.Dynamic.counters(ver) {
+		for _, f := range st.Dynamic.counters(Version) {
 			b.U64(uint64(*f))
 		}
 		if err := writeSection(w, secDynamic, b.Bytes()); err != nil {

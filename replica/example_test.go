@@ -7,13 +7,16 @@ import (
 	"time"
 
 	"krcore"
+	"krcore/client"
 	"krcore/replica"
 	"krcore/server"
 )
 
-// ExampleFollower bootstraps a read replica from a live leader and
-// tails its journal: the follower downloads the snapshot, streams
-// committed operations, and converges to the leader's exact state.
+// ExampleFollower bootstraps a read replica from a live leader: the
+// follower downloads the snapshot into its own engine, which it then
+// serves (mounted directly as a server backend) bit-identical to the
+// leader at the snapshot's offset; Run would tail the leader's journal
+// into the same engine.
 func ExampleFollower() {
 	// A leader: a dynamic engine served with snapshot and journal
 	// endpoints. (A production leader also wires a durable
@@ -38,24 +41,33 @@ func ExampleFollower() {
 	leader := httptest.NewServer(s.Handler())
 	defer leader.Close()
 
-	// The follower: bootstrap once, then it serves queries
-	// bit-identical to the leader at the snapshot's offset.
-	fol, err := replica.NewFollower(replica.FollowerConfig{
+	// The follower: NewFollower bootstraps it, then its engine serves
+	// queries bit-identical to the leader at the snapshot's offset.
+	fol, err := replica.NewFollower(context.Background(), replica.FollowerConfig{
 		Leader:   leader.URL,
 		PollWait: 100 * time.Millisecond,
 	})
 	if err != nil {
 		panic(err)
 	}
-	if err := fol.Bootstrap(context.Background()); err != nil {
-		panic(err)
-	}
-
-	res, err := fol.EnumerateContext(context.Background(), 3, 10, krcore.EnumOptions{})
+	eng := fol.Engine()
+	rs, err := server.New(eng, server.Config{
+		LeaderURL: leader.URL,
+		Lag:       fol.Lag,
+		OnPromote: fol.Stop,
+		Snapshot:  eng.SaveSnapshot,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("replica cores:", len(res.Cores), "applied offset:", fol.JournalOffset())
+	replicaHS := httptest.NewServer(rs.Handler())
+	defer replicaHS.Close()
+
+	res, err := client.New(replicaHS.URL).Enumerate(context.Background(), 3, 10, client.Options{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("replica cores:", len(res.Cores), "applied offset:", eng.JournalOffset())
 	// Output:
 	// replica cores: 1 applied offset: 0
 }

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,17 +113,14 @@ func startFollower(t *testing.T, leaderURL string) *followerFixture {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { j.Close() })
-	fol, err := replica.NewFollower(replica.FollowerConfig{
+	ctx, cancel := context.WithCancel(context.Background())
+	fol, err := replica.NewFollower(ctx, replica.FollowerConfig{
 		Leader:   leaderURL,
 		Journal:  j,
 		PollWait: 100 * time.Millisecond,
 		Backoff:  15 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	if err := fol.Bootstrap(ctx); err != nil {
 		cancel()
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func startFollower(t *testing.T, leaderURL string) *followerFixture {
 		defer close(done)
 		fol.Run(ctx)
 	}()
-	s, err := server.New(fol, server.Config{
+	s, err := server.New(fol.Engine(), server.Config{
 		LeaderURL:  leaderURL,
 		Lag:        fol.Lag,
 		OnPromote:  fol.Stop,
-		Snapshot:   fol.SaveSnapshot,
+		Snapshot:   fol.Engine().SaveSnapshot,
 		Tail:       j,
 		JournalLen: j.TailOps,
 	})
@@ -192,11 +192,12 @@ func churnOps(phase int) []krcore.Update {
 // ---------------------------------------------------------------------------
 
 // TestFollowerTailConvergence drives the full follower lifecycle:
-// bootstrap, journal tailing, the serving delegation surface, metrics,
+// bootstrap, journal tailing, the follower's serving engine, metrics,
 // and a clean stop.
 func TestFollowerTailConvergence(t *testing.T) {
 	leader := startLeader(t)
 	f := startFollower(t, leader.hs.URL)
+	eng := f.fol.Engine()
 	ctx := context.Background()
 
 	for phase := 0; phase < 3; phase++ {
@@ -205,7 +206,7 @@ func TestFollowerTailConvergence(t *testing.T) {
 		}
 	}
 	end := leader.j.End()
-	waitOffset(t, "follower", f.fol.JournalOffset, end)
+	waitOffset(t, "follower", eng.JournalOffset, end)
 
 	if f.fol.Applied() != end || f.fol.Bootstraps() != 1 {
 		t.Fatalf("applied %d of %d across %d bootstraps", f.fol.Applied(), end, f.fol.Bootstraps())
@@ -218,12 +219,12 @@ func TestFollowerTailConvergence(t *testing.T) {
 		t.Fatalf("follower journal end %d, want %d", f.j.End(), end)
 	}
 
-	// The delegation surface answers identically to the leader engine.
+	// The follower's engine answers identically to the leader's.
 	want, err := leader.deng.Enumerate(4, 10, krcore.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.fol.EnumerateContext(ctx, 4, 10, krcore.EnumOptions{})
+	got, err := eng.EnumerateContext(ctx, 4, 10, krcore.EnumOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestFollowerTailConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotMax, err := f.fol.FindMaximumContext(ctx, 4, 10, krcore.MaxOptions{})
+	gotMax, err := eng.FindMaximumContext(ctx, 4, 10, krcore.MaxOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestFollowerTailConvergence(t *testing.T) {
 	}
 	if len(want.Cores) > 0 {
 		v := want.Cores[0][0]
-		gotV, err := f.fol.EnumerateContainingContext(ctx, 4, 10, v, krcore.EnumOptions{})
+		gotV, err := eng.EnumerateContainingContext(ctx, 4, 10, v, krcore.EnumOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,29 +256,29 @@ func TestFollowerTailConvergence(t *testing.T) {
 			t.Fatal("follower containing diverged from leader")
 		}
 	}
-	if err := f.fol.Warm(5, 25); err != nil {
+	if err := eng.Warm(5, 25); err != nil {
 		t.Fatal(err)
 	}
-	if g := f.fol.Graph(); g.N() != leader.deng.N() || g.M() != leader.deng.M() {
+	if g := eng.Graph(); g.N() != leader.deng.N() || g.M() != leader.deng.M() {
 		t.Fatalf("follower graph %d/%d, leader %d/%d", g.N(), g.M(), leader.deng.N(), leader.deng.M())
 	}
-	if f.fol.AttributeKind() != leader.deng.AttributeKind() {
+	if eng.AttributeKind() != leader.deng.AttributeKind() {
 		t.Fatal("attribute kind diverged")
 	}
-	if st := f.fol.Stats(); st.Prepared == 0 {
+	if st := eng.Stats(); st.Prepared == 0 {
 		t.Fatalf("follower stats empty: %+v", st)
 	}
-	if len(f.fol.SettingsStats()) == 0 {
+	if len(eng.SettingsStats()) == 0 {
 		t.Fatal("follower settings stats empty")
 	}
-	if ds := f.fol.DynamicStats(); ds.Version == 0 {
+	if ds := eng.DynamicStats(); ds.Version == 0 {
 		t.Fatalf("follower dynamic stats empty: %+v", ds)
 	}
 
 	// A chained bootstrap: the follower's own snapshot endpoint serves
 	// an image another replica could start from.
 	var buf bytes.Buffer
-	if err := f.fol.SaveSnapshot(&buf); err != nil {
+	if err := eng.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	chained, err := krcore.LoadDynamicEngine(&buf)
@@ -298,7 +299,6 @@ func TestFollowerTailConvergence(t *testing.T) {
 	for _, series := range []string{
 		"krcored_follower_bootstraps_total 1",
 		fmt.Sprintf("krcored_follower_applied_ops_total %d", end),
-		"krcored_follower_healthy 1",
 	} {
 		if !strings.Contains(text.String(), series) {
 			t.Fatalf("metrics missing %q:\n%s", series, text.String())
@@ -310,27 +310,51 @@ func TestFollowerTailConvergence(t *testing.T) {
 	if err := f.fol.Stop(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.fol.ApplyBatch(churnOps(3)); err != nil {
+	if err := eng.ApplyBatch(churnOps(3)); err != nil {
 		t.Fatal(err)
 	}
-	if f.fol.JournalOffset() <= end || f.j.End() != f.fol.JournalOffset() {
-		t.Fatalf("post-stop write: engine %d, journal %d", f.fol.JournalOffset(), f.j.End())
+	if eng.JournalOffset() <= end || f.j.End() != eng.JournalOffset() {
+		t.Fatalf("post-stop write: engine %d, journal %d", eng.JournalOffset(), f.j.End())
 	}
 }
 
 // TestFollowerRebootstrapAfterCompaction pins the 410 path: a follower
 // that fell behind a leader compaction cannot be caught up by the
 // journal and must re-bootstrap from the snapshot, transparently,
-// through the same Run loop.
+// through the same Run loop. The snapshot is restored into the engine
+// the follower's server already serves, so no counter on its /metrics
+// falls: neither the traffic counters of a setting the leader also
+// holds nor the write-path counters of the rounds it replayed itself.
 func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 	leader := startLeader(t)
 	ctx := context.Background()
+	if err := leader.deng.Warm(4, 10); err != nil {
+		t.Fatal(err)
+	}
 	if err := leader.deng.ApplyBatch(churnOps(0)); err != nil {
 		t.Fatal(err)
 	}
 	mid := leader.j.End()
 
-	// Bootstrap at the current offset, but do NOT start tailing yet.
+	// The follower reaches the leader through a proxy that can hold its
+	// journal polls back (503) while the leader compacts.
+	target, err := url.Parse(leader.hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	var held atomic.Bool
+	var refused atomic.Int64
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if held.Load() && r.URL.Path == api.PathJournal {
+			refused.Add(1)
+			http.Error(w, "held back", http.StatusServiceUnavailable)
+			return
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(proxy.Close)
+
 	kind, err := updates.ParseKind(leader.deng.AttributeKind())
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +364,8 @@ func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fj.Close() })
-	fol, err := replica.NewFollower(replica.FollowerConfig{
-		Leader:   leader.hs.URL,
+	fol, err := replica.NewFollower(ctx, replica.FollowerConfig{
+		Leader:   proxy.URL,
 		Journal:  fj,
 		PollWait: 50 * time.Millisecond,
 		Backoff:  10 * time.Millisecond,
@@ -349,23 +373,44 @@ func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fol.Bootstrap(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if fol.JournalOffset() != mid {
-		t.Fatalf("bootstrapped at %d, want %d", fol.JournalOffset(), mid)
+	eng := fol.Engine()
+	if eng.JournalOffset() != mid {
+		t.Fatalf("bootstrapped at %d, want %d", eng.JournalOffset(), mid)
 	}
 
-	// The leader moves on and compacts past the follower's offset.
-	if err := leader.deng.ApplyBatch(churnOps(1)); err != nil {
+	// Serve the engine wired as cmd/krcored wires a follower.
+	s, err := server.New(eng, server.Config{
+		LeaderURL:  leader.hs.URL,
+		Lag:        fol.Lag,
+		OnPromote:  fol.Stop,
+		Snapshot:   eng.SaveSnapshot,
+		Tail:       fj,
+		JournalLen: fj.TailOps,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	end := leader.j.End()
-	if _, err := leader.j.CompactTo(end); err != nil {
+	eng.SetCommitObserver(s.ObserveGroupCommit)
+	fj.SetAppendObserver(s.ObserveJournalAppend)
+	fol.RegisterMetrics(s.Metrics())
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	fc := client.New(hs.URL)
+
+	// Traffic on the setting the leader warmed, plus two thresholds of
+	// the follower's own.
+	for i := 0; i < 3; i++ {
+		if _, err := fc.Enumerate(ctx, 4, 10, client.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fc.FindMaximum(ctx, 4, 10, client.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if leader.j.Base() <= mid {
-		t.Fatalf("compaction left base %d, need > %d to exercise the 410", leader.j.Base(), mid)
+	for _, r := range []float64{8, 15} {
+		if err := fc.Warm(ctx, 4, r); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	rctx, cancel := context.WithCancel(ctx)
@@ -378,17 +423,90 @@ func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 		cancel()
 		<-done
 	})
-	waitOffset(t, "late follower", fol.JournalOffset, end)
+
+	// One replayed round maintains every setting the follower caches.
+	if err := leader.deng.ApplyBatch(churnOps(1)); err != nil {
+		t.Fatal(err)
+	}
+	caught := leader.j.End()
+	waitOffset(t, "follower", eng.JournalOffset, caught)
+
+	// Hold the follower back. Its polls are sequential, so once one is
+	// refused none is in flight to carry the next round.
+	held.Store(true)
+	waitOffset(t, "refused polls", func() int64 { return min(refused.Load(), 1) }, 1)
+	before := scrapeMetrics(t, fc)
+	for _, series := range []string{
+		"krcored_engine_cache_hits_total",
+		`krcored_engine_setting_hits_total{k="4",r="10"}`,
+		"krcored_dynamic_core_visited_total",
+	} {
+		if before[series] <= 0 {
+			t.Fatalf("%s is %v before the re-bootstrap; the check below would be vacuous", series, before[series])
+		}
+	}
+
+	// The leader moves on and compacts past the follower's offset.
+	if err := leader.deng.ApplyBatch(churnOps(2)); err != nil {
+		t.Fatal(err)
+	}
+	end := leader.j.End()
+	if _, err := leader.j.CompactTo(end); err != nil {
+		t.Fatal(err)
+	}
+	if leader.j.Base() <= caught {
+		t.Fatalf("compaction left base %d, need > %d to exercise the 410", leader.j.Base(), caught)
+	}
+	held.Store(false)
+
+	waitOffset(t, "late follower", eng.JournalOffset, end)
 	if fol.Bootstraps() != 2 {
 		t.Fatalf("follower recovered via %d bootstraps, want 2 (initial + post-410)", fol.Bootstraps())
+	}
+	if fol.Engine() != eng {
+		t.Fatal("re-bootstrap replaced the follower's engine")
 	}
 	// The local journal restarted at the new snapshot's offset.
 	if fj.Base() != end {
 		t.Fatalf("follower journal base %d after re-bootstrap, want %d", fj.Base(), end)
 	}
-	if eng := fol.Engine(); eng.N() != leader.deng.N() || eng.M() != leader.deng.M() {
+	if eng.N() != leader.deng.N() || eng.M() != leader.deng.M() {
 		t.Fatalf("recovered follower graph %d/%d, leader %d/%d",
 			eng.N(), eng.M(), leader.deng.N(), leader.deng.M())
+	}
+
+	after := scrapeMetrics(t, fc)
+	if _, ok := after[`krcored_engine_setting_hits_total{k="4",r="10"}`]; !ok {
+		t.Fatal("the (4,10) setting the leader holds vanished from the follower's /metrics")
+	}
+	for series, old := range before {
+		name, _, _ := strings.Cut(series, "{")
+		if v, ok := after[series]; ok && strings.HasSuffix(name, "_total") && v < old {
+			t.Errorf("%s fell from %v to %v across the re-bootstrap", series, old, v)
+		}
+	}
+
+	want, err := leader.deng.Enumerate(4, 10, krcore.EnumOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Enumerate(4, 10, krcore.EnumOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Cores) != fmt.Sprint(want.Cores) || got.Nodes != want.Nodes {
+		t.Fatal("recovered follower enumerate diverged from leader")
+	}
+	wantMax, err := leader.deng.FindMaximum(4, 10, krcore.MaxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotMax, err := eng.FindMaximum(4, 10, krcore.MaxOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(gotMax.Cores) != fmt.Sprint(wantMax.Cores) {
+		t.Fatal("recovered follower maximum diverged from leader")
 	}
 }
 
@@ -409,8 +527,8 @@ func TestFailoverPromoteFreshest(t *testing.T) {
 		t.Fatal(err)
 	}
 	mid := leader.j.End()
-	waitOffset(t, "follower A", a.fol.JournalOffset, mid)
-	waitOffset(t, "follower B", b.fol.JournalOffset, mid)
+	waitOffset(t, "follower A", a.fol.Engine().JournalOffset, mid)
+	waitOffset(t, "follower B", b.fol.Engine().JournalOffset, mid)
 
 	// B stops tailing — it will be the stale candidate at failover.
 	if err := b.fol.Stop(ctx); err != nil {
@@ -440,9 +558,9 @@ func TestFailoverPromoteFreshest(t *testing.T) {
 		t.Fatal(err)
 	}
 	acked := leader.j.End()
-	waitOffset(t, "follower A", a.fol.JournalOffset, acked)
-	if b.fol.JournalOffset() != mid {
-		t.Fatalf("stale follower advanced to %d, should be frozen at %d", b.fol.JournalOffset(), mid)
+	waitOffset(t, "follower A", a.fol.Engine().JournalOffset, acked)
+	if b.fol.Engine().JournalOffset() != mid {
+		t.Fatalf("stale follower advanced to %d, should be frozen at %d", b.fol.Engine().JournalOffset(), mid)
 	}
 
 	// The leader dies hard: in-flight connections cut, listener closed.
@@ -454,7 +572,7 @@ func TestFailoverPromoteFreshest(t *testing.T) {
 	for rt.Leader() != a.hs.URL {
 		if time.Now().After(deadline) {
 			t.Fatalf("router leader is %q, want %q (A at offset %d, B at %d)",
-				rt.Leader(), a.hs.URL, a.fol.JournalOffset(), b.fol.JournalOffset())
+				rt.Leader(), a.hs.URL, a.fol.Engine().JournalOffset(), b.fol.Engine().JournalOffset())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -469,8 +587,8 @@ func TestFailoverPromoteFreshest(t *testing.T) {
 	// No acked write lost: A holds every operation the old leader ever
 	// acknowledged, and serves bit-identically to its final state (the
 	// old engine object is still queryable in-process).
-	if a.fol.JournalOffset() != acked {
-		t.Fatalf("promoted follower at offset %d, want %d", a.fol.JournalOffset(), acked)
+	if a.fol.Engine().JournalOffset() != acked {
+		t.Fatalf("promoted follower at offset %d, want %d", a.fol.Engine().JournalOffset(), acked)
 	}
 	want, err := leader.deng.Enumerate(4, 10, krcore.EnumOptions{})
 	if err != nil {
@@ -493,8 +611,8 @@ func TestFailoverPromoteFreshest(t *testing.T) {
 	if grown <= acked {
 		t.Fatalf("promoted journal did not advance past %d", acked)
 	}
-	if a.fol.JournalOffset() != grown {
-		t.Fatalf("promoted engine at %d, journal at %d", a.fol.JournalOffset(), grown)
+	if a.fol.Engine().JournalOffset() != grown {
+		t.Fatalf("promoted engine at %d, journal at %d", a.fol.Engine().JournalOffset(), grown)
 	}
 
 	// The new leader's journal re-compacts cleanly against its own
@@ -630,15 +748,21 @@ func TestRouterAdoptsRedirectedLeader(t *testing.T) {
 	}
 }
 
-// scrapeQueries reads a node's served-query counter from its /metrics
-// export.
-func scrapeQueries(t *testing.T, c *client.Client) int64 {
+// scrapeMetrics reads a node's /metrics as series -> value.
+func scrapeMetrics(t *testing.T, c *client.Client) map[string]float64 {
 	t.Helper()
 	text, err := c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return int64(client.ParseMetrics(text)["krcored_queries_total"])
+	return client.ParseMetrics(text)
+}
+
+// scrapeQueries reads a node's served-query counter from its /metrics
+// export.
+func scrapeQueries(t *testing.T, c *client.Client) int64 {
+	t.Helper()
+	return int64(scrapeMetrics(t, c)["krcored_queries_total"])
 }
 
 // routerProxyErrors reads the router's proxy-error counter from its

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -71,18 +70,18 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 	return c
 }
 
-// Follower replicates one leader. It implements the query and update
-// surfaces of krcore/server (Backend and Updater), delegating to its
-// current engine — so a Follower is mounted directly as a read-only
-// server backend, and keeps serving across a re-bootstrap (the engine
-// swap is atomic). Create with NewFollower, call Bootstrap, then run
-// the tail loop with Run; the serving surface is valid only after a
-// successful Bootstrap.
+// Follower replicates one leader into one DynamicEngine, which it
+// keeps for its whole life: NewFollower bootstraps the engine from the
+// leader's snapshot, Run tails the leader's journal into it, and a
+// re-bootstrap restores a fresh snapshot into the same engine (see
+// krcore.DynamicEngine.Adopt). Mount Engine() directly as the server
+// backend and snapshot hook; its counters never fall across a
+// re-bootstrap.
 type Follower struct {
 	cfg FollowerConfig
 	cl  *client.Client
+	eng *krcore.DynamicEngine
 
-	engine     atomic.Pointer[krcore.DynamicEngine]
 	lag        atomic.Int64
 	applied    atomic.Int64 // ops applied through the tail loop
 	bootstraps atomic.Int64
@@ -94,52 +93,73 @@ type Follower struct {
 	runDone chan struct{}
 }
 
-// NewFollower returns an unbootstrapped follower of the leader.
-func NewFollower(cfg FollowerConfig) (*Follower, error) {
+// NewFollower bootstraps a follower of the leader: it downloads the
+// leader's current snapshot into the follower's engine and aligns the
+// local journal (when configured) to the snapshot's offset before
+// attaching it. Call Run to tail the leader from there.
+func NewFollower(ctx context.Context, cfg FollowerConfig) (*Follower, error) {
 	if cfg.Leader == "" && cfg.Client == nil {
 		return nil, errors.New("replica: follower needs a leader URL")
 	}
 	cfg = cfg.withDefaults()
-	return &Follower{
+	f := &Follower{
 		cfg:     cfg,
 		cl:      cfg.Client,
 		stop:    make(chan struct{}),
 		runDone: make(chan struct{}),
-	}, nil
+	}
+	eng, err := f.load(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Journal != nil {
+		eng.SetJournal(cfg.Journal)
+	}
+	f.eng = eng
+	f.bootstraps.Store(1)
+	return f, nil
 }
 
-// Bootstrap downloads the leader's current snapshot, loads it into a
-// fresh engine, aligns the local journal (when configured) to the
-// snapshot's offset and atomically installs the engine as the serving
-// state. Safe to call again later — ErrTailCompacted recovery does —
-// without disturbing concurrent readers of the previous engine.
-func (f *Follower) Bootstrap(ctx context.Context) error {
+// load downloads the leader's current snapshot into a fresh engine and
+// aligns the local journal (when configured) to the snapshot's offset.
+func (f *Follower) load(ctx context.Context) (*krcore.DynamicEngine, error) {
 	rc, _, err := f.cl.Snapshot(ctx)
 	if err != nil {
-		return fmt.Errorf("replica: bootstrap: %w", err)
+		return nil, fmt.Errorf("replica: bootstrap: %w", err)
 	}
 	eng, lerr := krcore.LoadDynamicEngine(rc)
 	cerr := rc.Close()
 	if lerr != nil {
-		return fmt.Errorf("replica: bootstrap: %w", lerr)
+		return nil, fmt.Errorf("replica: bootstrap: %w", lerr)
 	}
 	if cerr != nil {
-		return fmt.Errorf("replica: bootstrap: %w", cerr)
+		return nil, fmt.Errorf("replica: bootstrap: %w", cerr)
 	}
-	off := eng.JournalOffset()
 	if f.cfg.Journal != nil {
 		// The local tail (from any previous life) is discarded: the
 		// leader serves everything past the snapshot's offset anyway,
 		// and restarting the journal exactly at the snapshot keeps the
 		// absolute numbering aligned with the engine.
-		if err := f.cfg.Journal.ResetTo(off); err != nil {
-			return fmt.Errorf("replica: bootstrap: %w", err)
+		if err := f.cfg.Journal.ResetTo(eng.JournalOffset()); err != nil {
+			return nil, fmt.Errorf("replica: bootstrap: %w", err)
 		}
-		eng.SetJournal(f.cfg.Journal)
 	}
-	f.engine.Store(eng)
+	return eng, nil
+}
+
+// rebootstrap restores the leader's current snapshot into the serving
+// engine. Readers keep the previous state until the one atomic store
+// in Adopt; the journal is aligned before it. A failure is recorded
+// and backed off from; false means ctx expired.
+func (f *Follower) rebootstrap(ctx context.Context) bool {
+	src, err := f.load(ctx)
+	if err != nil {
+		f.setErr(err)
+		return f.sleep(ctx)
+	}
 	f.bootstraps.Add(1)
-	return nil
+	f.eng.Adopt(src)
+	return true
 }
 
 // Run tails the leader until ctx is cancelled or Stop is called,
@@ -161,17 +181,7 @@ func (f *Follower) Run(ctx context.Context) error {
 			return nil
 		default:
 		}
-		eng := f.engine.Load()
-		if eng == nil {
-			if err := f.Bootstrap(ctx); err != nil {
-				f.setErr(err)
-				if !f.sleep(ctx) {
-					return ctx.Err()
-				}
-			}
-			continue
-		}
-		from := eng.JournalOffset()
+		from := f.eng.JournalOffset()
 		t, err := f.cl.JournalTail(ctx, from, client.TailOptions{Wait: f.cfg.PollWait, Max: f.cfg.PollMax})
 		if err != nil {
 			if ctx.Err() != nil {
@@ -181,12 +191,9 @@ func (f *Follower) Run(ctx context.Context) error {
 			if errors.Is(err, client.ErrTailCompacted) {
 				// The leader compacted past our offset: the journal
 				// alone can no longer catch us up. Start over from the
-				// snapshot; readers keep the old engine until the swap.
-				if berr := f.Bootstrap(ctx); berr != nil {
-					f.setErr(berr)
-					if !f.sleep(ctx) {
-						return ctx.Err()
-					}
+				// snapshot.
+				if !f.rebootstrap(ctx) {
+					return ctx.Err()
 				}
 				continue
 			}
@@ -196,23 +203,20 @@ func (f *Follower) Run(ctx context.Context) error {
 			continue
 		}
 		if len(t.Ops) > 0 {
-			if _, err := updates.Replay(eng, t.Ops, f.cfg.ReplayBatch); err != nil {
+			if _, err := updates.Replay(f.eng, t.Ops, f.cfg.ReplayBatch); err != nil {
 				// A rejected replicated operation means this replica
 				// diverged from the leader; the snapshot is the
 				// authority, so rebuild from it rather than retrying
 				// the same doomed tail forever.
 				f.setErr(fmt.Errorf("replica: replay diverged, re-bootstrapping: %w", err))
-				if berr := f.Bootstrap(ctx); berr != nil {
-					f.setErr(berr)
-					if !f.sleep(ctx) {
-						return ctx.Err()
-					}
+				if !f.rebootstrap(ctx) {
+					return ctx.Err()
 				}
 				continue
 			}
 			f.applied.Add(int64(len(t.Ops)))
 		}
-		if lag := t.End - eng.JournalOffset(); lag > 0 {
+		if lag := t.End - f.eng.JournalOffset(); lag > 0 {
 			f.lag.Store(lag)
 		} else {
 			f.lag.Store(0)
@@ -275,91 +279,20 @@ func (f *Follower) Bootstraps() int64 { return f.bootstraps.Load() }
 // Applied counts operations applied through the tail loop.
 func (f *Follower) Applied() int64 { return f.applied.Load() }
 
-// Engine returns the current serving engine (nil before Bootstrap).
-// The engine may be swapped by a re-bootstrap; callers should grab it
-// once per operation rather than caching it.
-func (f *Follower) Engine() *krcore.DynamicEngine { return f.engine.Load() }
+// Engine returns the follower's serving engine: the same engine for
+// the follower's whole life, which a re-bootstrap restores into rather
+// than replaces.
+func (f *Follower) Engine() *krcore.DynamicEngine { return f.eng }
 
 // RegisterMetrics adds the follower's replication series to a metric
 // registry (typically the serving server's, so they export on
 // /metrics alongside the lag gauge wired via the server's Lag hook).
 func (f *Follower) RegisterMetrics(reg *metrics.Registry) {
-	sampled := func(name, help string, kind metrics.Kind, get func() int64) {
-		reg.SampleFunc(name, help, kind, nil, func() []metrics.Sample {
+	sampled := func(name, help string, get func() int64) {
+		reg.SampleFunc(name, help, metrics.KindCounter, nil, func() []metrics.Sample {
 			return []metrics.Sample{{Value: float64(get())}}
 		})
 	}
-	sampled("krcored_follower_bootstraps_total", "snapshot bootstraps (re-bootstraps mean the leader compacted past this follower)", metrics.KindCounter, f.Bootstraps)
-	sampled("krcored_follower_applied_ops_total", "operations applied from the leader's journal stream", metrics.KindCounter, f.Applied)
-	sampled("krcored_follower_healthy", "1 while the tail loop has an engine and no sticky error state", metrics.KindGauge, func() int64 {
-		if f.engine.Load() != nil {
-			return 1
-		}
-		return 0
-	})
+	sampled("krcored_follower_bootstraps_total", "snapshot bootstraps (re-bootstraps mean the leader compacted past this follower)", f.Bootstraps)
+	sampled("krcored_follower_applied_ops_total", "operations applied from the leader's journal stream", f.Applied)
 }
-
-// cur returns the serving engine, panicking before Bootstrap — the
-// server surface below is documented as valid only after one.
-func (f *Follower) cur() *krcore.DynamicEngine {
-	eng := f.engine.Load()
-	if eng == nil {
-		panic("replica: follower used as a backend before Bootstrap")
-	}
-	return eng
-}
-
-// --- krcore/server Backend + Updater surface, delegating to the
-// current engine so the server keeps working across engine swaps. ---
-
-// EnumerateContext implements server.Backend.
-func (f *Follower) EnumerateContext(ctx context.Context, k int, r float64, opt krcore.EnumOptions) (*krcore.Result, error) {
-	return f.cur().EnumerateContext(ctx, k, r, opt)
-}
-
-// EnumerateContainingContext implements server.Backend.
-func (f *Follower) EnumerateContainingContext(ctx context.Context, k int, r float64, v int32, opt krcore.EnumOptions) (*krcore.Result, error) {
-	return f.cur().EnumerateContainingContext(ctx, k, r, v, opt)
-}
-
-// FindMaximumContext implements server.Backend.
-func (f *Follower) FindMaximumContext(ctx context.Context, k int, r float64, opt krcore.MaxOptions) (*krcore.Result, error) {
-	return f.cur().FindMaximumContext(ctx, k, r, opt)
-}
-
-// Warm implements server.Backend.
-func (f *Follower) Warm(k int, r float64) error { return f.cur().Warm(k, r) }
-
-// Stats implements server.Backend.
-func (f *Follower) Stats() krcore.EngineStats { return f.cur().Stats() }
-
-// Graph implements server.Backend.
-func (f *Follower) Graph() *krcore.Graph { return f.cur().Graph() }
-
-// SettingsStats implements server.Backend.
-func (f *Follower) SettingsStats() []krcore.SettingStats { return f.cur().SettingsStats() }
-
-// ApplyBatch implements server.Updater. It reaches the engine only
-// after promotion — while the node follows, the server's read-only
-// gate answers 503 before this is called.
-func (f *Follower) ApplyBatch(batch []krcore.Update) error { return f.cur().ApplyBatch(batch) }
-
-// DynamicStats implements server.Updater.
-func (f *Follower) DynamicStats() krcore.DynamicStats { return f.cur().DynamicStats() }
-
-// JournalOffset reports the operations folded into the serving state
-// (the applied offset exported on /metrics and PathReplication).
-func (f *Follower) JournalOffset() int64 {
-	if eng := f.engine.Load(); eng != nil {
-		return eng.JournalOffset()
-	}
-	return 0
-}
-
-// AttributeKind names the engine's attribute-store kind.
-func (f *Follower) AttributeKind() string { return f.cur().AttributeKind() }
-
-// SaveSnapshot streams the current engine's snapshot — wire it as the
-// server's Snapshot hook so this follower can itself bootstrap others
-// (and lead after a promotion).
-func (f *Follower) SaveSnapshot(w io.Writer) error { return f.cur().SaveSnapshot(w) }

@@ -21,8 +21,8 @@ import (
 
 // ---------------------------------------------------------------------------
 // Fleet fixtures: a leader daemon (dynamic engine + write-ahead journal
-// + replication endpoints) and follower daemons (replica.Follower
-// mounted as a read-only server backend), all over real HTTP.
+// + replication endpoints) and follower daemons (a replica.Follower's
+// engine mounted as a read-only server backend), all over real HTTP.
 // ---------------------------------------------------------------------------
 
 type leaderNode struct {
@@ -83,7 +83,8 @@ func startFollowerNode(t *testing.T, leaderURL string, pollMax int) *followerNod
 	}
 	t.Cleanup(func() { j.Close() })
 
-	fol, err := replica.NewFollower(replica.FollowerConfig{
+	ctx, cancel := context.WithCancel(context.Background())
+	fol, err := replica.NewFollower(ctx, replica.FollowerConfig{
 		Leader:   leaderURL,
 		Journal:  j,
 		PollWait: 100 * time.Millisecond,
@@ -91,10 +92,6 @@ func startFollowerNode(t *testing.T, leaderURL string, pollMax int) *followerNod
 		Backoff:  15 * time.Millisecond,
 	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	if err := fol.Bootstrap(ctx); err != nil {
 		cancel()
 		t.Fatal(err)
 	}
@@ -104,11 +101,11 @@ func startFollowerNode(t *testing.T, leaderURL string, pollMax int) *followerNod
 		fol.Run(ctx)
 	}()
 
-	s, err := New(fol, Config{
+	s, err := New(fol.Engine(), Config{
 		LeaderURL:  leaderURL,
 		Lag:        fol.Lag,
 		OnPromote:  fol.Stop,
-		Snapshot:   fol.SaveSnapshot,
+		Snapshot:   fol.Engine().SaveSnapshot,
 		Tail:       j,
 		JournalLen: j.TailOps,
 	})
@@ -297,8 +294,8 @@ func TestReplicaDifferentialHarness(t *testing.T) {
 
 		// Checkpoint: all acked operations are on every follower...
 		end := leader.j.End()
-		waitOffset(t, "follower 1", f1.fol.JournalOffset, end)
-		waitOffset(t, "follower 2", f2.fol.JournalOffset, end)
+		waitOffset(t, "follower 1", f1.fol.Engine().JournalOffset, end)
+		waitOffset(t, "follower 2", f2.fol.Engine().JournalOffset, end)
 
 		// ...the reference replays the journal in commit order...
 		ops, newEnd, err := leader.j.ReadFrom(refApplied, 0)
@@ -442,7 +439,7 @@ func TestFollowerResumesThroughFaults(t *testing.T) {
 	}
 
 	end := leader.j.End()
-	waitOffset(t, "faulted follower", fol.fol.JournalOffset, end)
+	waitOffset(t, "faulted follower", fol.fol.Engine().JournalOffset, end)
 
 	// Exactly once: the applied count equals the journal end (the
 	// follower bootstrapped at offset 0), with no re-bootstrap — a

@@ -80,9 +80,8 @@ func (s *Server) appliedOffset() (int64, bool) {
 // the engine's offset read just before the capture as an advisory
 // lower bound.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	// Snapshot encoding clones engine state and streams a full graph:
-	// it occupies a search slot so a bootstrap storm cannot starve
-	// queries.
+	// Snapshot encoding streams a full graph: it occupies a search
+	// slot so a bootstrap storm cannot starve queries.
 	if !s.admit(w, r) {
 		return
 	}
