@@ -29,7 +29,7 @@
 // GET /metrics serves the daemon's full metric registry in Prometheus
 // text format: the served dataset and graph size, per-endpoint request
 // and search latency histograms, admission-wait times and queue depth,
-// cache hit/miss counters (engine-wide and per prepared (k,r)
+// cache hit/miss counters (engine-wide and per queried (k,r)
 // setting), the client/server error split, group-commit coalescing,
 // scoped-invalidation counters and journal fsync latency on dynamic
 // daemons, and Go runtime gauges — every counter the daemon keeps, in

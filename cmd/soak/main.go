@@ -28,10 +28,10 @@
 // surface daemon faults". Client-side 4xx responses and admission 429s
 // are counted and reported but never gate: the harness itself decides
 // what load to offer. The run also fails if any counter (a series
-// named *_total) present in two consecutive /metrics scrapes — taken
-// before the run, about once a second during it, and after it — went
-// down, and, when self-hosting, if the daemon does not shut down
-// cleanly.
+// named *_total) reads lower in a /metrics scrape — taken before the
+// run, about once a second during it, and after it — than in the last
+// earlier scrape that held it, and, when self-hosting, if the daemon
+// does not shut down cleanly.
 package main
 
 import (
@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -240,20 +241,28 @@ func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 }
 
 // counterWatch is what watchCounters saw: the number of scrapes it
-// took, the last scrape (or the one it started from), and every
-// counter decrease between consecutive scrapes.
+// took, the last value seen of every series, and every counter
+// decrease against those values.
 type counterWatch struct {
 	scrapes   int
 	last      map[string]float64
 	decreases []string
 }
 
+// observe compares one scrape with the last value seen of every series
+// and carries the scrape's values forward, so a counter missing from
+// one scrape that comes back lower still counts as a decrease.
+func (cw *counterWatch) observe(next map[string]float64) {
+	cw.scrapes++
+	cw.decreases = append(cw.decreases, counterDecreases(cw.last, next)...)
+	maps.Copy(cw.last, next)
+}
+
 // watchCounters scrapes /metrics every interval until ctx is done,
-// comparing each scrape with the previous one, starting from prev. A
-// failed scrape is skipped: the next one compares with the last that
-// succeeded.
+// observing each scrape, starting from a copy of prev. A failed scrape
+// is skipped.
 func watchCounters(ctx context.Context, c *client.Client, prev map[string]float64, every time.Duration) counterWatch {
-	cw := counterWatch{last: prev}
+	cw := counterWatch{last: maps.Clone(prev)}
 	tick := time.NewTicker(every)
 	defer tick.Stop()
 	for {
@@ -266,10 +275,7 @@ func watchCounters(ctx context.Context, c *client.Client, prev map[string]float6
 		if err != nil {
 			continue
 		}
-		next := client.ParseMetrics(text)
-		cw.scrapes++
-		cw.decreases = append(cw.decreases, counterDecreases(cw.last, next)...)
-		cw.last = next
+		cw.observe(client.ParseMetrics(text))
 	}
 }
 

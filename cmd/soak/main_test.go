@@ -74,7 +74,9 @@ func TestFmtLatency(t *testing.T) {
 }
 
 // TestCounterDecreases pins the monotonicity comparison: only _total
-// series present in both scrapes count, and any decrease is reported.
+// series present in both scrapes count, any decrease is reported, and
+// a series missing from a scrape is compared with its last value seen
+// when it comes back.
 func TestCounterDecreases(t *testing.T) {
 	prev := map[string]float64{
 		"krcored_queries_total":                           10,
@@ -102,5 +104,13 @@ func TestCounterDecreases(t *testing.T) {
 	}
 	if got := counterDecreases(next, next); len(got) != 0 {
 		t.Fatalf("unchanged scrape reported decreases: %q", got)
+	}
+
+	const vanishing = `krcored_engine_setting_hits_total{k="6",r="10"}`
+	cw := counterWatch{last: map[string]float64{vanishing: 4}}
+	cw.observe(map[string]float64{})
+	cw.observe(map[string]float64{vanishing: 1})
+	if want := vanishing + " 4 -> 1"; strings.Join(cw.decreases, "\n") != want {
+		t.Fatalf("three scrapes (4, absent, 1) reported %q, want %q", cw.decreases, want)
 	}
 }

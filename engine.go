@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -40,9 +41,9 @@ import (
 // Limits; parallelism within one query through the options'
 // Parallelism field.
 type Engine struct {
-	g      *Graph
-	metric Metric
-	ctr    *counters // engine-wide, shared with the snapshots advance makes
+	g       *Graph
+	metric  Metric
+	traffic *traffic // the lineage's hit/miss table
 
 	// keys[i] is the similarity key of the i-th edge of g in Edges
 	// order (see simgraph.EdgeKeys), 8 bytes per edge, scored by the
@@ -55,22 +56,41 @@ type Engine struct {
 	byKR map[krKey]*krEntry
 }
 
-// counters is one hit/miss pair. advance hands the pointer to the next
-// snapshot instead of copying the counts, so a query counted on the
-// retiring snapshot while its successor is being built still counts
-// once the successor is published.
-type counters struct {
-	hits atomic.Int64
-	miss atomic.Int64
+// traffic is the hit/miss table of one engine lineage: the
+// engine-wide pair and one pair per (k,r) setting looked up since the
+// lineage began. NewEngine creates it, and every engine advance and
+// fork build shares it by pointer, so a query counted on a retiring
+// snapshot still counts on its successor, and a setting's counts never
+// fall, whatever the cache holds later.
+type traffic struct {
+	mu      sync.Mutex
+	all     hitMiss
+	setting map[krKey]*hitMiss
 }
 
-// count records one lookup.
-func (c *counters) count(hit bool) {
+// hitMiss is one hit/miss pair.
+type hitMiss struct{ hits, misses int64 }
+
+func (c *hitMiss) add(hit bool) {
 	if hit {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.miss.Add(1)
+		c.misses++
 	}
+}
+
+// count records one lookup of setting key, on its pair and the
+// engine-wide one.
+func (t *traffic) count(key krKey, hit bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.all.add(hit)
+	c := t.setting[key]
+	if c == nil {
+		c = &hitMiss{}
+		t.setting[key] = c
+	}
+	c.add(hit)
 }
 
 type krKey struct {
@@ -98,15 +118,12 @@ type rEntry struct {
 // krEntry is the prepared problem of one (k,r) setting. ready flips
 // after the once body completed, so concurrent queries can tell a
 // served entry (cache hit) from one still being built (miss: they
-// block on the once alongside the builder). ctr is the per-setting
-// split of the engine-wide counters, the series the /metrics endpoint
-// exports per (k,r).
+// block on the once alongside the builder).
 type krEntry struct {
 	once  sync.Once
 	pr    *core.Prepared
 	err   error
 	ready atomic.Bool
-	ctr   *counters
 }
 
 // readyREntry wraps already-built per-r state so later queries treat it
@@ -120,48 +137,25 @@ func readyREntry(o *Oracle, filtered *graph.Graph) *rEntry {
 	return ent
 }
 
-// readyKREntry wraps an already-prepared (k,r) problem with fresh
-// counters (see carryCounters).
+// readyKREntry wraps an already-prepared (k,r) problem.
 func readyKREntry(pr *core.Prepared) *krEntry {
-	ent := &krEntry{pr: pr, ctr: &counters{}}
+	ent := &krEntry{pr: pr}
 	ent.once.Do(func() {})
 	ent.ready.Store(true)
 	return ent
 }
 
-// carryCounters hands e's traffic counters to ne, an engine not yet
-// published: ne counts on e's engine-wide pair, and every (k,r)
-// setting both engines hold counts on e's per-setting pair. A query
-// still running on e is then counted on ne too, so no counter falls
-// when ne replaces e.
-func (e *Engine) carryCounters(ne *Engine) {
-	ne.ctr = e.ctr
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for key, ent := range ne.byKR {
-		if old, ok := e.byKR[key]; ok {
-			ent.ctr = old.ctr
-		}
-	}
-}
-
 // fork returns an engine not yet published that serves e's graph and
-// metric from every cache entry e holds, with fresh counters: the per-r
-// entries are shared (both engines build them over the same graph and
-// metric) and each fully prepared setting is wrapped anew, so
-// carryCounters can rebind its counters without touching e.
-func (e *Engine) fork() *Engine {
-	ne := NewEngine(e.g, e.metric)
+// metric from every cache entry e holds and counts its traffic on t.
+// The entries are shared, not copied: both engines build them over the
+// same graph and metric, and no entry holds counts, so e is left
+// unchanged.
+func (e *Engine) fork(t *traffic) *Engine {
+	ne := newEngine(e.g, e.metric, t)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for r, ent := range e.byR {
-		ne.byR[r] = ent
-	}
-	for key, ent := range e.byKR {
-		if ent.ready.Load() && ent.err == nil {
-			ne.byKR[key] = readyKREntry(ent.pr)
-		}
-	}
+	maps.Copy(ne.byR, e.byR)
+	maps.Copy(ne.byKR, e.byKR)
 	return ne
 }
 
@@ -169,12 +163,17 @@ func (e *Engine) fork() *Engine {
 // metric. The metric's attribute store must be final: per-r indexes
 // snapshot it when a threshold is first queried.
 func NewEngine(g *Graph, m Metric) *Engine {
+	return newEngine(g, m, &traffic{setting: map[krKey]*hitMiss{}})
+}
+
+// newEngine returns an engine with empty caches that counts on t.
+func newEngine(g *Graph, m Metric, t *traffic) *Engine {
 	return &Engine{
-		g:      g,
-		metric: m,
-		ctr:    &counters{},
-		byR:    map[float64]*rEntry{},
-		byKR:   map[krKey]*krEntry{},
+		g:       g,
+		metric:  m,
+		traffic: t,
+		byR:     map[float64]*rEntry{},
+		byKR:    map[krKey]*krEntry{},
 	}
 }
 
@@ -203,55 +202,43 @@ type EngineStats struct {
 
 // Stats returns a snapshot of the engine's cache counters.
 func (e *Engine) Stats() EngineStats {
+	e.traffic.mu.Lock()
+	all := e.traffic.all
+	e.traffic.mu.Unlock()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return EngineStats{
-		Hits:       e.ctr.hits.Load(),
-		Misses:     e.ctr.miss.Load(),
+		Hits:       all.hits,
+		Misses:     all.misses,
 		Thresholds: len(e.byR),
 		Prepared:   len(e.byKR),
 	}
 }
 
 // SettingStats is the per-(k,r) split of the engine's cache traffic:
-// one entry per cached setting, the series the serving layer exports
-// on /metrics so an operator can see which settings are hot and which
-// keep missing.
+// one entry per setting looked up since the engine lineage began, the
+// series the serving layer exports on /metrics so an operator can see
+// which settings are hot and which keep missing.
 type SettingStats struct {
 	K            int
 	R            float64
 	Hits, Misses int64
 }
 
-// SettingsStats reports hit/miss counts per fully-built (k,r) setting,
-// sorted by k then r. Settings still being built (or whose build
-// failed) are omitted; a setting dropped by an update and rebuilt
-// later restarts its counts — the standard counter-reset semantics of
-// a scrape target. Counts carry across updates for every setting the
-// scoped invalidation keeps.
+// SettingsStats reports hit/miss counts per (k,r) setting, sorted by k
+// then r: one entry per setting looked up since the engine lineage
+// began (NewEngine, LoadEngine or LoadDynamicEngine; the engines a
+// DynamicEngine publishes carry it on), including settings still being
+// built and settings no longer cached. A setting's counts start at its
+// first lookup and never fall. A setting restored from a snapshot but
+// never looked up has no entry.
 func (e *Engine) SettingsStats() []SettingStats {
-	e.mu.Lock()
-	type kv struct {
-		key krKey
-		ent *krEntry
+	e.traffic.mu.Lock()
+	out := make([]SettingStats, 0, len(e.traffic.setting))
+	for key, c := range e.traffic.setting {
+		out = append(out, SettingStats{K: key.k, R: key.r, Hits: c.hits, Misses: c.misses})
 	}
-	entries := make([]kv, 0, len(e.byKR))
-	for key, ent := range e.byKR {
-		entries = append(entries, kv{key, ent})
-	}
-	e.mu.Unlock()
-	out := make([]SettingStats, 0, len(entries))
-	for _, it := range entries {
-		if !it.ent.ready.Load() || it.ent.err != nil {
-			continue
-		}
-		out = append(out, SettingStats{
-			K:      it.key.k,
-			R:      it.key.r,
-			Hits:   it.ent.ctr.hits.Load(),
-			Misses: it.ent.ctr.miss.Load(),
-		})
-	}
+	e.traffic.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].K != out[j].K {
 			return out[i].K < out[j].K
@@ -266,7 +253,7 @@ func (e *Engine) SettingsStats() []SettingStats {
 // oracle and its index are built: the dissimilar-edge filter over the
 // whole graph — which a (k,r) query needs but an oracle caller does
 // not — stays lazy until the first query at this threshold. The call
-// counts as a hit or a miss in Stats.
+// counts as a hit or a miss in Stats, under no SettingsStats entry.
 func (e *Engine) Oracle(r float64) (*Oracle, error) {
 	if e.metric == nil {
 		return nil, errors.New("krcore: engine has no similarity metric")
@@ -275,7 +262,9 @@ func (e *Engine) Oracle(r float64) (*Oracle, error) {
 		return nil, errors.New("krcore: similarity threshold r must not be NaN")
 	}
 	ent := e.rEntryFor(r)
-	e.ctr.count(ent.oracleReady.Load())
+	e.traffic.mu.Lock()
+	e.traffic.all.add(ent.oracleReady.Load())
+	e.traffic.mu.Unlock()
 	e.buildOracle(ent, r)
 	return ent.oracle, nil
 }
@@ -402,7 +391,7 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	e.mu.Lock()
 	ent, ok := e.byKR[key]
 	if !ok {
-		ent = &krEntry{ctr: &counters{}}
+		ent = &krEntry{}
 		e.byKR[key] = ent
 	}
 	e.mu.Unlock()
@@ -412,9 +401,7 @@ func (e *Engine) prepared(k int, r float64) (*core.Prepared, error) {
 	// same latency, so it counts as a miss — as does a cached build
 	// error, which serves no prepared state. (Reading ent.err here is
 	// safe: it is written before the ready flag's atomic store.)
-	hit := ok && ent.ready.Load() && ent.err == nil
-	e.ctr.count(hit)
-	ent.ctr.count(hit)
+	e.traffic.count(key, ok && ent.ready.Load() && ent.err == nil)
 	ent.once.Do(func() {
 		re := e.forR(r)
 		ent.pr, ent.err = core.PrepareFiltered(re.filtered, core.Params{K: k, Oracle: re.oracle})
@@ -512,18 +499,18 @@ type advanceStats struct {
 // The per-edge key table is not carried: the new engine scores its
 // graph's edges again on its first new threshold.
 //
-// The new engine shares the receiver's hit/miss counters, and each
-// carried setting its per-setting ones (see carryCounters), so a query
-// the receiver still serves while advance runs is counted on the
-// published engine too. The new engine and the oracles it rebuilds
-// read d.metric; carried oracles keep reading the receiver's store,
-// which an attribute or growth round must therefore leave unchanged
+// The new engine shares the receiver's traffic table, so a query the
+// receiver still serves while advance runs is counted on the published
+// engine too. The new engine and the oracles it rebuilds read
+// d.metric; carried oracles keep reading the receiver's store, which
+// an attribute or growth round must therefore leave unchanged
 // (DynamicEngine edits a copy). The receiver is left unchanged and
-// keeps serving its own snapshot. Entries still being built when advance copies the cache
-// maps are not carried; the new engine rebuilds them on demand.
+// keeps serving its own snapshot. Entries still being built when
+// advance copies the cache maps are not carried; the new engine
+// rebuilds them on demand.
 func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 	var st advanceStats
-	ne := NewEngine(d.g2, d.metric)
+	ne := newEngine(d.g2, d.metric, e.traffic)
 	e.mu.Lock()
 	rs := make(map[float64]*rEntry, len(e.byR))
 	for r, ent := range e.byR {
@@ -586,6 +573,5 @@ func (e *Engine) advance(d advanceDelta) (*Engine, advanceStats) {
 		st.coreVisited += pst.CoreVisited
 		ne.byKR[key] = readyKREntry(pr)
 	}
-	e.carryCounters(ne)
 	return ne, st
 }

@@ -328,19 +328,18 @@ func (d *DynamicEngine) SetCommitObserver(fn func(CommitInfo)) {
 // its leader's snapshot (see LoadDynamicEngine). d takes src's graph,
 // attributes, every cached similarity index, filtered graph and
 // prepared setting, and src's Updates (the journal offset) and Version.
-// d keeps its journal and commit observer, its engine-wide hit/miss
-// counters, the per-setting counters of every (k,r) both engines hold,
-// and its other DynamicStats counters, so none of them falls. Queries
-// already running on d finish on the state they loaded; src is left
-// unchanged. A caller that journals d aligns the journal to
-// src.JournalOffset() before adopting.
+// d keeps its journal and commit observer, its whole traffic table
+// (the engine-wide hit/miss pair and every setting's pair, src's
+// counts not added) and its other DynamicStats counters, so none of
+// them falls. Queries already running on d finish on the state they
+// loaded; src is left unchanged. A caller that journals d aligns the
+// journal to src.JournalOffset() before adopting.
 func (d *DynamicEngine) Adopt(src *DynamicEngine) {
 	in := src.cur.Load()
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
 	cur := d.cur.Load()
-	next := &dynSnapshot{attrs: in.attrs, eng: in.eng.fork(), stats: cur.stats}
-	cur.eng.carryCounters(next.eng)
+	next := &dynSnapshot{attrs: in.attrs, eng: in.eng.fork(cur.eng.traffic), stats: cur.stats}
 	next.stats.Updates = in.stats.Updates
 	next.stats.Version = in.stats.Version
 	d.cur.Store(next)
@@ -625,9 +624,10 @@ func (d *DynamicEngine) Oracle(r float64) (*Oracle, error) {
 // answered since construction.
 func (d *DynamicEngine) Stats() EngineStats { return d.engine().Stats() }
 
-// SettingsStats reports the current snapshot's per-(k,r) cache
-// traffic (see Engine.SettingsStats). Counts persist across updates
-// for every setting the scoped invalidation carries over.
+// SettingsStats reports the per-(k,r) cache traffic since construction
+// (see Engine.SettingsStats): one entry per setting looked up, whether
+// or not the current snapshot still caches it. Updates and Adopt never
+// lower a setting's counts.
 func (d *DynamicEngine) SettingsStats() []SettingStats { return d.engine().SettingsStats() }
 
 // DynamicStats reports update activity and invalidation reuse counters.

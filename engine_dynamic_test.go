@@ -584,6 +584,7 @@ func TestDynamicEngineStatsCoherence(t *testing.T) {
 	if st.Thresholds != len(cfg.presets) { // presets use distinct r values
 		t.Fatalf("thresholds = %d, want %d: %+v", st.Thresholds, len(cfg.presets), st)
 	}
+	checkSettingSums(t, st, eng.SettingsStats())
 	if ds := eng.DynamicStats(); ds.Batches != int64(mutations) {
 		t.Fatalf("batches = %d, want %d", ds.Batches, mutations)
 	}
@@ -686,20 +687,28 @@ func TestDynamicEngineAdopt(t *testing.T) {
 	if st.Prepared != srcStats.Prepared || st.Thresholds != srcStats.Thresholds {
 		t.Fatalf("cache shape %+v, want src's %+v", st, srcStats)
 	}
-	for _, s := range d.SettingsStats() {
+	// Per setting: d's table is kept whole, so its own setting stays
+	// listed though src does not cache it, and the src-only setting d
+	// never looked up has no entry.
+	settings := d.SettingsStats()
+	for _, s := range settings {
 		switch {
 		case s.K == shared.k && s.R == shared.r:
 			if s.Hits+s.Misses != 1+readers*perReader {
 				t.Fatalf("shared setting %+v lost d's counts", s)
 			}
-		case s.K == srcOnly.k && s.R == srcOnly.r:
-			if s.Hits+s.Misses != 0 {
-				t.Fatalf("src-only setting %+v imported src's counts", s)
+		case s.K == own.k && s.R == own.r:
+			if s.Hits != 0 || s.Misses != 1 {
+				t.Fatalf("d's own setting %+v, want its one warm miss", s)
 			}
 		default:
-			t.Fatalf("setting %+v is not among src's prepared settings", s)
+			t.Fatalf("setting %+v was never looked up on d", s)
 		}
 	}
+	if len(settings) != 2 {
+		t.Fatalf("settings = %+v, want the shared and d's own", settings)
+	}
+	checkSettingSums(t, st, settings)
 	after, want := d.DynamicStats(), before
 	want.Updates, want.Version = src.DynamicStats().Updates, src.DynamicStats().Version
 	if after != want {
@@ -731,6 +740,20 @@ func TestDynamicEngineAdopt(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameResult(t, fmt.Sprintf("adopted (k=%d, r=%g)", p.k, p.r), got, wantRes)
+	}
+}
+
+// checkSettingSums fails unless the per-setting counts sum to the
+// engine-wide ones, which holds while no Oracle call has been counted.
+func checkSettingSums(t *testing.T, st EngineStats, settings []SettingStats) {
+	t.Helper()
+	var hits, misses int64
+	for _, s := range settings {
+		hits += s.Hits
+		misses += s.Misses
+	}
+	if hits != st.Hits || misses != st.Misses {
+		t.Fatalf("per-setting sums (%d,%d) != engine counters (%d,%d): %+v", hits, misses, st.Hits, st.Misses, settings)
 	}
 }
 
@@ -1009,6 +1032,23 @@ func TestDynamicEngineParkedSearchBlocksNothing(t *testing.T) {
 
 	close(gate.release)
 	within(t, "parked search after release", searched)
+
+	// The commit did not carry the cold setting, so one more cold query
+	// rebuilds it: both lookups are misses on the setting's one pair.
+	if _, err := eng.Enumerate(cold.k, cold.r, EnumOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	settings := eng.SettingsStats()
+	var coldStats SettingStats
+	for _, s := range settings {
+		if s.K == cold.k && s.R == cold.r {
+			coldStats = s
+		}
+	}
+	if coldStats.Hits != 0 || coldStats.Misses != 2 {
+		t.Fatalf("cold setting %+v, want 2 misses: %+v", coldStats, settings)
+	}
+	checkSettingSums(t, eng.Stats(), settings)
 
 	// The engine still agrees with a from-scratch one over its state.
 	fresh := NewEngine(eng.Graph(), eng.Metric())

@@ -6,7 +6,7 @@ import (
 
 // TestEngineSettingsStats pins the per-(k,r) traffic split: warms are
 // misses, repeat queries are hits, output is sorted by (k,r), and
-// still-unbuilt settings never appear.
+// settings never looked up never appear.
 func TestEngineSettingsStats(t *testing.T) {
 	g, geo := buildServingInstance()
 	eng := NewEngine(g, geo.Metric())

@@ -323,8 +323,9 @@ func TestFollowerTailConvergence(t *testing.T) {
 // journal and must re-bootstrap from the snapshot, transparently,
 // through the same Run loop. The snapshot is restored into the engine
 // the follower's server already serves, so no counter on its /metrics
-// falls: neither the traffic counters of a setting the leader also
-// holds nor the write-path counters of the rounds it replayed itself.
+// falls or vanishes: not the traffic counters of a setting the leader
+// also holds, not those of the follower's own warms, and not the
+// write-path counters of the rounds it replayed itself.
 func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 	leader := startLeader(t)
 	ctx := context.Background()
@@ -476,12 +477,14 @@ func TestFollowerRebootstrapAfterCompaction(t *testing.T) {
 	}
 
 	after := scrapeMetrics(t, fc)
-	if _, ok := after[`krcored_engine_setting_hits_total{k="4",r="10"}`]; !ok {
-		t.Fatal("the (4,10) setting the leader holds vanished from the follower's /metrics")
-	}
 	for series, old := range before {
 		name, _, _ := strings.Cut(series, "{")
-		if v, ok := after[series]; ok && strings.HasSuffix(name, "_total") && v < old {
+		if !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		if v, ok := after[series]; !ok {
+			t.Errorf("%s (%v before) vanished across the re-bootstrap", series, old)
+		} else if v < old {
 			t.Errorf("%s fell from %v to %v across the re-bootstrap", series, old, v)
 		}
 	}

@@ -292,7 +292,7 @@ func (s *Server) initMetrics() {
 			return out
 		})
 	}
-	settingOf("krcored_engine_setting_hits_total", "cache hits per prepared (k,r) setting",
+	settingOf("krcored_engine_setting_hits_total", "cache hits per (k,r) setting",
 		func(st krcore.SettingStats) float64 { return float64(st.Hits) })
 	settingOf("krcored_engine_setting_misses_total", "cache misses per (k,r) setting",
 		func(st krcore.SettingStats) float64 { return float64(st.Misses) })
