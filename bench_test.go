@@ -1,6 +1,3 @@
-// Package krcore_test: the external test package avoids an import
-// cycle — internal/expr's serving experiments drive the public
-// krcore.Engine.
 package krcore_test
 
 // One benchmark per reproduced table/figure (deliverable d). Each
@@ -75,6 +72,5 @@ func BenchmarkFig13bEnumR(b *testing.B)       { runExperiment(b, "fig13b") }
 func BenchmarkFig14aMaxK(b *testing.B)        { runExperiment(b, "fig14a") }
 func BenchmarkFig14bMaxR(b *testing.B)        { runExperiment(b, "fig14b") }
 
-// Serving-layer additions beyond the paper (PR 2).
-func BenchmarkEngineCache(b *testing.B) { runExperiment(b, "engine") }
+// Beyond the paper: parallel AdvMax scaling across components.
 func BenchmarkParallelMax(b *testing.B) { runExperiment(b, "parmax") }

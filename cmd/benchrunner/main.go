@@ -5,7 +5,7 @@
 //
 //	benchrunner                       # run everything (several minutes)
 //	benchrunner -fig fig9a            # run one experiment
-//	benchrunner -fig engine,parmax    # run several experiments
+//	benchrunner -fig fig9a,parmax     # run several experiments
 //	benchrunner -budget 10s           # change the per-cell INF budget
 //	benchrunner -json                 # emit a JSON array of reports
 //	benchrunner -list                 # list experiment ids

@@ -8,58 +8,7 @@
 // the complement graph directly without materialising J'.
 package color
 
-import (
-	"sort"
-
-	"krcore/internal/graph"
-)
-
-// Greedy colours g greedily in descending degree order and returns the
-// number of colours used (0 for an empty graph).
-func Greedy(g *graph.Graph) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		di, dj := g.Degree(order[i]), g.Degree(order[j])
-		if di != dj {
-			return di > dj
-		}
-		return order[i] < order[j]
-	})
-	color := make([]int, n)
-	for i := range color {
-		color[i] = -1
-	}
-	used := make([]bool, n+1)
-	maxColor := 0
-	for _, u := range order {
-		for _, v := range g.Neighbors(u) {
-			if color[v] >= 0 {
-				used[color[v]] = true
-			}
-		}
-		c := 0
-		for used[c] {
-			c++
-		}
-		color[u] = c
-		if c+1 > maxColor {
-			maxColor = c + 1
-		}
-		for _, v := range g.Neighbors(u) {
-			if color[v] >= 0 {
-				used[color[v]] = false
-			}
-		}
-	}
-	return maxColor
-}
+import "sort"
 
 // ColorsComplement greedily colours the complement of the graph given by
 // dissimilarity lists: vertices i and j are adjacent iff j is NOT in

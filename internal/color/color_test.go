@@ -9,54 +9,6 @@ import (
 	"krcore/internal/graph"
 )
 
-func completeGraph(n int) *graph.Graph {
-	b := graph.NewBuilder(n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			b.AddEdge(int32(i), int32(j))
-		}
-	}
-	return b.Build()
-}
-
-func TestGreedyBasics(t *testing.T) {
-	if got := Greedy(completeGraph(5)); got != 5 {
-		t.Fatalf("K5 colours = %d, want 5", got)
-	}
-	if got := Greedy(graph.NewBuilder(4).Build()); got != 1 {
-		t.Fatalf("edgeless colours = %d, want 1", got)
-	}
-	if got := Greedy(graph.NewBuilder(0).Build()); got != 0 {
-		t.Fatalf("empty colours = %d, want 0", got)
-	}
-	// Even cycle is 2-colourable and greedy on C4 achieves 2.
-	b := graph.NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 0)
-	if got := Greedy(b.Build()); got != 2 {
-		t.Fatalf("C4 colours = %d, want 2", got)
-	}
-}
-
-// Property: greedy colouring upper-bounds the maximum clique size.
-func TestGreedyBoundsClique(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		b := graph.NewBuilder(n)
-		for i := 0; i < 3*n; i++ {
-			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
-		}
-		g := b.Build()
-		return Greedy(g) >= clique.MaxCliqueSize(g)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // dissimOf builds the dissimilarity lists of the complement of g: j is
 // dissimilar to i iff (i,j) is NOT an edge of g.
 func dissimOf(g *graph.Graph) [][]int32 {
@@ -73,9 +25,9 @@ func dissimOf(g *graph.Graph) [][]int32 {
 }
 
 // Property: ColorsComplement on dissim(g) produces a proper colouring
-// count for g itself, i.e. it upper-bounds g's max clique and equals
-// Greedy-style bounds in spirit. We check the clique bound, the complete
-// and edgeless extremes, and agreement under an active subset.
+// count for g itself, i.e. it upper-bounds g's max clique. We check the
+// clique bound, the complete and edgeless extremes, and agreement under
+// an active subset.
 func TestColorsComplementBoundsClique(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -16,8 +16,8 @@ type Experiment struct {
 
 // Experiments lists every reproduced table and figure in paper order.
 // Parameter grids follow the paper; where the synthetic geography
-// shifts an interesting region (noted in EXPERIMENTS.md), the grid is
-// shifted with it.
+// shifts an interesting region (noted on the figure's function), the
+// grid is shifted with it.
 var Experiments = []Experiment{
 	{"table3", "dataset statistics", Table3},
 	{"fig5", "DBLP case study: overlapping research groups", Fig5},
@@ -42,17 +42,8 @@ var Experiments = []Experiment{
 	{"fig13b", "enumeration vs r (DBLP)", Fig13b},
 	{"fig14a", "maximum vs k (Gowalla)", Fig14a},
 	{"fig14b", "maximum vs r (DBLP)", Fig14b},
-	// Beyond the paper: serving-layer measurements (PR 2).
-	{"engine", "serving engine cache-hit speedup (all presets)", EngineCache},
+	// Beyond the paper: parallel search scaling.
 	{"parmax", "parallel AdvMax scaling across components (all presets)", ParallelMax},
-	// Beyond the paper: dynamic-update maintenance (PR 3).
-	{"updates", "incremental update latency vs full rebuild (all presets)", DynamicUpdates},
-	// Beyond the paper: HTTP serving throughput (PR 4).
-	{"serve", "HTTP daemon throughput under admission control (geo presets)", Serve},
-	// Beyond the paper: snapshot persistence (PR 5).
-	{"snapshot", "engine snapshot load vs rebuild (all presets)", Snapshot},
-	// Beyond the paper: incremental core maintenance + group commit (PR 6).
-	{"writepath", "write path: incremental core repair + group commit (all presets)", WritePath},
 }
 
 // Find returns the experiment with the given id, or nil.

@@ -5,18 +5,16 @@ import (
 	"runtime"
 	"time"
 
-	"krcore"
 	"krcore/internal/core"
 	"krcore/internal/dataset"
 )
 
-// The serving experiments go beyond the paper's figures: they measure
-// the build-once/serve-many engine (cache-hit speedup of repeated
-// (k,r) queries) and the parallel AdvMax scaling across candidate
-// components, on the same synthetic preset stand-ins as the paper
-// reproduction.
+// The parmax experiment goes beyond the paper's figures: it measures
+// parallel AdvMax scaling across candidate components as a warm serving
+// engine runs the search, on the same synthetic preset stand-ins as the
+// paper reproduction. perfbench measures the rest of the serving stack.
 
-// servingK is the engagement threshold of the serving experiments (the
+// servingK is the engagement threshold of the parmax experiment (the
 // paper's geo default).
 const servingK = 5
 
@@ -31,64 +29,6 @@ func presetThreshold(r *Runner, name string) float64 {
 		return r.Permille(name, cfg.DefaultPermille)
 	}
 	return cfg.DefaultR
-}
-
-// EngineCache measures the serving engine's cache-hit speedup: the
-// cold first query at a (k,r) setting pays for the similarity index,
-// the edge filter and the candidate components; repeated queries reuse
-// all of it and pay for the search alone.
-func EngineCache(r *Runner) *Report {
-	rep := &Report{
-		ID:     "engine",
-		Title:  "Engine cache: cold vs repeated (k,r) query (maximum search, default r, k=5)",
-		XLabel: "dataset",
-		Xs:     dataset.PresetNames(),
-	}
-	var cold, warm, speed []string
-	for _, name := range rep.Xs {
-		d := r.Dataset(name)
-		thr := presetThreshold(r, name)
-		eng := krcore.NewEngine(d.Graph, d.Metric())
-		opt := core.MaxOptions{Limits: r.limits()}
-		t0 := time.Now()
-		res, err := eng.FindMaximum(servingK, thr, opt)
-		if err != nil {
-			panic(err)
-		}
-		coldT := time.Since(t0)
-		cold = append(cold, fmtDuration(coldT, res.TimedOut))
-		// Warm: repeat the same query; the engine re-prepares nothing.
-		const repeats = 3
-		var warmT time.Duration
-		timedOut := false
-		for i := 0; i < repeats; i++ {
-			opt := core.MaxOptions{Limits: r.limits()}
-			t0 := time.Now()
-			res, err := eng.FindMaximum(servingK, thr, opt)
-			if err != nil {
-				panic(err)
-			}
-			warmT += time.Since(t0)
-			timedOut = timedOut || res.TimedOut
-		}
-		warmT /= repeats
-		warm = append(warm, fmtDuration(warmT, timedOut))
-		if res.TimedOut || timedOut || warmT <= 0 {
-			speed = append(speed, "-")
-		} else {
-			speed = append(speed, fmt.Sprintf("%.1fx", float64(coldT)/float64(warmT)))
-		}
-		if st := eng.Stats(); st.Prepared != 1 {
-			panic(fmt.Sprintf("engine re-prepared on a repeated query: %+v", st))
-		}
-	}
-	rep.AddSeries("cold query", cold)
-	rep.AddSeries("repeat query", warm)
-	rep.AddSeries("speedup", speed)
-	rep.Notes = append(rep.Notes,
-		"cold = first query at the setting (index + filter + k-core components + search)",
-		"repeat = mean of 3 cache-hit queries (search only, zero re-preparation)")
-	return rep
 }
 
 // ParallelMax measures AdvMax scaling across candidate components: the

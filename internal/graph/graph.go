@@ -228,16 +228,10 @@ func (g *Graph) Induced(vertices []int32) (*Graph, []int32) {
 	return &Graph{adj: adj, m: m / 2}, orig
 }
 
-// ConnectedComponents returns the connected components of g as slices of
-// vertex ids, each sorted ascending. Isolated vertices form singleton
-// components. Components are returned in order of their smallest vertex.
-func (g *Graph) ConnectedComponents() [][]int32 {
-	return g.ComponentsOf(nil)
-}
-
 // ComponentsOf returns the connected components of the subgraph induced
 // by the given vertices (nil means all vertices). Each component is
-// sorted ascending.
+// sorted ascending; isolated vertices form singleton components.
+// Components are returned in order of their smallest vertex.
 func (g *Graph) ComponentsOf(vertices []int32) [][]int32 {
 	n := len(g.adj)
 	inSet := make([]bool, n)

@@ -49,7 +49,7 @@ func TestEmptyGraph(t *testing.T) {
 	if g.N() != 0 || g.M() != 0 || g.MaxDegree() != 0 || g.AvgDegree() != 0 {
 		t.Fatal("empty graph should have all-zero statistics")
 	}
-	if comps := g.ConnectedComponents(); len(comps) != 0 {
+	if comps := g.ComponentsOf(nil); len(comps) != 0 {
 		t.Fatalf("empty graph has %d components, want 0", len(comps))
 	}
 }
@@ -92,7 +92,7 @@ func TestConnectedComponents(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(4, 5)
 	g := b.Build()
-	comps := g.ConnectedComponents()
+	comps := g.ComponentsOf(nil)
 	want := [][]int32{{0, 1, 2}, {3}, {4, 5}, {6}}
 	if !reflect.DeepEqual(comps, want) {
 		t.Fatalf("components = %v, want %v", comps, want)
@@ -263,7 +263,7 @@ func TestComponentsPartitionProperty(t *testing.T) {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		g := b.Build()
-		comps := g.ConnectedComponents()
+		comps := g.ComponentsOf(nil)
 		seen := make([]bool, n)
 		total := 0
 		for _, c := range comps {

@@ -5,8 +5,8 @@
 // The k-core of a graph is the maximal subgraph in which every vertex has
 // degree at least k; the core number of a vertex is the largest k such
 // that the vertex belongs to the k-core. The (k,r)-core engine uses k-core
-// computation both as the preprocessing step of Algorithm 1 and as the
-// structure-based candidate pruning rule (Theorem 2).
+// computation as the preprocessing step of Algorithm 1, and Repair keeps
+// core numbers current across edge updates.
 package kcore
 
 import "krcore/internal/graph"
@@ -83,57 +83,4 @@ func KCore(g *graph.Graph, k int) []int32 {
 		}
 	}
 	return out
-}
-
-// Within peels the subgraph of g induced by the mask down to its k-core,
-// clearing mask entries of removed vertices in place. members must list
-// exactly the vertices with mask true; the returned slice (reusing
-// members' backing array) holds the surviving vertices. This is the
-// restricted form used by the candidate pruning rule, where the mask is
-// M ∪ C.
-func Within(g *graph.Graph, k int, mask []bool, members []int32) []int32 {
-	deg := make(map[int32]int, len(members))
-	for _, u := range members {
-		deg[u] = g.DegreeWithin(u, mask)
-	}
-	queue := make([]int32, 0, len(members))
-	for _, u := range members {
-		if deg[u] < k {
-			queue = append(queue, u)
-			mask[u] = false
-		}
-	}
-	for len(queue) > 0 {
-		u := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, v := range g.Neighbors(u) {
-			if !mask[v] {
-				continue
-			}
-			deg[v]--
-			if deg[v] < k {
-				mask[v] = false
-				queue = append(queue, v)
-			}
-		}
-	}
-	out := members[:0]
-	for _, u := range members {
-		if mask[u] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// MaxCoreNumber returns the largest k such that the k-core of g is
-// non-empty (0 for an edgeless graph).
-func MaxCoreNumber(g *graph.Graph) int {
-	max := 0
-	for _, c := range Decompose(g) {
-		if c > max {
-			max = c
-		}
-	}
-	return max
 }

@@ -27,9 +27,6 @@ func TestDecomposeClique(t *testing.T) {
 			t.Fatalf("core[%d] = %d, want 5", u, c)
 		}
 	}
-	if MaxCoreNumber(g) != 5 {
-		t.Fatalf("MaxCoreNumber = %d, want 5", MaxCoreNumber(g))
-	}
 }
 
 func TestDecomposePath(t *testing.T) {
@@ -76,16 +73,12 @@ func TestDecomposeEmptyAndIsolated(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Decompose = %v, want %v", got, want)
 	}
-	if MaxCoreNumber(g) != 0 {
-		t.Fatal("MaxCoreNumber of edgeless graph must be 0")
-	}
 	if g0 := graph.NewBuilder(0).Build(); len(Decompose(g0)) != 0 {
 		t.Fatal("Decompose of empty graph must be empty")
 	}
 }
 
-// naiveKCore peels by repeated scanning; the reference for Within and
-// Decompose.
+// naiveKCore peels by repeated scanning; the reference for Decompose.
 func naiveKCore(g *graph.Graph, k int, mask []bool) {
 	for {
 		removed := false
@@ -107,51 +100,6 @@ func randomGraph(rng *rand.Rand, n, extra int) *graph.Graph {
 		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
 	return b.Build()
-}
-
-func TestWithinMatchesNaive(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		g := randomGraph(rng, n, 4*n)
-		k := 1 + rng.Intn(5)
-
-		mask := make([]bool, n)
-		members := make([]int32, 0, n)
-		for u := 0; u < n; u++ {
-			if rng.Intn(4) != 0 {
-				mask[u] = true
-				members = append(members, int32(u))
-			}
-		}
-		want := make([]bool, n)
-		copy(want, mask)
-		naiveKCore(g, k, want)
-
-		got := Within(g, k, mask, members)
-		for u := 0; u < n; u++ {
-			if mask[u] != want[u] {
-				return false
-			}
-		}
-		// Survivor list matches the mask.
-		cnt := 0
-		for _, u := range got {
-			if !mask[u] {
-				return false
-			}
-			cnt++
-		}
-		for u := 0; u < n; u++ {
-			if mask[u] {
-				cnt--
-			}
-		}
-		return cnt == 0
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Property: core numbers from Decompose agree with iterated naive

@@ -243,17 +243,3 @@ func TopPermille(metric Metric, n int, p float64, sample int, seed int64) float6
 	}
 	return scores[idx]
 }
-
-// CountSimilarPairs exhaustively counts similar pairs among the given
-// vertices. Intended for tests and small statistics; O(len(vs)^2).
-func CountSimilarPairs(o *Oracle, vs []int32) int {
-	cnt := 0
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if o.Similar(vs[i], vs[j]) {
-				cnt++
-			}
-		}
-	}
-	return cnt
-}

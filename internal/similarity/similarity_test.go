@@ -149,16 +149,6 @@ func TestTopPermilleDeterministic(t *testing.T) {
 	}
 }
 
-func TestCountSimilarPairs(t *testing.T) {
-	o := NewOracle(Jaccard{Store: keywordFixture()}, 0.5)
-	if got := CountSimilarPairs(o, []int32{0, 1, 2}); got != 1 {
-		t.Fatalf("CountSimilarPairs = %d, want 1", got)
-	}
-	if got := CountSimilarPairs(o, []int32{2}); got != 0 {
-		t.Fatalf("CountSimilarPairs singleton = %d, want 0", got)
-	}
-}
-
 // Property: Oracle.Similar is symmetric and reflexive for random stores.
 func TestOracleSymmetry(t *testing.T) {
 	check := func(seed int64) bool {
