@@ -54,25 +54,34 @@ func (s *state) colorBound() int {
 // decrements the similarity degree of every remaining vertex except w's
 // dissimilar partners. We therefore keep key(v) = simdeg0(v) +
 // (number of removed dissimilar partners of v); the effective similarity
-// degree is key(v) − removedTotal, and keys only grow, so a monotone
-// bucket scan yields the minimum in O(|H| + nd) total.
+// degree is key(v) − removedTotal.
+//
+// Keys only rise, by one at a time, and never exceed |H|−1, so the
+// queue is the flat bin-sort of Batagelj–Zaveršnik run upwards: vert
+// lists H by ascending key, pos[v] is v's index in vert and bin[d] the
+// first index of key d. A raise swaps v to the end of its bin and moves
+// the next bin's start down by one, O(|H| + nd) in total. The order of
+// equal keys does not change the result: H starts with k structural
+// neighbours per vertex (prune leaves it so), the cascade keeps that
+// true, and each popped vertex has the least similarity degree left, so
+// k'max is the largest k' with a non-empty (k,k')-core whatever the tie
+// order.
 func (s *state) simPeelBound(structural bool) int {
 	h := s.members(s.scratch[:0], statusM, statusC)
-	defer func() { s.scratch = h[:0] }()
+	s.scratch = h[:0]
 	n := len(h)
 	if n == 0 {
 		return 0
 	}
 	inH := s.visited // reuse as "still in H" marker
-	for v := range inH {
-		inH[v] = false
-	}
+	clear(inH)
 	for _, v := range h {
 		inH[v] = true
 	}
 
-	key := make([]int32, s.p.n)  // simdeg0 + corrections
-	sdeg := make([]int32, s.p.n) // structural degree within remaining H
+	key, sdeg, pos := s.key, s.sdeg, s.pos // indexed by vertex
+	vert, bin := s.vert[:n], s.bin[:n+1]
+	clear(bin)
 	for _, v := range h {
 		dIn := int32(0)
 		for _, d := range s.p.dissim[v] {
@@ -82,64 +91,75 @@ func (s *state) simPeelBound(structural bool) int {
 		}
 		key[v] = int32(n) - 1 - dIn
 		sdeg[v] = s.degM[v] + s.degC[v]
+		bin[key[v]+1]++
 	}
-
-	// Lazy bucket queue over keys; keys never exceed simdeg0+|dissim| <
-	// 2n, and never decrease, so the ascending scan is monotone.
-	buckets := make([][]int32, 2*n+2)
+	for d := 1; d <= n; d++ {
+		bin[d] += bin[d-1] // bin[d] = first index of key d
+	}
 	for _, v := range h {
-		buckets[key[v]] = append(buckets[key[v]], v)
+		pos[v] = bin[key[v]]
+		vert[pos[v]] = v
+		bin[key[v]]++
+	}
+	for d := n; d > 0; d-- {
+		bin[d] = bin[d-1] // undo the placement's advance
+	}
+	bin[0] = 0
+
+	// raise moves v, still in H, to the next key: v swaps with the last
+	// vertex of its bin, which then ends one index earlier.
+	raise := func(v int32) {
+		d := key[v]
+		last := bin[d+1] - 1
+		if w := vert[last]; w != v {
+			vert[pos[v]], vert[last] = w, v
+			pos[w], pos[v] = pos[v], last
+		}
+		bin[d+1]--
+		key[v]++
 	}
 
 	removedTotal := int32(0)
 	kPrime := int32(0)
-	remove := func(v int32) {
-		inH[v] = false
-		removedTotal++
-		for _, d := range s.p.dissim[v] {
-			if inH[d] {
-				key[d]++
-				buckets[key[d]] = append(buckets[key[d]], d)
-			}
+	queue := s.queue[:0]
+	// Every vertex before index i has left H, so vert[i], when still in
+	// H, holds the least key.
+	for i := 0; i < n; i++ {
+		v := vert[i]
+		if !inH[v] {
+			continue // removed by an earlier cascade
 		}
-	}
-	// cascade removes structurally deficient vertices at the current k'
-	// level (KK'coreUpdate); their removal does not raise k'.
-	var cascadeQueue []int32
-	cascade := func(v int32) {
-		cascadeQueue = append(cascadeQueue[:0], v)
-		for len(cascadeQueue) > 0 {
-			u := cascadeQueue[len(cascadeQueue)-1]
-			cascadeQueue = cascadeQueue[:len(cascadeQueue)-1]
+		if eff := key[v] - removedTotal; eff > kPrime {
+			kPrime = eff
+		}
+		// Remove v, then cascade through structurally deficient
+		// vertices at the current k' level (KK'coreUpdate); their
+		// removal does not raise k'.
+		queue = append(queue[:0], v)
+		for len(queue) > 0 {
+			u := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
 			if !inH[u] {
 				continue
 			}
-			remove(u)
+			inH[u] = false
+			removedTotal++
+			for _, d := range s.p.dissim[u] {
+				if inH[d] {
+					raise(d)
+				}
+			}
 			for _, nb := range s.p.adj[u] {
 				if !inH[nb] {
 					continue
 				}
 				sdeg[nb]--
 				if structural && sdeg[nb] < int32(s.p.k) {
-					cascadeQueue = append(cascadeQueue, nb)
+					queue = append(queue, nb)
 				}
 			}
 		}
 	}
-
-	for b := 0; b < len(buckets) && removedTotal < int32(n); b++ {
-		for len(buckets[b]) > 0 {
-			v := buckets[b][len(buckets[b])-1]
-			buckets[b] = buckets[b][:len(buckets[b])-1]
-			if !inH[v] || int(key[v]) != b {
-				continue // stale entry
-			}
-			eff := key[v] - removedTotal
-			if eff > kPrime {
-				kPrime = eff
-			}
-			cascade(v)
-		}
-	}
+	s.queue = queue[:0]
 	return int(kPrime) + 1
 }

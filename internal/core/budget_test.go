@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
+
+	"krcore/internal/dataset"
+	"krcore/internal/similarity"
 )
 
 // TestNodesClampedToMaxNodes: a limited search must report at most
@@ -246,40 +250,79 @@ func TestBudgetStepConcurrencyClamp(t *testing.T) {
 }
 
 // TestPreparedReuse: one Prepared must serve repeated and concurrent
-// searches with identical results.
+// searches with identical results. Eight goroutines search one Prepared
+// at once — Enumerate, EnumerateContaining and FindMaximum, serially
+// and on four workers — and each must get the serial run's cores and
+// node count. Search states come from one process-wide pool, so here
+// they pass between goroutines and between components of different
+// sizes; the last instance, warm-read's brightkite k=5 setting, has 12
+// components. FindMaximum on several workers is held to the serial
+// core only: its node count depends on when the shared incumbent
+// tightens (MaxOptions.Parallelism).
 func TestPreparedReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
+	var insts []testInstance
 	for trial := 0; trial < 20; trial++ {
-		inst := randomInstance(rng, 16)
+		insts = append(insts, randomInstance(rng, 30))
+	}
+	d, err := dataset.Load("brightkite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.DefaultThreshold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts = append(insts, testInstance{g: d.Graph, p: Params{K: 5, Oracle: similarity.NewOracle(d.Metric(), r)}})
+	for trial, inst := range insts {
 		pr, err := Prepare(inst.g, inst.p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := Enumerate(inst.g, inst.p, EnumOptions{})
+		enum, err := Enumerate(inst.g, inst.p, EnumOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			res, err := pr.Enumerate(EnumOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameCoreSets(res.Cores, fresh.Cores) {
-				t.Fatalf("trial %d run %d: prepared %v != fresh %v", trial, i, res.Cores, fresh.Cores)
-			}
+		anchor := int32(0)
+		if len(enum.Cores) > 0 {
+			anchor = enum.Cores[0][0]
 		}
-		freshMax, err := FindMaximum(inst.g, inst.p, MaxOptions{})
+		containing, err := EnumerateContaining(inst.g, inst.p, anchor, EnumOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 3; i++ {
-			res, err := pr.FindMaximum(MaxOptions{})
+		maximum, err := FindMaximum(inst.g, inst.p, MaxOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, par int, got *Result, err error, want *Result) {
 			if err != nil {
-				t.Fatal(err)
+				t.Errorf("trial %d %s (Parallelism %d): %v", trial, what, par, err)
+				return
 			}
-			if !sameCoreSets(res.Cores, freshMax.Cores) {
-				t.Fatalf("trial %d run %d: prepared max %v != fresh %v", trial, i, res.Cores, freshMax.Cores)
+			sameNodes := got.Nodes == want.Nodes || (what == "FindMaximum" && par > 1)
+			if !sameCoreSets(got.Cores, want.Cores) || !sameNodes {
+				t.Errorf("trial %d %s (Parallelism %d): %d nodes, cores %v; serial %d nodes, cores %v",
+					trial, what, par, got.Nodes, got.Cores, want.Nodes, want.Cores)
 			}
 		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2; i++ {
+					for _, par := range []int{1, 4} {
+						res, err := pr.Enumerate(EnumOptions{Parallelism: par})
+						check("Enumerate", par, res, err, enum)
+						res, err = pr.EnumerateContaining(anchor, EnumOptions{Parallelism: par})
+						check("EnumerateContaining", par, res, err, containing)
+						res, err = pr.FindMaximum(MaxOptions{Parallelism: par})
+						check("FindMaximum", par, res, err, maximum)
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

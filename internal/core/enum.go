@@ -128,6 +128,7 @@ func runEnumeration(probs []*problem, opt EnumOptions) (all [][]int32, nodes int
 // emitting cores as global-id slices.
 func searchComponent(prob *problem, opt EnumOptions, bud *budget, emit func([]int32)) {
 	e := &enumSearch{st: newState(prob, bud), opt: opt}
+	defer e.st.release()
 	if opt.anchorPlus1 > 0 {
 		anchor := opt.anchorPlus1 - 1
 		local := int32(-1)
@@ -239,7 +240,8 @@ func (e *enumSearch) reportLeaf() {
 	s := e.st
 	var candidates [][]int32
 	if s.cntM > 0 {
-		candidates = [][]int32{s.members(nil, statusM, statusC)}
+		s.leaf = s.members(s.leaf[:0], statusM, statusC)
+		candidates = [][]int32{s.leaf}
 	} else {
 		candidates = s.mcComponents()
 	}
@@ -291,11 +293,15 @@ func (s *state) earlyTerminate() bool {
 		s.scratch = w[:0]
 		return false
 	}
-	inW := make(map[int32]bool, len(w))
-	degW := make(map[int32]int32, len(w))
+	inW, degW := s.inW, s.degW
 	for _, v := range w {
 		inW[v] = true
 	}
+	defer func() {
+		for _, v := range w {
+			inW[v] = false
+		}
+	}()
 	for _, v := range w {
 		d := s.degM[v]
 		for _, nb := range s.p.adj[v] {

@@ -1,0 +1,179 @@
+package core
+
+// Guards on the search kernel: the search trees it walks on the four
+// dataset presets, and the allocations of a search on a cached
+// Prepared.
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"testing"
+
+	"krcore/internal/dataset"
+	"krcore/internal/similarity"
+)
+
+// searchPin is one search's expected outcome: its node count, how many
+// cores it reported and a digest of those cores (coresDigest).
+type searchPin struct {
+	nodes  int64
+	cores  int
+	digest uint64
+}
+
+// anchorPin is an EnumerateContaining query and its expected outcome.
+type anchorPin struct {
+	v int32
+	searchPin
+}
+
+// coresDigest is the FNV-1a hash of the cores' sizes and vertex ids in
+// order.
+func coresDigest(cores [][]int32) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, c := range cores {
+		binary.LittleEndian.PutUint32(buf[:], uint32(len(c)))
+		h.Write(buf[:])
+		for _, v := range c {
+			binary.LittleEndian.PutUint32(buf[:], uint32(v))
+			h.Write(buf[:])
+		}
+	}
+	return h.Sum64()
+}
+
+func pinOf(res *Result) searchPin {
+	return searchPin{nodes: res.Nodes, cores: len(res.Cores), digest: coresDigest(res.Cores)}
+}
+
+// TestSearchTreesPinnedOnPresets pins the default searches at each
+// preset's default r and k ∈ {4,5,6}: node counts and cores of
+// Enumerate and FindMaximum, plus EnumerateContaining at two vertices
+// (the first of the maximum core, the last of the last enumerated
+// core). Node counts follow every decision the search takes — pruning,
+// bounds, the Δ orders and their tie-breaks — so a kernel change that
+// keeps them keeps the paper's search exactly. The values were recorded
+// from the search before its states were pooled and its (k,k')-core
+// bound moved to a flat bin-sort.
+func TestSearchTreesPinnedOnPresets(t *testing.T) {
+	cases := []struct {
+		preset     string
+		k          int
+		enum, max  searchPin
+		containing [2]anchorPin
+	}{
+		{"brightkite", 4, searchPin{223, 74, 0xf025e3ec1263ce0d}, searchPin{23, 1, 0xb6a01412bd763efe},
+			[2]anchorPin{{215, searchPin{9, 3, 0x2ce8703fb12f6ce2}}, {1090, searchPin{10, 5, 0x2d1534f7ee31cea7}}}},
+		{"brightkite", 5, searchPin{152, 46, 0x6a363c6722552da5}, searchPin{24, 1, 0x9b44db927c2dc0ff},
+			[2]anchorPin{{50, searchPin{8, 1, 0x9b44db927c2dc0ff}}, {1173, searchPin{2, 1, 0x47e49b4fa9a2d900}}}},
+		{"brightkite", 6, searchPin{99, 23, 0xbebce14001061ff9}, searchPin{23, 1, 0x35b9831669bfed2e},
+			[2]anchorPin{{33, searchPin{3, 1, 0x35b9831669bfed2e}}, {1173, searchPin{2, 1, 0x47e49b4fa9a2d900}}}},
+		{"gowalla", 4, searchPin{367, 127, 0x47bedc2c259aeb3f}, searchPin{30, 1, 0x624cfd119f973fa6},
+			[2]anchorPin{{52, searchPin{7, 4, 0x46bd92631851e955}}, {1934, searchPin{5, 2, 0x5ee802cfb08e22ee}}}},
+		{"gowalla", 5, searchPin{237, 75, 0xcca7fde79252b6e2}, searchPin{22, 1, 0x624cfd119f973fa6},
+			[2]anchorPin{{52, searchPin{7, 4, 0x46bd92631851e955}}, {1988, searchPin{10, 3, 0x89c28b5c8fbbad4b}}}},
+		{"gowalla", 6, searchPin{119, 22, 0x8acd6ddf8a5bdfaa}, searchPin{10, 1, 0x624cfd119f973fa6},
+			[2]anchorPin{{52, searchPin{7, 4, 0x46bd92631851e955}}, {1747, searchPin{1, 1, 0xc88e1fdc57a8562}}}},
+		{"dblp", 4, searchPin{1137, 303, 0x745911e31fb04392}, searchPin{81, 1, 0xdf85272bbd94501},
+			[2]anchorPin{{5, searchPin{10, 3, 0x7025490b8eaf534c}}, {3935, searchPin{4, 2, 0x13e01b77ecb83f}}}},
+		{"dblp", 5, searchPin{936, 248, 0xcf7d2353f629015e}, searchPin{66, 1, 0xdf85272bbd94501},
+			[2]anchorPin{{5, searchPin{8, 3, 0x7025490b8eaf534c}}, {3935, searchPin{4, 2, 0x13e01b77ecb83f}}}},
+		{"dblp", 6, searchPin{795, 215, 0x1646c49f9a500e53}, searchPin{51, 1, 0xdf85272bbd94501},
+			[2]anchorPin{{5, searchPin{8, 3, 0x7025490b8eaf534c}}, {3972, searchPin{15, 6, 0x8c42e52b3c0e6399}}}},
+		{"pokec", 4, searchPin{3118, 467, 0xdd650defbcfe9577}, searchPin{35, 1, 0xd4badcfb4d3e54a4},
+			[2]anchorPin{{14, searchPin{508, 110, 0xdb6cf0433ce9c8da}}, {3681, searchPin{1, 1, 0x706bc2d9cd018683}}}},
+		{"pokec", 5, searchPin{2497, 358, 0x8e4c198963342cc5}, searchPin{31, 1, 0xd4badcfb4d3e54a4},
+			[2]anchorPin{{14, searchPin{485, 88, 0x2ab4ed279951f714}}, {3681, searchPin{1, 1, 0x706bc2d9cd018683}}}},
+		{"pokec", 6, searchPin{1798, 222, 0x9a75a8eedb8417eb}, searchPin{38, 1, 0x5421aa26d77af1ea},
+			[2]anchorPin{{14, searchPin{181, 42, 0xcbb968e766620289}}, {3282, searchPin{204, 13, 0x5c4619e4d1190bcf}}}},
+	}
+	oracles := map[string]*similarity.Oracle{}
+	for _, tc := range cases {
+		d, err := dataset.Load(tc.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := oracles[tc.preset]
+		if o == nil {
+			r, err := d.DefaultThreshold()
+			if err != nil {
+				t.Fatal(err)
+			}
+			o = similarity.NewOracle(d.Metric(), r)
+			oracles[tc.preset] = o
+		}
+		pr, err := Prepare(d.Graph, Params{K: tc.k, Oracle: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, want searchPin, res *Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s k=%d %s: %v", tc.preset, tc.k, what, err)
+			}
+			if got := pinOf(res); got != want {
+				t.Errorf("%s k=%d %s: got %d nodes, %d cores, digest %#x; want %d, %d, %#x",
+					tc.preset, tc.k, what, got.nodes, got.cores, got.digest, want.nodes, want.cores, want.digest)
+			}
+		}
+		res, err := pr.Enumerate(EnumOptions{})
+		check("Enumerate", tc.enum, res, err)
+		res, err = pr.FindMaximum(MaxOptions{})
+		check("FindMaximum", tc.max, res, err)
+		for _, a := range tc.containing {
+			res, err = pr.EnumerateContaining(a.v, EnumOptions{})
+			check("EnumerateContaining", a.searchPin, res, err)
+		}
+	}
+}
+
+// TestWarmSearchAllocations bounds the allocations of the default
+// searches on a cached Prepared (warm brightkite, k = 4–6). A search
+// allocates its result — each core's global-id copy — and a maximal
+// check per leaf, so the bound grants every reported core 4
+// allocations. A component may also find the state pool emptied, by a
+// GC or by the race detector's random drops, and build its state
+// afresh: about 50 allocations for the struct, its 20 arrays and its
+// growing buffers. The bound grants every component 24, room for a
+// refill at every other component.
+func TestWarmSearchAllocations(t *testing.T) {
+	d, err := dataset.Load("brightkite")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := d.DefaultThreshold()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := similarity.NewOracle(d.Metric(), r)
+	for _, k := range []int{4, 5, 6} {
+		pr, err := Prepare(d.Graph, Params{K: k, Oracle: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		searches := []struct {
+			name string
+			run  func() (*Result, error)
+		}{
+			{"Enumerate", func() (*Result, error) { return pr.Enumerate(EnumOptions{}) }},
+			{"FindMaximum", func() (*Result, error) { return pr.FindMaximum(MaxOptions{}) }},
+		}
+		for _, s := range searches {
+			res, err := s.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			limit := float64(4*len(res.Cores) + 24*pr.Components())
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := s.run(); err != nil {
+					t.Error(err)
+				}
+			})
+			if allocs > limit {
+				t.Errorf("brightkite k=%d %s: %.0f allocations per search, want at most %.0f (%d cores, %d components)",
+					k, s.name, allocs, limit, len(res.Cores), pr.Components())
+			}
+		}
+	}
+}

@@ -21,7 +21,8 @@ package core
 // checkMaximal reports whether the core with the given local vertex ids
 // is maximal with respect to the current excluded set E.
 func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
-	inT := make([]bool, s.p.n)
+	inT := s.inT
+	clear(inT)
 	for _, v := range r {
 		inT[v] = true
 	}
@@ -52,8 +53,8 @@ func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
 		s:      s,
 		root:   r[0],
 		inT:    inT,
-		inCand: make([]bool, s.p.n),
-		seen:   make([]bool, s.p.n),
+		inCand: s.inCand,
+		seen:   s.seen,
 		order:  order,
 		lambda: lambda,
 	}
@@ -67,8 +68,8 @@ type checkSearch struct {
 	s      *state
 	root   int32  // any vertex of R, the BFS anchor
 	inT    []bool // R plus committed additions
-	inCand []bool // scratch: current candidate mask
-	seen   []bool // scratch: BFS marker
+	inCand []bool // scratch: current candidate mask, rebuilt by pruneCand
+	seen   []bool // scratch: BFS marker, cleared before each BFS
 	order  Order
 	lambda float64
 }
@@ -98,7 +99,7 @@ func (c *checkSearch) extend(added, cand []int32) bool {
 		clean := true
 		for _, v := range cand {
 			for _, d := range s.p.dissim[v] {
-				if c.inCandOrT(d, cand) {
+				if c.inCand[d] {
 					clean = false
 					break
 				}
@@ -131,12 +132,6 @@ func (c *checkSearch) extend(added, cand []int32) bool {
 	c.inT[u] = false
 	// Shrink branch.
 	return c.extend(added, rest)
-}
-
-// inCandOrT reports whether d is a current candidate (cand mask is
-// maintained by pruneCand and valid within one extend frame).
-func (c *checkSearch) inCandOrT(d int32, cand []int32) bool {
-	return c.inCand[d]
 }
 
 // pruneCand removes candidates that are dissimilar to T, structurally
@@ -176,7 +171,7 @@ func (c *checkSearch) pruneCand(added, cand []int32) ([]int32, bool) {
 		for i := range c.seen {
 			c.seen[i] = false
 		}
-		stack := []int32{c.root}
+		stack := append(s.queue[:0], c.root)
 		c.seen[c.root] = true
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
@@ -188,6 +183,7 @@ func (c *checkSearch) pruneCand(added, cand []int32) ([]int32, bool) {
 				}
 			}
 		}
+		s.queue = stack[:0]
 		for _, a := range added {
 			if !c.seen[a] || c.degTC(a) < int32(s.p.k) {
 				return cand, true // committed vertex stranded
@@ -241,7 +237,7 @@ func (c *checkSearch) isCore(added []int32) bool {
 	for i := range c.seen {
 		c.seen[i] = false
 	}
-	stack := []int32{c.root}
+	stack := append(s.queue[:0], c.root)
 	c.seen[c.root] = true
 	visited := 1
 	total := 0
@@ -261,6 +257,7 @@ func (c *checkSearch) isCore(added []int32) bool {
 			}
 		}
 	}
+	s.queue = stack[:0]
 	return visited == total
 }
 
@@ -274,7 +271,7 @@ func (c *checkSearch) choose(cand []int32) int32 {
 	s := c.s
 	// Restrict to candidates with a dissimilar partner among the
 	// candidates; the shortcut guarantees at least one exists.
-	conflicted := make([]int32, 0, len(cand))
+	conflicted := s.scratch[:0]
 	for _, v := range cand {
 		for _, d := range s.p.dissim[v] {
 			if c.inCand[d] {
@@ -283,6 +280,7 @@ func (c *checkSearch) choose(cand []int32) int32 {
 			}
 		}
 	}
+	s.scratch = conflicted[:0]
 	pool := conflicted
 	if len(pool) == 0 {
 		pool = cand

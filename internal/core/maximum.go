@@ -63,6 +63,7 @@ func searchMaxComponent(prob *problem, comp int, opt MaxOptions, bud *budget, in
 		return // the whole component cannot improve on the incumbent
 	}
 	ms := &maxSearch{st: newState(prob, bud), opt: opt, inc: inc, comp: comp}
+	defer ms.st.release()
 	ms.node()
 }
 
@@ -207,7 +208,8 @@ func (m *maxSearch) reportLeaf() {
 	s := m.st
 	var candidates [][]int32
 	if s.cntM > 0 {
-		candidates = [][]int32{s.members(nil, statusM, statusC)}
+		s.leaf = s.members(s.leaf[:0], statusM, statusC)
+		candidates = [][]int32{s.leaf}
 	} else {
 		candidates = s.mcComponents()
 	}

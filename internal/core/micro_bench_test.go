@@ -96,6 +96,7 @@ func benchRootState(b *testing.B) *state {
 
 func BenchmarkBoundNaive(b *testing.B) {
 	st := benchRootState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.bound(BoundNaive)
@@ -104,6 +105,7 @@ func BenchmarkBoundNaive(b *testing.B) {
 
 func BenchmarkBoundColor(b *testing.B) {
 	st := benchRootState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.bound(BoundColor)
@@ -112,6 +114,7 @@ func BenchmarkBoundColor(b *testing.B) {
 
 func BenchmarkBoundKcoreSim(b *testing.B) {
 	st := benchRootState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.bound(BoundKcore)
@@ -120,6 +123,7 @@ func BenchmarkBoundKcoreSim(b *testing.B) {
 
 func BenchmarkBoundDoubleKcore(b *testing.B) {
 	st := benchRootState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.bound(BoundDoubleKcore)
@@ -146,11 +150,25 @@ func BenchmarkChooseVertexDelta(b *testing.B) {
 	}
 }
 
-func BenchmarkEnumerateHardBand(b *testing.B) {
+// benchPrepared prepares the hard-band instance once, so the search
+// benchmarks measure the search alone (BenchmarkPrepare measures the
+// preparation).
+func benchPrepared(b *testing.B) *Prepared {
+	b.Helper()
 	inst := benchInstance()
+	pr, err := Prepare(inst.g, inst.p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pr
+}
+
+func BenchmarkEnumerateHardBand(b *testing.B) {
+	pr := benchPrepared(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Enumerate(inst.g, inst.p, EnumOptions{})
+		res, err := pr.Enumerate(EnumOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,10 +179,11 @@ func BenchmarkEnumerateHardBand(b *testing.B) {
 }
 
 func BenchmarkFindMaximumHardBand(b *testing.B) {
-	inst := benchInstance()
+	pr := benchPrepared(b)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FindMaximum(inst.g, inst.p, MaxOptions{}); err != nil {
+		if _, err := pr.FindMaximum(MaxOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"krcore/internal/graph"
@@ -208,7 +209,7 @@ func (p *problem) toGlobal(locals []int32) []int32 {
 	for i, v := range locals {
 		out[i] = p.orig[v]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

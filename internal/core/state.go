@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Vertex statuses of the set-enumeration search. M holds chosen
 // vertices, C candidates, E the relevant excluded vertices (discarded
@@ -46,6 +49,7 @@ type state struct {
 	queue   []int32
 	visited []bool
 	scratch []int32
+	leaf    []int32 // reportLeaf's member list
 	// Two-hop Δ simulation scratch (orders.go).
 	simEpoch int32
 	simMark  []int32
@@ -53,30 +57,81 @@ type state struct {
 	simDegEp []int32
 	simList  []int32
 	rngState uint64
+	// Theorem 5 scratch (earlyTerminate): inW is all false between
+	// calls.
+	inW  []bool
+	degW []int32
+	// Maximal-check masks (checkMaximal).
+	inT, inCand, seen []bool
+	// Bin-sort queue of the (k,k')-core peel (simPeelBound).
+	key, sdeg, pos, vert, bin []int32
 }
 
+// statePool recycles search states across queries and components: a
+// warm query then allocates little beyond its result. One process-wide
+// pool, not one per Prepared, so cached settings hold no idle states.
+var statePool = sync.Pool{New: func() any { return new(state) }}
+
+// newState takes a state from the pool and resets it to the root of
+// p's search: every vertex a candidate, the trail empty. Return it with
+// release when the search ends.
 func newState(p *problem, bud *budget) *state {
+	s := statePool.Get().(*state)
 	n := p.n
-	s := &state{
+	// Every field not listed is zeroed: counters, simEpoch and the
+	// slices' contents alike.
+	*s = state{
 		p:        p,
-		status:   make([]byte, n),
-		degM:     make([]int32, n),
-		degC:     make([]int32, n),
-		dpM:      make([]int32, n),
-		dpC:      make([]int32, n),
-		dpE:      make([]int32, n),
 		bud:      bud,
-		visited:  make([]bool, n),
-		simMark:  make([]int32, n),
-		simDeg:   make([]int32, n),
-		simDegEp: make([]int32, n),
+		status:   resize(s.status, n),
+		degM:     resize(s.degM, n),
+		degC:     resize(s.degC, n),
+		dpM:      resize(s.dpM, n),
+		dpC:      resize(s.dpC, n),
+		dpE:      resize(s.dpE, n),
+		trail:    s.trail[:0],
+		queue:    s.queue[:0],
+		visited:  resize(s.visited, n),
+		scratch:  s.scratch[:0],
+		leaf:     s.leaf[:0],
+		simMark:  resize(s.simMark, n),
+		simDeg:   resize(s.simDeg, n),
+		simDegEp: resize(s.simDegEp, n),
+		simList:  s.simList[:0],
 		rngState: 0x9E3779B97F4A7C15,
+		inW:      resize(s.inW, n),
+		degW:     resize(s.degW, n),
+		inT:      resize(s.inT, n),
+		inCand:   resize(s.inCand, n),
+		seen:     resize(s.seen, n),
+		key:      resize(s.key, n),
+		sdeg:     resize(s.sdeg, n),
+		pos:      resize(s.pos, n),
+		vert:     resize(s.vert, n),
+		bin:      resize(s.bin, n+1),
 	}
 	for v := 0; v < n; v++ {
 		s.apply(int32(v), statusC)
 	}
 	s.trail = s.trail[:0] // initial population is not undoable
 	return s
+}
+
+// release returns s to the pool. s must not be used afterwards.
+func (s *state) release() {
+	s.p, s.bud = nil, nil // keep no problem or budget alive from the pool
+	statePool.Put(s)
+}
+
+// resize returns buf re-sliced to n zeroed elements, reusing its
+// backing array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // mark returns the current trail position.
@@ -327,14 +382,11 @@ func (s *state) pruneDisconnected() bool {
 	if seenM < s.cntM {
 		return false
 	}
-	discarded := false
 	for v := int32(0); v < int32(s.p.n); v++ {
 		if s.status[v] == statusC && !s.visited[v] {
 			s.discard(v)
-			discarded = true
 		}
 	}
-	_ = discarded
 	return true
 }
 
