@@ -1,6 +1,10 @@
 package core
 
-import "krcore/internal/color"
+import (
+	"math/bits"
+
+	"krcore/internal/color"
+)
 
 // Size upper bounds for the maximum search (Section 6.2). All bounds are
 // evaluated on H = M∪C: J is the structural induced subgraph, J' the
@@ -66,7 +70,89 @@ func (s *state) colorBound() int {
 // true, and each popped vertex has the least similarity degree left, so
 // k'max is the largest k' with a non-empty (k,k')-core whatever the tie
 // order.
+//
+// The peel runs on the component's bitset rows when the state holds
+// them (peelRows, see rows.go) and on its lists otherwise (peelLists).
+// Both visit a removed vertex's partners and neighbours left in H in
+// ascending order, so they raise and lower the same keys in the same
+// order.
 func (s *state) simPeelBound(structural bool) int {
+	if s.words > 0 {
+		return s.peelRows(structural)
+	}
+	return s.peelLists(structural)
+}
+
+// peelRows is simPeelBound on the bitset rows: H is a copy of the M∪C
+// mask, dIn(v) = |dissim(v) ∧ H| and a removed vertex's partners and
+// neighbours in H are the bits of its rows ANDed with H.
+func (s *state) peelRows(structural bool) int {
+	inH := s.peelH
+	copy(inH, s.maskMC)
+	h := s.scratch[:0]
+	for i, x := range inH {
+		for x != 0 {
+			h = append(h, int32(i<<6|bits.TrailingZeros64(x)))
+			x &= x - 1
+		}
+	}
+	s.scratch = h[:0]
+	n := len(h)
+	if n == 0 {
+		return 0
+	}
+	q, sdeg := s.bins, s.sdeg
+	for _, v := range h {
+		q.key[v] = int32(n) - 1 - andCount(s.disOf(v), inH)
+		sdeg[v] = s.degM[v] + s.degC[v]
+	}
+	q.sort(h)
+
+	removedTotal := int32(0)
+	kPrime := int32(0)
+	queue := s.queue[:0]
+	for _, v := range q.vert[:n] {
+		if !hasBit(inH, v) {
+			continue // removed by an earlier cascade
+		}
+		if eff := q.key[v] - removedTotal; eff > kPrime {
+			kPrime = eff
+		}
+		queue = append(queue[:0], v)
+		for len(queue) > 0 {
+			u := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if !hasBit(inH, u) {
+				continue
+			}
+			inH[u>>6] &^= 1 << (u & 63)
+			removedTotal++
+			for i, x := range s.disOf(u) {
+				x &= inH[i]
+				for x != 0 {
+					q.raise(int32(i<<6 | bits.TrailingZeros64(x)))
+					x &= x - 1
+				}
+			}
+			for i, x := range s.adjOf(u) {
+				x &= inH[i]
+				for x != 0 {
+					nb := int32(i<<6 | bits.TrailingZeros64(x))
+					x &= x - 1
+					sdeg[nb]--
+					if structural && sdeg[nb] < int32(s.p.k) {
+						queue = append(queue, nb)
+					}
+				}
+			}
+		}
+	}
+	s.queue = queue[:0]
+	return int(kPrime) + 1
+}
+
+// peelLists is simPeelBound on the lists.
+func (s *state) peelLists(structural bool) int {
 	h := s.members(s.scratch[:0], statusM, statusC)
 	s.scratch = h[:0]
 	n := len(h)
@@ -78,10 +164,7 @@ func (s *state) simPeelBound(structural bool) int {
 	for _, v := range h {
 		inH[v] = true
 	}
-
-	key, sdeg, pos := s.key, s.sdeg, s.pos // indexed by vertex
-	vert, bin := s.vert[:n], s.bin[:n+1]
-	clear(bin)
+	q, sdeg := s.bins, s.sdeg
 	for _, v := range h {
 		dIn := int32(0)
 		for _, d := range s.p.dissim[v] {
@@ -89,47 +172,21 @@ func (s *state) simPeelBound(structural bool) int {
 				dIn++
 			}
 		}
-		key[v] = int32(n) - 1 - dIn
+		q.key[v] = int32(n) - 1 - dIn
 		sdeg[v] = s.degM[v] + s.degC[v]
-		bin[key[v]+1]++
 	}
-	for d := 1; d <= n; d++ {
-		bin[d] += bin[d-1] // bin[d] = first index of key d
-	}
-	for _, v := range h {
-		pos[v] = bin[key[v]]
-		vert[pos[v]] = v
-		bin[key[v]]++
-	}
-	for d := n; d > 0; d-- {
-		bin[d] = bin[d-1] // undo the placement's advance
-	}
-	bin[0] = 0
-
-	// raise moves v, still in H, to the next key: v swaps with the last
-	// vertex of its bin, which then ends one index earlier.
-	raise := func(v int32) {
-		d := key[v]
-		last := bin[d+1] - 1
-		if w := vert[last]; w != v {
-			vert[pos[v]], vert[last] = w, v
-			pos[w], pos[v] = pos[v], last
-		}
-		bin[d+1]--
-		key[v]++
-	}
+	q.sort(h)
 
 	removedTotal := int32(0)
 	kPrime := int32(0)
 	queue := s.queue[:0]
-	// Every vertex before index i has left H, so vert[i], when still in
-	// H, holds the least key.
-	for i := 0; i < n; i++ {
-		v := vert[i]
+	// Every vertex before v in vert has left H, so v, when still in H,
+	// holds the least key.
+	for _, v := range q.vert[:n] {
 		if !inH[v] {
 			continue // removed by an earlier cascade
 		}
-		if eff := key[v] - removedTotal; eff > kPrime {
+		if eff := q.key[v] - removedTotal; eff > kPrime {
 			kPrime = eff
 		}
 		// Remove v, then cascade through structurally deficient
@@ -146,7 +203,7 @@ func (s *state) simPeelBound(structural bool) int {
 			removedTotal++
 			for _, d := range s.p.dissim[u] {
 				if inH[d] {
-					raise(d)
+					q.raise(d)
 				}
 			}
 			for _, nb := range s.p.adj[u] {
@@ -162,4 +219,47 @@ func (s *state) simPeelBound(structural bool) int {
 	}
 	s.queue = queue[:0]
 	return int(kPrime) + 1
+}
+
+// binQueue is simPeelBound's flat bin-sort: vert lists the vertices by
+// ascending key, pos[v] is v's index in vert and bin[d] the first index
+// of key d.
+type binQueue struct {
+	key, pos, vert, bin []int32
+}
+
+// sort lists h by ascending key. Every key must lie in [0, len(h)).
+func (q *binQueue) sort(h []int32) {
+	n := len(h)
+	key, pos := q.key, q.pos
+	vert, bin := q.vert[:n], q.bin[:n+1]
+	clear(bin)
+	for _, v := range h {
+		bin[key[v]+1]++
+	}
+	for d := 1; d <= n; d++ {
+		bin[d] += bin[d-1] // bin[d] = first index of key d
+	}
+	for _, v := range h {
+		pos[v] = bin[key[v]]
+		vert[pos[v]] = v
+		bin[key[v]]++
+	}
+	for d := n; d > 0; d-- {
+		bin[d] = bin[d-1] // undo the placement's advance
+	}
+	bin[0] = 0
+}
+
+// raise moves v to the next key: v swaps with the last vertex of its
+// bin, which then ends one index earlier.
+func (q *binQueue) raise(v int32) {
+	d := q.key[v]
+	last := q.bin[d+1] - 1
+	if w := q.vert[last]; w != v {
+		q.vert[q.pos[v]], q.vert[last] = w, v
+		q.pos[w], q.pos[v] = q.pos[v], last
+	}
+	q.bin[d+1]--
+	q.key[v]++
 }

@@ -238,14 +238,11 @@ func (e *enumSearch) node() {
 // relevant excluded set E (Theorem 6) unless disabled.
 func (e *enumSearch) reportLeaf() {
 	s := e.st
-	var candidates [][]int32
-	if s.cntM > 0 {
-		s.leaf = s.members(s.leaf[:0], statusM, statusC)
-		candidates = [][]int32{s.leaf}
-	} else {
-		candidates = s.mcComponents()
-	}
-	for _, r := range candidates {
+	s.leafCores()
+	start := int32(0)
+	for _, end := range s.leafEnd {
+		r := s.leaf[start:end]
+		start = end
 		if len(r) < s.p.k+1 || len(r) < e.opt.MinSize {
 			continue
 		}

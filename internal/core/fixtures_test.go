@@ -20,7 +20,11 @@ type testInstance struct {
 // cluster around a few centres so both similar and dissimilar pairs
 // occur in the same component.
 func randomGeoInstance(rng *rand.Rand, maxN int) testInstance {
-	n := 4 + rng.Intn(maxN-3)
+	return geoInstanceOfSize(rng, 4+rng.Intn(maxN-3))
+}
+
+// geoInstanceOfSize is randomGeoInstance on n vertices.
+func geoInstanceOfSize(rng *rand.Rand, n int) testInstance {
 	b := graph.NewBuilder(n)
 	// Random edges with density tuned so k-cores of small k exist.
 	for i := 0; i < 3*n; i++ {
@@ -48,7 +52,11 @@ func randomGeoInstance(rng *rand.Rand, maxN int) testInstance {
 // randomKeywordInstance uses Jaccard similarity over random keyword sets
 // drawn from a handful of topics.
 func randomKeywordInstance(rng *rand.Rand, maxN int) testInstance {
-	n := 4 + rng.Intn(maxN-3)
+	return keywordInstanceOfSize(rng, 4+rng.Intn(maxN-3))
+}
+
+// keywordInstanceOfSize is randomKeywordInstance on n vertices.
+func keywordInstanceOfSize(rng *rand.Rand, n int) testInstance {
 	b := graph.NewBuilder(n)
 	for i := 0; i < 3*n; i++ {
 		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))

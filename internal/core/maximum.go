@@ -206,14 +206,11 @@ func (m *maxSearch) node() {
 
 func (m *maxSearch) reportLeaf() {
 	s := m.st
-	var candidates [][]int32
-	if s.cntM > 0 {
-		s.leaf = s.members(s.leaf[:0], statusM, statusC)
-		candidates = [][]int32{s.leaf}
-	} else {
-		candidates = s.mcComponents()
-	}
-	for _, r := range candidates {
+	s.leafCores()
+	start := int32(0)
+	for _, end := range s.leafEnd {
+		r := s.leaf[start:end]
+		start = end
 		if len(r) >= s.p.k+1 && len(r) > m.inc.threshold(m.comp) {
 			m.inc.offer(s.p.toGlobal(r), m.comp)
 		}

@@ -3,8 +3,10 @@ package core
 // Micro-benchmarks for the engine's building blocks: problem
 // preparation, the three size bounds (the ablation behind Figure 10),
 // state transitions with trail rewind, and full searches on the hard
-// band of the synthetic Gowalla stand-in. Figure-level benchmarks live
-// in the repository root's bench_test.go.
+// band of the synthetic Gowalla stand-in, whose large component runs
+// the row kernels, and on a large sparse component, which keeps the
+// list kernels (rows.go). Figure-level benchmarks live in the
+// repository root's bench_test.go.
 
 import (
 	"math/rand"
@@ -81,7 +83,12 @@ func BenchmarkPrepareSerial(b *testing.B) {
 func benchRootState(b *testing.B) *state {
 	b.Helper()
 	inst := benchInstance()
-	probs := prepare(inst.g, inst.p)
+	return newState(largest(b, prepare(inst.g, inst.p)), &budget{})
+}
+
+// largest returns the component with the most vertices.
+func largest(b *testing.B, probs []*problem) *problem {
+	b.Helper()
 	if len(probs) == 0 {
 		b.Fatal("no components")
 	}
@@ -91,7 +98,7 @@ func benchRootState(b *testing.B) *state {
 			biggest = p
 		}
 	}
-	return newState(biggest, &budget{})
+	return biggest
 }
 
 func BenchmarkBoundNaive(b *testing.B) {
@@ -132,6 +139,7 @@ func BenchmarkBoundDoubleKcore(b *testing.B) {
 
 func BenchmarkStateExpandRewind(b *testing.B) {
 	st := benchRootState(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := st.mark()
@@ -144,27 +152,31 @@ func BenchmarkStateExpandRewind(b *testing.B) {
 func BenchmarkChooseVertexDelta(b *testing.B) {
 	st := benchRootState(b)
 	st.prune(true)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st.chooseVertex(OrderDelta1ThenDelta2, 5, true, false)
 	}
 }
 
-// benchPrepared prepares the hard-band instance once, so the search
-// benchmarks measure the search alone (BenchmarkPrepare measures the
-// preparation).
-func benchPrepared(b *testing.B) *Prepared {
+// benchPrepared prepares inst once, so the search benchmarks measure
+// the search alone (BenchmarkPrepare measures the preparation). It fails
+// b unless the largest component takes the row kernels exactly when
+// rows is set.
+func benchPrepared(b *testing.B, inst testInstance, rows bool) *Prepared {
 	b.Helper()
-	inst := benchInstance()
 	pr, err := Prepare(inst.g, inst.p)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if biggest := largest(b, pr.probs); useRows(biggest) != rows {
+		b.Fatalf("the %d-vertex component takes rows %t, want %t", biggest.n, useRows(biggest), rows)
 	}
 	return pr
 }
 
 func BenchmarkEnumerateHardBand(b *testing.B) {
-	pr := benchPrepared(b)
+	pr := benchPrepared(b, benchInstance(), true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -179,12 +191,76 @@ func BenchmarkEnumerateHardBand(b *testing.B) {
 }
 
 func BenchmarkFindMaximumHardBand(b *testing.B) {
-	pr := benchPrepared(b)
+	pr := benchPrepared(b, benchInstance(), true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pr.FindMaximum(MaxOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// largeSparseInstance builds one component of about 1,900 vertices and
+// average degree about 8: a ring lattice joining each vertex to the next
+// four, plus random chords, on points spread over a square so that about
+// 11% of pairs are dissimilar (and as many edges are filtered out). Its
+// rows would be 30 words wide, far above its average degree, so its
+// searches keep the list kernels.
+func largeSparseInstance() testInstance {
+	rng := rand.New(rand.NewSource(2000))
+	const n = 2000
+	b := graph.NewBuilder(n)
+	for v := 0; v < n; v++ {
+		for d := 1; d <= 4; d++ {
+			b.AddEdge(int32(v), int32((v+d)%n))
+		}
+	}
+	for i := 0; i < n/2; i++ {
+		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+	}
+	geo := attr.NewGeo(n)
+	for v := 0; v < n; v++ {
+		geo.SetVertex(int32(v), attr.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100})
+	}
+	return testInstance{
+		g: b.Build(),
+		p: Params{K: 5, Oracle: similarity.NewOracle(similarity.Euclidean{Store: geo}, 83)},
+	}
+}
+
+// largeSparseNodes caps the large sparse searches, which would run for
+// hours, at about a second per search.
+const largeSparseNodes = 32
+
+func BenchmarkEnumerateLargeSparse(b *testing.B) {
+	pr := benchPrepared(b, largeSparseInstance(), false)
+	opt := EnumOptions{Limits: Limits{MaxNodes: largeSparseNodes}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pr.Enumerate(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Nodes != largeSparseNodes {
+			b.Fatalf("searched %d nodes, want %d", res.Nodes, largeSparseNodes)
+		}
+	}
+}
+
+func BenchmarkFindMaximumLargeSparse(b *testing.B) {
+	pr := benchPrepared(b, largeSparseInstance(), false)
+	opt := MaxOptions{Limits: Limits{MaxNodes: largeSparseNodes}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := pr.FindMaximum(opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Nodes != largeSparseNodes {
+			b.Fatalf("searched %d nodes, want %d", res.Nodes, largeSparseNodes)
 		}
 	}
 }

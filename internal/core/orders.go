@@ -1,11 +1,16 @@
 package core
 
+import "math/bits"
+
 // Search orders (Section 7). The engine must pick (i) which candidate
 // vertex to branch on and (ii) which branch to explore first. The Δ1
 // measurement is the relative reduction of dissimilar pairs in C, Δ2 the
 // relative reduction of edges in M∪C (Equations 3 and 4); both are
 // estimated by simulating the candidate pruning restricted to vertices
-// within two hops of the chosen vertex, as in Section 7.2.
+// within two hops of the chosen vertex, as in Section 7.2. The
+// simulation runs on the component's bitset rows when the state holds
+// them (simulateRows, see rows.go) and on its lists otherwise
+// (simulateLists); both remove the same vertices.
 
 // branchSim holds the estimated effect of taking one branch for a
 // candidate vertex.
@@ -96,7 +101,7 @@ func (s *state) chooseByDelta(order Order, lambda float64, retention, forMaximum
 	best := choice{v: -1, expandFirst: true}
 	var bestPrimary, bestSecondary float64
 	first := true
-	for v := int32(0); v < int32(s.p.n); v++ {
+	for v := s.nextCandidate(0); v >= 0; v = s.nextCandidate(v + 1) {
 		if !s.eligible(v, retention) {
 			continue
 		}
@@ -159,10 +164,121 @@ func (s *state) chooseByDelta(order Order, lambda float64, retention, forMaximum
 	return best
 }
 
+// nextCandidate returns the least candidate at or after v, -1 when none
+// is left.
+func (s *state) nextCandidate(v int32) int32 {
+	if s.words > 0 {
+		return nextBit(s.maskC, v)
+	}
+	for ; v < int32(s.p.n); v++ {
+		if s.status[v] == statusC {
+			return v
+		}
+	}
+	return -1
+}
+
 // simulateBranch estimates Δ1 and Δ2 for branching on v without mutating
-// the search state. Pruning effects are propagated at most two hops from
-// v, as in Section 7.2.
+// the search state. Pruning effects are propagated two waves beyond a
+// seed set S: S is v's dissimilar candidates when v joins M, v itself
+// when it is discarded. The first wave W1 holds the candidates outside S
+// adjacent to S whose degree in M∪C minus their neighbours in S falls
+// below k; the second, W2, the candidates outside S∪W1 adjacent to W1
+// whose degree minus their neighbours in S∪W1 falls below k. W2 removes
+// no further vertices.
+//
+// Each removed vertex r loses dpC[r] pairs and deg(r, M∪C) edges; pairs
+// and edges internal to S∪W1∪W2 are counted twice by these sums. The
+// double counting is deliberately left in: correcting it costs a scan
+// of every removed vertex's dissimilarity list (the dominant term on
+// dense components), biases every candidate the same way, and the
+// measure is already a two-hop heuristic (Section 7.2). In the expand
+// branch v itself keeps its edges — it moves to M, staying inside M∪C —
+// while its dissimilar pairs disappear with their removed partners.
 func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
+	if s.words > 0 {
+		return s.simulateRows(v, expandBranch)
+	}
+	return s.simulateLists(v, expandBranch)
+}
+
+// simulateRows is simulateBranch on the bitset rows: each wave ORs the
+// adjacency rows of its frontier and tests every candidate it reaches
+// with one popcount against the removed set. The removed set grows only
+// after a wave, so W2 is decided against S∪W1 alone.
+func (s *state) simulateRows(v int32, expandBranch bool) branchSim {
+	w := s.words
+	adj := s.adjRow
+	rem, front, next, nbr := s.simRem[:w], s.simFront[:w], s.simNext[:w], s.simNbr[:w]
+	maskC := s.maskC[:w]
+	if expandBranch {
+		dis := s.disRow[int(v)*w:][:w]
+		for i := range rem {
+			rem[i] = dis[i] & maskC[i]
+			front[i] = rem[i]
+		}
+	} else {
+		for i := range rem {
+			rem[i], front[i] = 0, 0
+		}
+		setBit(rem, v)
+		setBit(front, v)
+	}
+	k := int32(s.p.k)
+	// nbr is all zero outside a wave: buildRows zeroes it, and the
+	// candidate loop clears each word it reads.
+	for wave := 0; wave < 2; wave++ {
+		empty := true
+		for i, x := range front {
+			for x != 0 {
+				r := i<<6 | bits.TrailingZeros64(x)
+				x &= x - 1
+				empty = false
+				for j, a := range adj[r*w:][:w] {
+					nbr[j] |= a
+				}
+			}
+		}
+		if empty {
+			break
+		}
+		for i, x := range nbr {
+			nbr[i] = 0
+			x &= maskC[i] &^ rem[i]
+			var out uint64
+			for x != 0 {
+				u := i<<6 | bits.TrailingZeros64(x)
+				b := x & -x
+				x &^= b
+				if s.degM[u]+s.degC[u]-andCount(adj[u*w:][:w], rem) < k {
+					out |= b
+				}
+			}
+			next[i] = out
+		}
+		for i, x := range next {
+			rem[i] |= x
+		}
+		front, next = next, front
+	}
+	var pairLoss, edgeLoss int64
+	for i, x := range rem {
+		for x != 0 {
+			r := i<<6 | bits.TrailingZeros64(x)
+			x &= x - 1
+			pairLoss += int64(s.dpC[r])
+			edgeLoss += int64(s.degM[r] + s.degC[r])
+		}
+	}
+	return s.deltas(pairLoss, edgeLoss)
+}
+
+// simulateLists is simulateBranch on the lists: a wave walks the
+// adjacency lists of its frontier, lowering a tentative degree per
+// neighbour and marking a candidate removed when it drops below k. A
+// marked candidate is lowered no further, so W2 is decided against S∪W1
+// alone here too.
+func (s *state) simulateLists(v int32, expandBranch bool) branchSim {
 	s.simEpoch++
 	ep := s.simEpoch
 	removed := s.simList[:0]
@@ -212,22 +328,17 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 	}
 	s.simList = removed[:0]
 
-	// Count removed dissimilar pairs and removed edges. Each removed
-	// vertex r loses dpC[r] pairs and deg(r, M∪C) edges; pairs and
-	// edges internal to the removed set are counted twice by these
-	// sums. The double counting is deliberately left in: correcting it
-	// costs a scan of every removed vertex's dissimilarity list (the
-	// dominant term on dense components), biases every candidate the
-	// same way, and the measure is already a two-hop heuristic
-	// (Section 7.2). In the expand branch v itself keeps its edges —
-	// it moves to M, staying inside M∪C — while its dissimilar pairs
-	// disappear with their removed partners.
 	var pairLoss, edgeLoss int64
 	for _, r := range removed {
 		pairLoss += int64(s.dpC[r])
 		edgeLoss += int64(s.degM[r] + s.degC[r])
 	}
+	return s.deltas(pairLoss, edgeLoss)
+}
 
+// deltas turns a branch's lost dissimilar pairs and edges into Δ1 and
+// Δ2.
+func (s *state) deltas(pairLoss, edgeLoss int64) branchSim {
 	var sim branchSim
 	if dp := s.sumDpC / 2; dp > 0 {
 		sim.delta1 = float64(pairLoss) / float64(dp)

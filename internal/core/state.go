@@ -45,11 +45,23 @@ type state struct {
 
 	bud *budget
 
+	// Bitset rows and masks (rows.go); words is 0 when the component
+	// keeps its lists.
+	words                             int
+	adjRow, disRow                    []uint64
+	maskC, maskMC                     []uint64
+	simRem, simFront, simNext, simNbr []uint64 // simulateRows
+	peelH                             []uint64 // peelRows
+	rowBuf                            []uint64 // backing of all of the above
+
 	// Scratch space reused across nodes.
 	queue   []int32
 	visited []bool
 	scratch []int32
-	leaf    []int32 // reportLeaf's member list
+	// A leaf's candidate cores (leafCores), back to back: core i is
+	// leaf[leafEnd[i-1]:leafEnd[i]]. checkMaximal leaves both alone.
+	leaf    []int32
+	leafEnd []int32
 	// Two-hop Δ simulation scratch (orders.go).
 	simEpoch int32
 	simMark  []int32
@@ -63,8 +75,9 @@ type state struct {
 	degW []int32
 	// Maximal-check masks (checkMaximal).
 	inT, inCand, seen []bool
-	// Bin-sort queue of the (k,k')-core peel (simPeelBound).
-	key, sdeg, pos, vert, bin []int32
+	// The (k,k')-core peel's queue and structural degrees (simPeelBound).
+	bins binQueue
+	sdeg []int32
 }
 
 // statePool recycles search states across queries and components: a
@@ -94,6 +107,8 @@ func newState(p *problem, bud *budget) *state {
 		visited:  resize(s.visited, n),
 		scratch:  s.scratch[:0],
 		leaf:     s.leaf[:0],
+		leafEnd:  s.leafEnd[:0],
+		rowBuf:   s.rowBuf,
 		simMark:  resize(s.simMark, n),
 		simDeg:   resize(s.simDeg, n),
 		simDegEp: resize(s.simDegEp, n),
@@ -104,11 +119,16 @@ func newState(p *problem, bud *budget) *state {
 		inT:      resize(s.inT, n),
 		inCand:   resize(s.inCand, n),
 		seen:     resize(s.seen, n),
-		key:      resize(s.key, n),
-		sdeg:     resize(s.sdeg, n),
-		pos:      resize(s.pos, n),
-		vert:     resize(s.vert, n),
-		bin:      resize(s.bin, n+1),
+		bins: binQueue{
+			key:  resize(s.bins.key, n),
+			pos:  resize(s.bins.pos, n),
+			vert: resize(s.bins.vert, n),
+			bin:  resize(s.bins.bin, n+1),
+		},
+		sdeg: resize(s.sdeg, n),
+	}
+	if useRows(p) {
+		s.buildRows()
 	}
 	for v := 0; v < n; v++ {
 		s.apply(int32(v), statusC)
@@ -162,6 +182,9 @@ func (s *state) transition(v int32, to byte) {
 	s.detach(v)
 	s.status[v] = to
 	s.attach(v)
+	if s.words > 0 {
+		s.maskStatus(v)
+	}
 }
 
 func (s *state) detach(v int32) {
@@ -406,19 +429,29 @@ func (s *state) members(dst []int32, statuses ...byte) []int32 {
 	return dst
 }
 
-// mcComponents returns the connected components of M∪C as local-id
-// slices.
-func (s *state) mcComponents() [][]int32 {
-	var comps [][]int32
-	for v := range s.visited {
-		s.visited[v] = false
+// leafCores lists a leaf's candidate cores in leaf and leafEnd: M∪C
+// when M is non-empty, otherwise each connected component of C.
+func (s *state) leafCores() {
+	if s.cntM > 0 {
+		s.leaf = s.members(s.leaf[:0], statusM, statusC)
+		s.leafEnd = append(s.leafEnd[:0], int32(len(s.leaf)))
+		return
 	}
+	s.mcComponents()
+}
+
+// mcComponents lists the connected components of M∪C in leaf and
+// leafEnd, each in the order a depth-first walk from its least vertex
+// reaches it.
+func (s *state) mcComponents() {
+	leaf, ends := s.leaf[:0], s.leafEnd[:0]
+	clear(s.visited)
 	for v := int32(0); v < int32(s.p.n); v++ {
 		st := s.status[v]
 		if (st != statusM && st != statusC) || s.visited[v] {
 			continue
 		}
-		comp := []int32{v}
+		leaf = append(leaf, v)
 		s.visited[v] = true
 		q := s.queue[:0]
 		q = append(q, v)
@@ -429,19 +462,20 @@ func (s *state) mcComponents() [][]int32 {
 				nst := s.status[nb]
 				if (nst == statusM || nst == statusC) && !s.visited[nb] {
 					s.visited[nb] = true
-					comp = append(comp, nb)
+					leaf = append(leaf, nb)
 					q = append(q, nb)
 				}
 			}
 		}
 		s.queue = q[:0]
-		comps = append(comps, comp)
+		ends = append(ends, int32(len(leaf)))
 	}
-	return comps
+	s.leaf, s.leafEnd = leaf, ends
 }
 
 // checkInvariants verifies the similarity and degree invariants
-// (Equations 1 and 2) plus counter consistency; used by tests only.
+// (Equations 1 and 2), counter consistency and, when the rows are
+// built, the C and M∪C masks; used by tests only.
 func (s *state) checkInvariants() error {
 	cntM, cntC, cntE := 0, 0, 0
 	var sum int64
@@ -469,6 +503,12 @@ func (s *state) checkInvariants() error {
 		if dm != s.degM[v] || dc != s.degC[v] || pm != s.dpM[v] || pc != s.dpC[v] || pe != s.dpE[v] {
 			return fmt.Errorf("counters of v=%d: got degM=%d degC=%d dpM=%d dpC=%d dpE=%d, want %d %d %d %d %d",
 				v, s.degM[v], s.degC[v], s.dpM[v], s.dpC[v], s.dpE[v], dm, dc, pm, pc, pe)
+		}
+		if s.words > 0 {
+			st := s.status[v]
+			if hasBit(s.maskC, v) != (st == statusC) || hasBit(s.maskMC, v) != (st == statusC || st == statusM) {
+				return fmt.Errorf("masks of v=%d with status %d: C %t, M∪C %t", v, st, hasBit(s.maskC, v), hasBit(s.maskMC, v))
+			}
 		}
 		switch s.status[v] {
 		case statusM:
