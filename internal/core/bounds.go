@@ -71,22 +71,11 @@ func (s *state) colorBound() int {
 // k'max is the largest k' with a non-empty (k,k')-core whatever the tie
 // order.
 //
-// The peel runs on the component's bitset rows when the state holds
-// them (peelRows, see rows.go) and on its lists otherwise (peelLists).
-// Both visit a removed vertex's partners and neighbours left in H in
-// ascending order, so they raise and lower the same keys in the same
-// order.
+// The peel runs on the component's bitset rows: H is a copy of the M∪C
+// mask, dIn(v) = |dissim(v) ∧ H|, and a removed vertex's partners and
+// neighbours left in H are the bits of its rows ANDed with H, visited in
+// ascending order as a walk of its lists would visit them.
 func (s *state) simPeelBound(structural bool) int {
-	if s.words > 0 {
-		return s.peelRows(structural)
-	}
-	return s.peelLists(structural)
-}
-
-// peelRows is simPeelBound on the bitset rows: H is a copy of the M∪C
-// mask, dIn(v) = |dissim(v) ∧ H| and a removed vertex's partners and
-// neighbours in H are the bits of its rows ANDed with H.
-func (s *state) peelRows(structural bool) int {
 	inH := s.peelH
 	copy(inH, s.maskMC)
 	h := s.scratch[:0]
@@ -111,79 +100,10 @@ func (s *state) peelRows(structural bool) int {
 	removedTotal := int32(0)
 	kPrime := int32(0)
 	queue := s.queue[:0]
-	for _, v := range q.vert[:n] {
-		if !hasBit(inH, v) {
-			continue // removed by an earlier cascade
-		}
-		if eff := q.key[v] - removedTotal; eff > kPrime {
-			kPrime = eff
-		}
-		queue = append(queue[:0], v)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			if !hasBit(inH, u) {
-				continue
-			}
-			inH[u>>6] &^= 1 << (u & 63)
-			removedTotal++
-			for i, x := range s.disOf(u) {
-				x &= inH[i]
-				for x != 0 {
-					q.raise(int32(i<<6 | bits.TrailingZeros64(x)))
-					x &= x - 1
-				}
-			}
-			for i, x := range s.adjOf(u) {
-				x &= inH[i]
-				for x != 0 {
-					nb := int32(i<<6 | bits.TrailingZeros64(x))
-					x &= x - 1
-					sdeg[nb]--
-					if structural && sdeg[nb] < int32(s.p.k) {
-						queue = append(queue, nb)
-					}
-				}
-			}
-		}
-	}
-	s.queue = queue[:0]
-	return int(kPrime) + 1
-}
-
-// peelLists is simPeelBound on the lists.
-func (s *state) peelLists(structural bool) int {
-	h := s.members(s.scratch[:0], statusM, statusC)
-	s.scratch = h[:0]
-	n := len(h)
-	if n == 0 {
-		return 0
-	}
-	inH := s.visited // reuse as "still in H" marker
-	clear(inH)
-	for _, v := range h {
-		inH[v] = true
-	}
-	q, sdeg := s.bins, s.sdeg
-	for _, v := range h {
-		dIn := int32(0)
-		for _, d := range s.p.dissim[v] {
-			if inH[d] {
-				dIn++
-			}
-		}
-		q.key[v] = int32(n) - 1 - dIn
-		sdeg[v] = s.degM[v] + s.degC[v]
-	}
-	q.sort(h)
-
-	removedTotal := int32(0)
-	kPrime := int32(0)
-	queue := s.queue[:0]
 	// Every vertex before v in vert has left H, so v, when still in H,
 	// holds the least key.
 	for _, v := range q.vert[:n] {
-		if !inH[v] {
+		if !hasBit(inH, v) {
 			continue // removed by an earlier cascade
 		}
 		if eff := q.key[v] - removedTotal; eff > kPrime {
@@ -196,23 +116,23 @@ func (s *state) peelLists(structural bool) int {
 		for len(queue) > 0 {
 			u := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			if !inH[u] {
+			if !hasBit(inH, u) {
 				continue
 			}
-			inH[u] = false
+			inH[u>>6] &^= 1 << (u & 63)
 			removedTotal++
-			for _, d := range s.p.dissim[u] {
-				if inH[d] {
-					q.raise(d)
+			for _, e := range s.disOf(u) {
+				for x := e.w & inH[e.i]; x != 0; x &= x - 1 {
+					q.raise(e.i<<6 | int32(bits.TrailingZeros64(x)))
 				}
 			}
-			for _, nb := range s.p.adj[u] {
-				if !inH[nb] {
-					continue
-				}
-				sdeg[nb]--
-				if structural && sdeg[nb] < int32(s.p.k) {
-					queue = append(queue, nb)
+			for _, e := range s.adjOf(u) {
+				for x := e.w & inH[e.i]; x != 0; x &= x - 1 {
+					nb := e.i<<6 | int32(bits.TrailingZeros64(x))
+					sdeg[nb]--
+					if structural && sdeg[nb] < int32(s.p.k) {
+						queue = append(queue, nb)
+					}
 				}
 			}
 		}

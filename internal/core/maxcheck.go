@@ -29,8 +29,9 @@ func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
 	// Eligible extension candidates: excluded vertices similar to every
 	// vertex of R. Membership in E guarantees similarity to M; the
 	// dissimilarity scan covers the rest of R (which matters at the
-	// all-shrink leaf, where R may be a strict subset of M∪C).
-	var cand []int32
+	// all-shrink leaf, where R may be a strict subset of M∪C). The
+	// search consumes cand in place, so s.cand keeps its backing.
+	cand := s.cand[:0]
 	for v := int32(0); v < int32(s.p.n); v++ {
 		if s.status[v] != statusE {
 			continue
@@ -46,6 +47,7 @@ func (s *state) checkMaximal(r []int32, order Order, lambda float64) bool {
 			cand = append(cand, v)
 		}
 	}
+	s.cand = cand[:0]
 	if len(cand) == 0 {
 		return true
 	}

@@ -3,10 +3,10 @@ package core
 // Micro-benchmarks for the engine's building blocks: problem
 // preparation, the three size bounds (the ablation behind Figure 10),
 // state transitions with trail rewind, and full searches on the hard
-// band of the synthetic Gowalla stand-in, whose large component runs
-// the row kernels, and on a large sparse component, which keeps the
-// list kernels (rows.go). Figure-level benchmarks live in the
-// repository root's bench_test.go.
+// band of the synthetic Gowalla stand-in, whose large component has
+// rows 10 words wide and mostly nonzero, and on a large sparse
+// component, whose rows are 30 words wide and mostly zero (rows.go).
+// Figure-level benchmarks live in the repository root's bench_test.go.
 
 import (
 	"math/rand"
@@ -87,10 +87,10 @@ func benchRootState(b *testing.B) *state {
 }
 
 // largest returns the component with the most vertices.
-func largest(b *testing.B, probs []*problem) *problem {
-	b.Helper()
+func largest(tb testing.TB, probs []*problem) *problem {
+	tb.Helper()
 	if len(probs) == 0 {
-		b.Fatal("no components")
+		tb.Fatal("no components")
 	}
 	biggest := probs[0]
 	for _, p := range probs {
@@ -161,22 +161,21 @@ func BenchmarkChooseVertexDelta(b *testing.B) {
 
 // benchPrepared prepares inst once, so the search benchmarks measure
 // the search alone (BenchmarkPrepare measures the preparation). It fails
-// b unless the largest component takes the row kernels exactly when
-// rows is set.
-func benchPrepared(b *testing.B, inst testInstance, rows bool) *Prepared {
+// b unless the largest component's rows are words wide.
+func benchPrepared(b *testing.B, inst testInstance, words int) *Prepared {
 	b.Helper()
 	pr, err := Prepare(inst.g, inst.p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if biggest := largest(b, pr.probs); useRows(biggest) != rows {
-		b.Fatalf("the %d-vertex component takes rows %t, want %t", biggest.n, useRows(biggest), rows)
+	if biggest := largest(b, pr.probs); rowWords(biggest.n) != words {
+		b.Fatalf("the %d-vertex component has rows %d words wide, want %d", biggest.n, rowWords(biggest.n), words)
 	}
 	return pr
 }
 
 func BenchmarkEnumerateHardBand(b *testing.B) {
-	pr := benchPrepared(b, benchInstance(), true)
+	pr := benchPrepared(b, benchInstance(), 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -191,7 +190,7 @@ func BenchmarkEnumerateHardBand(b *testing.B) {
 }
 
 func BenchmarkFindMaximumHardBand(b *testing.B) {
-	pr := benchPrepared(b, benchInstance(), true)
+	pr := benchPrepared(b, benchInstance(), 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -205,8 +204,8 @@ func BenchmarkFindMaximumHardBand(b *testing.B) {
 // average degree about 8: a ring lattice joining each vertex to the next
 // four, plus random chords, on points spread over a square so that about
 // 11% of pairs are dissimilar (and as many edges are filtered out). Its
-// rows would be 30 words wide, far above its average degree, so its
-// searches keep the list kernels.
+// rows are 30 words wide, far above its average degree, so most of
+// their words are zero.
 func largeSparseInstance() testInstance {
 	rng := rand.New(rand.NewSource(2000))
 	const n = 2000
@@ -234,7 +233,7 @@ func largeSparseInstance() testInstance {
 const largeSparseNodes = 32
 
 func BenchmarkEnumerateLargeSparse(b *testing.B) {
-	pr := benchPrepared(b, largeSparseInstance(), false)
+	pr := benchPrepared(b, largeSparseInstance(), 30)
 	opt := EnumOptions{Limits: Limits{MaxNodes: largeSparseNodes}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -250,7 +249,7 @@ func BenchmarkEnumerateLargeSparse(b *testing.B) {
 }
 
 func BenchmarkFindMaximumLargeSparse(b *testing.B) {
-	pr := benchPrepared(b, largeSparseInstance(), false)
+	pr := benchPrepared(b, largeSparseInstance(), 30)
 	opt := MaxOptions{Limits: Limits{MaxNodes: largeSparseNodes}}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,10 +7,8 @@ import "math/bits"
 // measurement is the relative reduction of dissimilar pairs in C, Δ2 the
 // relative reduction of edges in M∪C (Equations 3 and 4); both are
 // estimated by simulating the candidate pruning restricted to vertices
-// within two hops of the chosen vertex, as in Section 7.2. The
-// simulation runs on the component's bitset rows when the state holds
-// them (simulateRows, see rows.go) and on its lists otherwise
-// (simulateLists); both remove the same vertices.
+// within two hops of the chosen vertex, as in Section 7.2, on the
+// component's bitset rows (rows.go).
 
 // branchSim holds the estimated effect of taking one branch for a
 // candidate vertex.
@@ -166,17 +164,7 @@ func (s *state) chooseByDelta(order Order, lambda float64, retention, forMaximum
 
 // nextCandidate returns the least candidate at or after v, -1 when none
 // is left.
-func (s *state) nextCandidate(v int32) int32 {
-	if s.words > 0 {
-		return nextBit(s.maskC, v)
-	}
-	for ; v < int32(s.p.n); v++ {
-		if s.status[v] == statusC {
-			return v
-		}
-	}
-	return -1
-}
+func (s *state) nextCandidate(v int32) int32 { return nextBit(s.maskC, v) }
 
 // simulateBranch estimates Δ1 and Δ2 for branching on v without mutating
 // the search state. Pruning effects are propagated two waves beyond a
@@ -195,32 +183,23 @@ func (s *state) nextCandidate(v int32) int32 {
 // measure is already a two-hop heuristic (Section 7.2). In the expand
 // branch v itself keeps its edges — it moves to M, staying inside M∪C —
 // while its dissimilar pairs disappear with their removed partners.
-func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
-	if s.words > 0 {
-		return s.simulateRows(v, expandBranch)
-	}
-	return s.simulateLists(v, expandBranch)
-}
-
-// simulateRows is simulateBranch on the bitset rows: each wave ORs the
-// adjacency rows of its frontier and tests every candidate it reaches
-// with one popcount against the removed set. The removed set grows only
+//
+// The simulation runs on the bitset rows: each wave ORs the adjacency
+// rows of its frontier and tests every candidate it reaches with one
+// AND-popcount against the removed set. The removed set grows only
 // after a wave, so W2 is decided against S∪W1 alone.
-func (s *state) simulateRows(v int32, expandBranch bool) branchSim {
+func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 	w := s.words
-	adj := s.adjRow
 	rem, front, next, nbr := s.simRem[:w], s.simFront[:w], s.simNext[:w], s.simNbr[:w]
 	maskC := s.maskC[:w]
+	clear(rem)
+	clear(front)
 	if expandBranch {
-		dis := s.disRow[int(v)*w:][:w]
-		for i := range rem {
-			rem[i] = dis[i] & maskC[i]
-			front[i] = rem[i]
+		for _, e := range s.disOf(v) {
+			x := e.w & maskC[e.i]
+			rem[e.i], front[e.i] = x, x
 		}
 	} else {
-		for i := range rem {
-			rem[i], front[i] = 0, 0
-		}
 		setBit(rem, v)
 		setBit(front, v)
 	}
@@ -231,11 +210,11 @@ func (s *state) simulateRows(v int32, expandBranch bool) branchSim {
 		empty := true
 		for i, x := range front {
 			for x != 0 {
-				r := i<<6 | bits.TrailingZeros64(x)
+				r := int32(i<<6 | bits.TrailingZeros64(x))
 				x &= x - 1
 				empty = false
-				for j, a := range adj[r*w:][:w] {
-					nbr[j] |= a
+				for _, e := range s.adjOf(r) {
+					nbr[e.i] |= e.w
 				}
 			}
 		}
@@ -247,10 +226,10 @@ func (s *state) simulateRows(v int32, expandBranch bool) branchSim {
 			x &= maskC[i] &^ rem[i]
 			var out uint64
 			for x != 0 {
-				u := i<<6 | bits.TrailingZeros64(x)
+				u := int32(i<<6 | bits.TrailingZeros64(x))
 				b := x & -x
 				x &^= b
-				if s.degM[u]+s.degC[u]-andCount(adj[u*w:][:w], rem) < k {
+				if s.degM[u]+s.degC[u]-andCount(s.adjOf(u), rem) < k {
 					out |= b
 				}
 			}
@@ -269,69 +248,6 @@ func (s *state) simulateRows(v int32, expandBranch bool) branchSim {
 			pairLoss += int64(s.dpC[r])
 			edgeLoss += int64(s.degM[r] + s.degC[r])
 		}
-	}
-	return s.deltas(pairLoss, edgeLoss)
-}
-
-// simulateLists is simulateBranch on the lists: a wave walks the
-// adjacency lists of its frontier, lowering a tentative degree per
-// neighbour and marking a candidate removed when it drops below k. A
-// marked candidate is lowered no further, so W2 is decided against S∪W1
-// alone here too.
-func (s *state) simulateLists(v int32, expandBranch bool) branchSim {
-	s.simEpoch++
-	ep := s.simEpoch
-	removed := s.simList[:0]
-	markRemoved := func(u int32) {
-		if s.simMark[u] != ep {
-			s.simMark[u] = ep
-			removed = append(removed, u)
-		}
-	}
-	tentDeg := func(u int32) int32 {
-		if s.simDegEp[u] != ep {
-			s.simDegEp[u] = ep
-			s.simDeg[u] = s.degM[u] + s.degC[u]
-		}
-		return s.simDeg[u]
-	}
-
-	if expandBranch {
-		// v joins M: its dissimilar candidates are discarded.
-		for _, d := range s.p.dissim[v] {
-			if s.status[d] == statusC {
-				markRemoved(d)
-			}
-		}
-	} else {
-		// v is discarded.
-		markRemoved(v)
-	}
-
-	// Structural cascade, limited to two waves beyond the seed set.
-	frontier := removed
-	for wave := 0; wave < 2 && len(frontier) > 0; wave++ {
-		start := len(removed)
-		for _, r := range frontier {
-			for _, nb := range s.p.adj[r] {
-				if s.status[nb] != statusC || s.simMark[nb] == ep {
-					continue
-				}
-				d := tentDeg(nb) - 1
-				s.simDeg[nb] = d
-				if d < int32(s.p.k) {
-					markRemoved(nb)
-				}
-			}
-		}
-		frontier = removed[start:]
-	}
-	s.simList = removed[:0]
-
-	var pairLoss, edgeLoss int64
-	for _, r := range removed {
-		pairLoss += int64(s.dpC[r])
-		edgeLoss += int64(s.degM[r] + s.degC[r])
 	}
 	return s.deltas(pairLoss, edgeLoss)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"krcore/internal/graph"
@@ -422,14 +423,14 @@ func restructureProblem(filtered *graph.Graph, ob *problem, comp []int32, touche
 		if !touched[g] {
 			continue
 		}
+		// The lookup of graph.Induced: local ids are indexes in the
+		// ascending comp, so the row ascends as the neighbours do.
 		var row []int32
 		for _, x := range filtered.Neighbors(g) {
-			if l, ok := localOf(comp, x); ok {
-				row = append(row, l)
+			if l, ok := slices.BinarySearch(comp, x); ok {
+				row = append(row, int32(l))
 			}
 		}
-		// Induced builds rows sorted ascending; match it exactly.
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
 		pr.adj[u] = row
 	}
 	for _, row := range pr.adj {
@@ -438,14 +439,4 @@ func restructureProblem(filtered *graph.Graph, ob *problem, comp []int32, touche
 		}
 	}
 	return pr
-}
-
-// localOf maps a global vertex to its local id in the sorted component,
-// reporting whether it is a member.
-func localOf(comp []int32, v int32) (int32, bool) {
-	i := sort.Search(len(comp), func(i int) bool { return comp[i] >= v })
-	if i < len(comp) && comp[i] == v {
-		return int32(i), true
-	}
-	return 0, false
 }

@@ -2,71 +2,87 @@ package core
 
 import "math/bits"
 
-// Bitset rows of a component. A search state may hold one adjacency row
-// and one dissimilarity row per vertex, ⌈n/64⌉ words each, plus masks of
-// C and M∪C that transition keeps current. All of them are slices of
-// one pooled buffer, where internal/bitset would allocate every row on
-// its own. The Δ1/Δ2 simulation (simulateRows) and the (k,k')-core
-// bound (peelRows) then run on AND and popcount instead of list walks,
-// and make exactly the decisions of their list twins: the lists are
-// sorted and hold no duplicates, so a row's bits ascend in list order.
+// Bitset rows of a component. A search state holds one adjacency row
+// and one dissimilarity row per vertex, bitsets over the component's n
+// vertices, plus dense masks of C and M∪C, ⌈n/64⌉ words each, that
+// transition keeps current. A row is stored as its nonzero words with
+// their word indexes, the container idea of Roaring bitmaps, so ANDing
+// it with a dense mask visits only those words: no more word operations
+// than a walk of the vertex's list, whether the component is narrow and
+// dense or wide and sparse. The Δ1/Δ2 simulation (simulateBranch) and
+// the (k,k')-core bound (simPeelBound) run on these ANDs and popcounts
+// on every component. A row never has more entries than its list has
+// elements, so the rows take at most four times the bytes of the lists.
 //
-// Rows pay off while a row is no wider than an adjacency list:
-// ⌈n/64⌉ ≤ 2m/n, the component's average degree. That caps the rows at
-// four times the bytes of the adjacency lists. Wider rows, on large
-// sparse components, are slower than the lists, which such components
-// keep.
+// A row's entries ascend by word index and its bits ascend within a
+// word, so a walk over a row visits the members of the sorted list in
+// list order.
 
-// useRows reports whether p's rows are no wider than its average degree.
-func useRows(p *problem) bool {
-	twoM := 0
-	for _, a := range p.adj {
-		twoM += len(a)
-	}
-	return rowWords(p.n)*p.n <= twoM
+// rowEntry is one nonzero word of a row: bits w of word i, which holds
+// the vertices 64i to 64i+63.
+type rowEntry struct {
+	w uint64
+	i int32
 }
 
-// rowWords is the width of a row over n vertices.
+// rowWords is the width of a dense bitset over n vertices.
 func rowWords(n int) int { return (n + 63) / 64 }
 
-// buildRows fills the state's rows from p's lists and its masks from
-// status, in one pooled buffer; the row kernels run from then on.
+// buildRows fills the state's rows from p's lists, all of them in one
+// pooled entry buffer, and zeroes its masks and dense scratch.
 func (s *state) buildRows() {
 	n, w := s.p.n, rowWords(s.p.n)
 	s.words = w
-	s.rowBuf = resize(s.rowBuf, (2*n+7)*w)
-	buf := s.rowBuf
-	take := func(words int) []uint64 {
-		b := buf[:words:words]
-		buf = buf[words:]
+	size := 0
+	for v := 0; v < n; v++ {
+		size += min(len(s.p.adj[v]), w) + min(len(s.p.dissim[v]), w)
+	}
+	if cap(s.entries) < size {
+		// Headers past 2n, left by a larger component, would keep the old
+		// buffer alive in the pool.
+		clear(s.rows[:cap(s.rows)])
+		s.entries = make([]rowEntry, size)
+	}
+	s.rows = resize(s.rows, 2*n)
+	buf := s.entries[:0]
+	for v := 0; v < n; v++ {
+		start := len(buf)
+		buf = appendRow(buf, s.p.adj[v])
+		s.rows[v] = buf[start:len(buf):len(buf)]
+		start = len(buf)
+		buf = appendRow(buf, s.p.dissim[v])
+		s.rows[n+v] = buf[start:len(buf):len(buf)]
+	}
+	s.maskBuf = resize(s.maskBuf, 7*w)
+	dense := s.maskBuf
+	take := func() []uint64 {
+		b := dense[:w:w]
+		dense = dense[w:]
 		return b
 	}
-	s.adjRow, s.disRow = take(n*w), take(n*w)
-	s.maskC, s.maskMC = take(w), take(w)
-	s.simRem, s.simFront, s.simNext, s.simNbr = take(w), take(w), take(w), take(w)
-	s.peelH = take(w)
-	for v := int32(0); v < int32(n); v++ {
-		adj, dis := s.adjOf(v), s.disOf(v)
-		for _, u := range s.p.adj[v] {
-			setBit(adj, u)
+	s.maskC, s.maskMC = take(), take()
+	s.simRem, s.simFront, s.simNext, s.simNbr = take(), take(), take(), take()
+	s.peelH = take()
+}
+
+// appendRow appends the row of the sorted list to buf.
+func appendRow(buf []rowEntry, list []int32) []rowEntry {
+	start := len(buf)
+	for _, u := range list {
+		i, b := u>>6, uint64(1)<<(u&63)
+		if last := len(buf) - 1; last >= start && buf[last].i == i {
+			buf[last].w |= b
+		} else {
+			buf = append(buf, rowEntry{w: b, i: i})
 		}
-		for _, u := range s.p.dissim[v] {
-			setBit(dis, u)
-		}
-		s.maskStatus(v)
 	}
+	return buf
 }
 
 // adjOf and disOf return v's adjacency and dissimilarity rows.
-func (s *state) adjOf(v int32) []uint64 {
-	w := int32(s.words)
-	return s.adjRow[v*w : (v+1)*w]
-}
+func (s *state) adjOf(v int32) []rowEntry { return s.rows[v] }
 
-func (s *state) disOf(v int32) []uint64 {
-	w := int32(s.words)
-	return s.disRow[v*w : (v+1)*w]
-}
+func (s *state) disOf(v int32) []rowEntry { return s.rows[s.p.n+int(v)] }
 
 // maskStatus sets v's bits of the C and M∪C masks from its status.
 func (s *state) maskStatus(v int32) {
@@ -86,12 +102,11 @@ func setBit(row []uint64, v int32) { row[v>>6] |= 1 << (v & 63) }
 
 func hasBit(row []uint64, v int32) bool { return row[v>>6]&(1<<(v&63)) != 0 }
 
-// andCount returns |a ∧ b|.
-func andCount(a, b []uint64) int32 {
-	b = b[:len(a)]
+// andCount returns |row ∧ mask|.
+func andCount(row []rowEntry, mask []uint64) int32 {
 	c := 0
-	for i, x := range a {
-		c += bits.OnesCount64(x & b[i])
+	for _, e := range row {
+		c += bits.OnesCount64(e.w & mask[e.i])
 	}
 	return int32(c)
 }

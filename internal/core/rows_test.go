@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"krcore/internal/dataset"
@@ -10,31 +12,44 @@ import (
 
 // TestRowKernelsMatchLists walks search trees the way
 // TestStateInvariantsDuringSearch does and, at every node, runs the row
-// and list kernels side by side: the Δ simulation of both branches of
-// every candidate, the (k,k')-core peel with and without its
-// cascade, and the Δ orders' whole choice. Rows are built on every
-// component, whichever kernel useRows picks, so both run everywhere.
-// The random instances have 10–300 vertices, so their rows span one to
-// five words; the presets add the components the serving paths search.
+// kernels beside their list-walking oracles (listKernels): the Δ
+// simulation of both branches of every candidate, and the (k,k')-core
+// peel with and without its cascade. Once per component it also checks
+// the rows themselves against the lists. The random instances have
+// 10–700 vertices, so their rows span one to eleven words; the presets
+// add the components the serving paths search, and the large sparse
+// component of the benchmarks rows 30 words wide, few of them nonzero.
 func TestRowKernelsMatchLists(t *testing.T) {
-	var probs []*problem
+	type component struct {
+		p     *problem
+		nodes int // search nodes to compare at
+	}
+	var comps []component
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 40; trial++ {
-		n := 10 + rng.Intn(291)
+		n := 10 + rng.Intn(691)
 		inst := geoInstanceOfSize(rng, n)
 		if trial%2 == 1 {
 			inst = keywordInstanceOfSize(rng, n)
 		}
-		probs = append(probs, prepare(inst.g, inst.p)...)
+		for _, p := range prepare(inst.g, inst.p) {
+			comps = append(comps, component{p, 40})
+		}
 	}
 	widths := map[int]bool{}
-	for _, prob := range probs {
-		widths[rowWords(prob.n)] = true
+	wide := false
+	for _, c := range comps {
+		w := rowWords(c.p.n)
+		widths[w] = true
+		wide = wide || w >= 8
 	}
 	for w := 1; w <= 5; w++ {
 		if !widths[w] {
 			t.Fatalf("no random component has rows %d words wide", w)
 		}
+	}
+	if !wide {
+		t.Fatal("no random component has rows 8 or more words wide")
 	}
 	for _, preset := range []string{"brightkite", "gowalla", "dblp", "pokec"} {
 		d, err := dataset.Load(preset)
@@ -45,25 +60,32 @@ func TestRowKernelsMatchLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs = append(probs, prepare(d.Graph, Params{K: 5, Oracle: similarity.NewOracle(d.Metric(), r)})...)
-	}
-
-	for i, prob := range probs {
-		st := newState(prob, &budget{})
-		if st.words == 0 {
-			st.buildRows()
+		for _, p := range prepare(d.Graph, Params{K: 5, Oracle: similarity.NewOracle(d.Metric(), r)}) {
+			comps = append(comps, component{p, 40})
 		}
+	}
+	sparse := largeSparseInstance()
+	biggest := largest(t, prepare(sparse.g, sparse.p))
+	if w := rowWords(biggest.n); w != 30 {
+		t.Fatalf("the large sparse component has rows %d words wide, want 30", w)
+	}
+	comps = append(comps, component{biggest, 3})
+
+	for i, c := range comps {
+		st := newState(c.p, &budget{})
+		compareRows(t, i, st)
+		lists := newListKernels(c.p.n)
 		nodes := 0
 		var walk func(depth int)
 		walk = func(depth int) {
-			if depth > 5 || nodes >= 40 || !st.prune(true) {
+			if depth > 5 || nodes >= c.nodes || !st.prune(true) {
 				return
 			}
 			nodes++
 			if err := st.checkInvariants(); err != nil {
 				t.Fatalf("component %d after prune: %v", i, err)
 			}
-			compareKernels(t, i, st)
+			compareKernels(t, i, st, lists)
 			ch, ok := st.chooseVertex(OrderDelta1ThenDelta2, 5, true, false)
 			if !ok {
 				return
@@ -85,38 +107,196 @@ func TestRowKernelsMatchLists(t *testing.T) {
 	}
 }
 
-// compareKernels fails t unless st's row and list kernels agree at the
-// current node.
-func compareKernels(t *testing.T, comp int, st *state) {
+// compareRows fails t unless every row of st holds exactly the members
+// of its list, in list order, in no more entries than the list has
+// elements.
+func compareRows(t *testing.T, comp int, st *state) {
+	t.Helper()
+	for v := int32(0); v < int32(st.p.n); v++ {
+		for _, r := range []struct {
+			name string
+			row  []rowEntry
+			list []int32
+		}{{"adjacency", st.adjOf(v), st.p.adj[v]}, {"dissimilarity", st.disOf(v), st.p.dissim[v]}} {
+			var got []int32
+			for _, e := range r.row {
+				for x := e.w; x != 0; x &= x - 1 {
+					got = append(got, e.i<<6|int32(bits.TrailingZeros64(x)))
+				}
+			}
+			if len(r.row) > len(r.list) || !slices.Equal(got, r.list) {
+				t.Fatalf("component %d, v=%d: %s row holds %v in %d entries, list %v",
+					comp, v, r.name, got, len(r.row), r.list)
+			}
+		}
+	}
+}
+
+// compareKernels fails t unless st's row kernels agree with the list
+// oracles at the current node.
+func compareKernels(t *testing.T, comp int, st *state, lists *listKernels) {
 	t.Helper()
 	for v := int32(0); v < int32(st.p.n); v++ {
 		if !st.eligible(v, false) { // every candidate, a superset of the eligible ones
 			continue
 		}
 		for _, expand := range []bool{true, false} {
-			if rows, lists := st.simulateRows(v, expand), st.simulateLists(v, expand); rows != lists {
-				t.Fatalf("component %d, v=%d, expand=%t: rows simulate %+v, lists %+v", comp, v, expand, rows, lists)
+			if rows, list := st.simulateBranch(v, expand), lists.simulate(st, v, expand); rows != list {
+				t.Fatalf("component %d, v=%d, expand=%t: rows simulate %+v, lists %+v", comp, v, expand, rows, list)
 			}
 		}
 	}
 	for _, structural := range []bool{true, false} {
-		if rows, lists := st.peelRows(structural), st.peelLists(structural); rows != lists {
-			t.Fatalf("component %d, structural=%t: rows bound %d, lists %d", comp, structural, rows, lists)
+		if rows, list := st.simPeelBound(structural), lists.peel(st, structural); rows != list {
+			t.Fatalf("component %d, structural=%t: rows bound %d, lists %d", comp, structural, rows, list)
 		}
 	}
-	// The list kernels run whenever words is 0.
-	for _, forMaximum := range []bool{false, true} {
-		order := OrderDelta1ThenDelta2
-		if forMaximum {
-			order = OrderLambdaDelta
-		}
-		rows, okRows := st.chooseVertex(order, 5, true, forMaximum)
-		w := st.words
-		st.words = 0
-		lists, okLists := st.chooseVertex(order, 5, true, forMaximum)
-		st.words = w
-		if rows != lists || okRows != okLists {
-			t.Fatalf("component %d, %v: rows choose %+v, lists %+v", comp, order, rows, lists)
+}
+
+// listKernels walks a state's adjacency and dissimilarity lists to
+// compute what simulateBranch and simPeelBound compute on its rows,
+// with scratch of its own.
+type listKernels struct {
+	epoch               int32
+	mark, deg, degEpoch []int32
+	removed             []int32
+	inH                 []bool
+	h, sdeg, queue      []int32
+	bins                binQueue
+}
+
+func newListKernels(n int) *listKernels {
+	return &listKernels{
+		mark:     make([]int32, n),
+		deg:      make([]int32, n),
+		degEpoch: make([]int32, n),
+		inH:      make([]bool, n),
+		sdeg:     make([]int32, n),
+		bins: binQueue{
+			key:  make([]int32, n),
+			pos:  make([]int32, n),
+			vert: make([]int32, n),
+			bin:  make([]int32, n+1),
+		},
+	}
+}
+
+// simulate is simulateBranch on the lists: a wave walks the adjacency
+// lists of its frontier, lowering a tentative degree per neighbour and
+// marking a candidate removed when it drops below k. A marked candidate
+// is lowered no further, so W2 is decided against S∪W1 alone here too.
+func (l *listKernels) simulate(s *state, v int32, expandBranch bool) branchSim {
+	l.epoch++
+	ep := l.epoch
+	removed := l.removed[:0]
+	markRemoved := func(u int32) {
+		if l.mark[u] != ep {
+			l.mark[u] = ep
+			removed = append(removed, u)
 		}
 	}
+	tentDeg := func(u int32) int32 {
+		if l.degEpoch[u] != ep {
+			l.degEpoch[u] = ep
+			l.deg[u] = s.degM[u] + s.degC[u]
+		}
+		return l.deg[u]
+	}
+	if expandBranch {
+		for _, d := range s.p.dissim[v] {
+			if s.status[d] == statusC {
+				markRemoved(d)
+			}
+		}
+	} else {
+		markRemoved(v)
+	}
+	frontier := removed
+	for wave := 0; wave < 2 && len(frontier) > 0; wave++ {
+		start := len(removed)
+		for _, r := range frontier {
+			for _, nb := range s.p.adj[r] {
+				if s.status[nb] != statusC || l.mark[nb] == ep {
+					continue
+				}
+				d := tentDeg(nb) - 1
+				l.deg[nb] = d
+				if d < int32(s.p.k) {
+					markRemoved(nb)
+				}
+			}
+		}
+		frontier = removed[start:]
+	}
+	l.removed = removed[:0]
+	var pairLoss, edgeLoss int64
+	for _, r := range removed {
+		pairLoss += int64(s.dpC[r])
+		edgeLoss += int64(s.degM[r] + s.degC[r])
+	}
+	return s.deltas(pairLoss, edgeLoss)
+}
+
+// peel is simPeelBound on the lists.
+func (l *listKernels) peel(s *state, structural bool) int {
+	h := s.members(l.h[:0], statusM, statusC)
+	l.h = h
+	n := len(h)
+	if n == 0 {
+		return 0
+	}
+	inH := l.inH
+	clear(inH)
+	for _, v := range h {
+		inH[v] = true
+	}
+	q, sdeg := l.bins, l.sdeg
+	for _, v := range h {
+		dIn := int32(0)
+		for _, d := range s.p.dissim[v] {
+			if inH[d] {
+				dIn++
+			}
+		}
+		q.key[v] = int32(n) - 1 - dIn
+		sdeg[v] = s.degM[v] + s.degC[v]
+	}
+	q.sort(h)
+	removedTotal := int32(0)
+	kPrime := int32(0)
+	queue := l.queue[:0]
+	for _, v := range q.vert[:n] {
+		if !inH[v] {
+			continue
+		}
+		if eff := q.key[v] - removedTotal; eff > kPrime {
+			kPrime = eff
+		}
+		queue = append(queue[:0], v)
+		for len(queue) > 0 {
+			u := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			if !inH[u] {
+				continue
+			}
+			inH[u] = false
+			removedTotal++
+			for _, d := range s.p.dissim[u] {
+				if inH[d] {
+					q.raise(d)
+				}
+			}
+			for _, nb := range s.p.adj[u] {
+				if !inH[nb] {
+					continue
+				}
+				sdeg[nb]--
+				if structural && sdeg[nb] < int32(s.p.k) {
+					queue = append(queue, nb)
+				}
+			}
+		}
+	}
+	l.queue = queue[:0]
+	return int(kPrime) + 1
 }

@@ -45,14 +45,16 @@ type state struct {
 
 	bud *budget
 
-	// Bitset rows and masks (rows.go); words is 0 when the component
-	// keeps its lists.
+	// Bitset rows and masks (rows.go), words wide. rows holds the
+	// adjacency rows, then the dissimilarity rows, all slices of
+	// entries; the masks and dense scratch are slices of maskBuf.
 	words                             int
-	adjRow, disRow                    []uint64
+	rows                              [][]rowEntry
+	entries                           []rowEntry
 	maskC, maskMC                     []uint64
-	simRem, simFront, simNext, simNbr []uint64 // simulateRows
-	peelH                             []uint64 // peelRows
-	rowBuf                            []uint64 // backing of all of the above
+	simRem, simFront, simNext, simNbr []uint64 // simulateBranch
+	peelH                             []uint64 // simPeelBound
+	maskBuf                           []uint64
 
 	// Scratch space reused across nodes.
 	queue   []int32
@@ -62,19 +64,15 @@ type state struct {
 	// leaf[leafEnd[i-1]:leafEnd[i]]. checkMaximal leaves both alone.
 	leaf    []int32
 	leafEnd []int32
-	// Two-hop Δ simulation scratch (orders.go).
-	simEpoch int32
-	simMark  []int32
-	simDeg   []int32
-	simDegEp []int32
-	simList  []int32
+	// The random orders' xorshift state (nextRand).
 	rngState uint64
 	// Theorem 5 scratch (earlyTerminate): inW is all false between
 	// calls.
 	inW  []bool
 	degW []int32
-	// Maximal-check masks (checkMaximal).
+	// Maximal-check masks and root candidates (checkMaximal).
 	inT, inCand, seen []bool
+	cand              []int32
 	// The (k,k')-core peel's queue and structural degrees (simPeelBound).
 	bins binQueue
 	sdeg []int32
@@ -91,8 +89,8 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 func newState(p *problem, bud *budget) *state {
 	s := statePool.Get().(*state)
 	n := p.n
-	// Every field not listed is zeroed: counters, simEpoch and the
-	// slices' contents alike.
+	// Every field not listed is zeroed: counters and the slices'
+	// contents alike.
 	*s = state{
 		p:        p,
 		bud:      bud,
@@ -108,17 +106,16 @@ func newState(p *problem, bud *budget) *state {
 		scratch:  s.scratch[:0],
 		leaf:     s.leaf[:0],
 		leafEnd:  s.leafEnd[:0],
-		rowBuf:   s.rowBuf,
-		simMark:  resize(s.simMark, n),
-		simDeg:   resize(s.simDeg, n),
-		simDegEp: resize(s.simDegEp, n),
-		simList:  s.simList[:0],
+		rows:     s.rows,
+		entries:  s.entries,
+		maskBuf:  s.maskBuf,
 		rngState: 0x9E3779B97F4A7C15,
 		inW:      resize(s.inW, n),
 		degW:     resize(s.degW, n),
 		inT:      resize(s.inT, n),
 		inCand:   resize(s.inCand, n),
 		seen:     resize(s.seen, n),
+		cand:     s.cand[:0],
 		bins: binQueue{
 			key:  resize(s.bins.key, n),
 			pos:  resize(s.bins.pos, n),
@@ -127,9 +124,7 @@ func newState(p *problem, bud *budget) *state {
 		},
 		sdeg: resize(s.sdeg, n),
 	}
-	if useRows(p) {
-		s.buildRows()
-	}
+	s.buildRows()
 	for v := 0; v < n; v++ {
 		s.apply(int32(v), statusC)
 	}
@@ -182,9 +177,7 @@ func (s *state) transition(v int32, to byte) {
 	s.detach(v)
 	s.status[v] = to
 	s.attach(v)
-	if s.words > 0 {
-		s.maskStatus(v)
-	}
+	s.maskStatus(v)
 }
 
 func (s *state) detach(v int32) {
@@ -474,8 +467,8 @@ func (s *state) mcComponents() {
 }
 
 // checkInvariants verifies the similarity and degree invariants
-// (Equations 1 and 2), counter consistency and, when the rows are
-// built, the C and M∪C masks; used by tests only.
+// (Equations 1 and 2), counter consistency and the C and M∪C masks;
+// used by tests only.
 func (s *state) checkInvariants() error {
 	cntM, cntC, cntE := 0, 0, 0
 	var sum int64
@@ -504,13 +497,11 @@ func (s *state) checkInvariants() error {
 			return fmt.Errorf("counters of v=%d: got degM=%d degC=%d dpM=%d dpC=%d dpE=%d, want %d %d %d %d %d",
 				v, s.degM[v], s.degC[v], s.dpM[v], s.dpC[v], s.dpE[v], dm, dc, pm, pc, pe)
 		}
-		if s.words > 0 {
-			st := s.status[v]
-			if hasBit(s.maskC, v) != (st == statusC) || hasBit(s.maskMC, v) != (st == statusC || st == statusM) {
-				return fmt.Errorf("masks of v=%d with status %d: C %t, M∪C %t", v, st, hasBit(s.maskC, v), hasBit(s.maskMC, v))
-			}
+		st := s.status[v]
+		if hasBit(s.maskC, v) != (st == statusC) || hasBit(s.maskMC, v) != (st == statusC || st == statusM) {
+			return fmt.Errorf("masks of v=%d with status %d: C %t, M∪C %t", v, st, hasBit(s.maskC, v), hasBit(s.maskMC, v))
 		}
-		switch s.status[v] {
+		switch st {
 		case statusM:
 			cntM++
 			if pm != 0 || pc != 0 {

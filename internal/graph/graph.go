@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -204,24 +205,27 @@ func (g *Graph) KeepEdges(keep []bool) *Graph {
 	return &Graph{adj: adj, m: m}
 }
 
-// Induced returns the subgraph induced by vertices (global ids), with
-// local ids 0..len(vertices)-1 assigned in the given order, plus the
-// local-to-global mapping (a copy of vertices).
+// Induced returns the subgraph induced by vertices (global ids, strictly
+// ascending), with local ids 0..len(vertices)-1 assigned in that order,
+// plus the local-to-global mapping (a copy of vertices). A neighbour's
+// local id is its index in vertices, found by binary search; neighbour
+// lists ascend, so every induced row ascends too. It panics when
+// vertices does not ascend strictly.
 func (g *Graph) Induced(vertices []int32) (*Graph, []int32) {
-	local := make(map[int32]int32, len(vertices))
-	for i, v := range vertices {
-		local[v] = int32(i)
+	for i := 1; i < len(vertices); i++ {
+		if vertices[i] <= vertices[i-1] {
+			panic("graph: Induced: vertices not strictly ascending")
+		}
 	}
 	adj := make([][]int32, len(vertices))
 	m := 0
 	for i, v := range vertices {
 		for _, w := range g.adj[v] {
-			if lw, ok := local[w]; ok {
-				adj[i] = append(adj[i], lw)
+			if lw, ok := slices.BinarySearch(vertices, w); ok {
+				adj[i] = append(adj[i], int32(lw))
 				m++
 			}
 		}
-		sort.Slice(adj[i], func(a, b int) bool { return adj[i][a] < adj[i][b] })
 	}
 	orig := make([]int32, len(vertices))
 	copy(orig, vertices)

@@ -142,6 +142,20 @@ func TestInduced(t *testing.T) {
 	}
 }
 
+func TestInducedUnsortedPanics(t *testing.T) {
+	g := buildPath(4)
+	for _, vs := range [][]int32{{0, 2, 1}, {1, 1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Induced(%v) must panic: the vertices do not ascend strictly", vs)
+				}
+			}()
+			g.Induced(vs)
+		}()
+	}
+}
+
 func TestFilterEdges(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
