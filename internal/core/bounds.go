@@ -39,7 +39,7 @@ func (s *state) bound(kind Bound) int {
 // the dissimilarity lists restricted to H); a clique of size q needs q
 // colours, so the colour count bounds |R|.
 func (s *state) colorBound() int {
-	h := s.members(s.scratch[:0], statusM, statusC)
+	h := appendBits(s.scratch[:0], s.maskMC)
 	s.scratch = h[:0]
 	if len(h) == 0 {
 		return 0
@@ -78,13 +78,7 @@ func (s *state) colorBound() int {
 func (s *state) simPeelBound(structural bool) int {
 	inH := s.peelH
 	copy(inH, s.maskMC)
-	h := s.scratch[:0]
-	for i, x := range inH {
-		for x != 0 {
-			h = append(h, int32(i<<6|bits.TrailingZeros64(x)))
-			x &= x - 1
-		}
-	}
+	h := appendBits(s.scratch[:0], inH)
 	s.scratch = h[:0]
 	n := len(h)
 	if n == 0 {
@@ -93,7 +87,7 @@ func (s *state) simPeelBound(structural bool) int {
 	q, sdeg := s.bins, s.sdeg
 	for _, v := range h {
 		q.key[v] = int32(n) - 1 - andCount(s.disOf(v), inH)
-		sdeg[v] = s.degM[v] + s.degC[v]
+		sdeg[v] = andCount(s.adjOf(v), inH)
 	}
 	q.sort(h)
 

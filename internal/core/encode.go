@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"krcore/internal/binenc"
@@ -45,7 +46,9 @@ func AppendPrepared(b *binenc.Buffer, pr *Prepared) {
 // component adjacency and dissimilarity lists sorted and in local
 // range, local and global vertex counts consistent, the
 // local-to-global mapping strictly ascending within the source graph,
-// every component member's core number at least K.
+// every component member's core number at least K, and every component
+// a k-core of its own adjacency — symmetric, with at least K neighbours
+// per member — which the search's root assumes (state.prune).
 func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	filtered *graph.Graph, withCore bool) (*Prepared, error) {
 	k := int(r.U32())
@@ -125,10 +128,16 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 			pairs:  d.Pairs,
 			orig:   orig,
 		}
-		for _, nb := range adj {
-			if len(nb) > p.maxDeg {
-				p.maxDeg = len(nb)
+		for u, nbs := range adj {
+			if len(nbs) < k {
+				return nil, fmt.Errorf("core: component %d: member %d has %d neighbours, below k=%d", i, u, len(nbs), k)
 			}
+			for _, v := range nbs {
+				if _, ok := slices.BinarySearch(adj[v], int32(u)); !ok {
+					return nil, fmt.Errorf("core: component %d: member %d lists %d, which does not list it back", i, u, v)
+				}
+			}
+			p.maxDeg = max(p.maxDeg, len(nbs))
 		}
 		pr.probs = append(pr.probs, p)
 	}

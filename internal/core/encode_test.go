@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"krcore/internal/attr"
@@ -123,5 +125,46 @@ func TestDecodePreparedRejectsCorruption(t *testing.T) {
 	mut[off], mut[off+1], mut[off+2], mut[off+3] = 0xff, 0xff, 0xff, 0x7f
 	if _, err := DecodePrepared(binenc.NewReader(mut), p.Oracle, n, filtered, true); err == nil {
 		t.Fatal("out-of-range core number accepted")
+	}
+	// A component that is not a k-core of its own adjacency. The search
+	// prunes only what its own transitions touch, so the root must be
+	// one: the largest component, edited on a copy and re-encoded.
+	k := pr.K()
+	for _, tc := range []struct {
+		name, want string
+		edit       func(adj [][]int32)
+	}{
+		{"member cut to k-1 neighbours, lists kept symmetric", "below k", func(adj [][]int32) {
+			for _, v := range adj[0][k-1:] {
+				adj[v] = slices.DeleteFunc(adj[v], func(x int32) bool { return x == 0 })
+			}
+			adj[0] = adj[0][:k-1]
+		}},
+		{"neighbour not listed back", "does not list it back", func(adj [][]int32) {
+			for u := range adj {
+				if len(adj[u]) > k {
+					adj[u] = adj[u][1:]
+					return
+				}
+			}
+			t.Fatal("no member has more than k neighbours")
+		}},
+	} {
+		big := largest(t, pr.probs)
+		bad := *big
+		bad.adj = make([][]int32, len(big.adj))
+		for u := range bad.adj {
+			bad.adj[u] = slices.Clone(big.adj[u])
+		}
+		tc.edit(bad.adj)
+		edited := *pr
+		edited.probs = slices.Clone(pr.probs)
+		edited.probs[slices.Index(pr.probs, big)] = &bad
+		var eb binenc.Buffer
+		AppendPrepared(&eb, &edited)
+		_, err := DecodePrepared(binenc.NewReader(eb.Bytes()), p.Oracle, n, filtered, true)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got %v, want an error saying %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -166,19 +166,20 @@ type enumSearch struct {
 
 func (e *enumSearch) run(emit func([]int32)) {
 	e.emit = emit
-	e.node()
+	e.node(0)
 }
 
 // node is one search-tree node of Algorithm 3 (or of the basic
-// Algorithm 1 enumeration when retention is disabled). The caller is
-// responsible for rewinding the state.
-func (e *enumSearch) node() {
+// Algorithm 1 enumeration when retention is disabled), reached by the
+// transitions after trail mark m. The caller is responsible for
+// rewinding the state.
+func (e *enumSearch) node(m int) {
 	s := e.st
 	if !s.bud.step() {
 		return
 	}
 	retention := !e.opt.DisableRetention
-	if !s.prune(retention) {
+	if !s.prune(retention, m) {
 		return
 	}
 	if s.cntM+s.cntC == 0 {
@@ -216,18 +217,17 @@ func (e *enumSearch) node() {
 	}
 
 	// Expand branch.
-	m := s.mark()
+	m = s.mark()
 	s.expand(ch.v)
-	e.node()
+	e.node(m)
 	s.rewind(m)
 	if s.bud.exhausted() {
 		return
 	}
 	// Shrink branch: the candidate joins the relevant excluded set
 	// (it is similar to all of M, or it would have been pruned).
-	m = s.mark()
 	s.discard(ch.v)
-	e.node()
+	e.node(m)
 	s.rewind(m)
 }
 
@@ -268,26 +268,29 @@ func (s *state) earlyTerminate() bool {
 	if s.cntE == 0 {
 		return false
 	}
+	k := int32(s.p.k)
 	// Condition (i): a vertex u ∈ SF_C(E) with deg(u,M) >= k extends any
 	// derived core (it is similar to all of M∪C and structurally
-	// supported by M alone).
-	for v := int32(0); v < int32(s.p.n); v++ {
-		if s.status[v] == statusE && s.dpC[v] == 0 && s.degM[v] >= int32(s.p.k) {
+	// supported by M alone). Condition (ii): a set U ⊆ SF_{C∪E}(E) where
+	// every u ∈ U has deg(u, M∪U) >= k. Computed as the k-core-style
+	// fixpoint of the eligible excluded vertices W supported by M,
+	// restricted to vertices reachable from M (the extension must keep
+	// R∪U connected).
+	w := s.scratch[:0]
+	for v := nextBit(s.maskE, 0); v >= 0; v = nextBit(s.maskE, v+1) {
+		if s.dpC(v) != 0 {
+			continue
+		}
+		if s.degM(v) >= k {
+			s.scratch = w[:0]
 			return true
 		}
-	}
-	// Condition (ii): a set U ⊆ SF_{C∪E}(E) where every u ∈ U has
-	// deg(u, M∪U) >= k. Computed as the k-core-style fixpoint of the
-	// eligible excluded vertices supported by M, restricted to vertices
-	// reachable from M (the extension must keep R∪U connected).
-	w := s.scratch[:0]
-	for v := int32(0); v < int32(s.p.n); v++ {
-		if s.status[v] == statusE && s.dpC[v] == 0 && s.dpE[v] == 0 {
+		if s.dpE(v) == 0 {
 			w = append(w, v)
 		}
 	}
+	s.scratch = w[:0]
 	if len(w) == 0 {
-		s.scratch = w[:0]
 		return false
 	}
 	inW, degW := s.inW, s.degW
@@ -300,17 +303,11 @@ func (s *state) earlyTerminate() bool {
 		}
 	}()
 	for _, v := range w {
-		d := s.degM[v]
-		for _, nb := range s.p.adj[v] {
-			if inW[nb] {
-				d++
-			}
-		}
-		degW[v] = d
+		degW[v] = s.degM(v) + s.degIn(v, inW)
 	}
 	queue := s.queue[:0]
 	for _, v := range w {
-		if degW[v] < int32(s.p.k) {
+		if degW[v] < k {
 			queue = append(queue, v)
 			inW[v] = false
 		}
@@ -323,79 +320,50 @@ func (s *state) earlyTerminate() bool {
 				continue
 			}
 			degW[nb]--
-			if degW[nb] < int32(s.p.k) {
+			if degW[nb] < k {
 				inW[nb] = false
 				queue = append(queue, nb)
 			}
 		}
 	}
 	s.queue = queue[:0]
-	s.scratch = w[:0]
+	// Keep only survivors attached to M: reach from M inside M ∪
+	// survivors.
+	allowed := s.peelH
+	copy(allowed, s.maskM)
 	survivors := false
 	for _, v := range w {
 		if inW[v] {
+			setBit(allowed, v)
 			survivors = true
-			break
 		}
 	}
 	if !survivors {
 		return false
 	}
-	// Keep only survivors attached to M: BFS from M over M ∪ survivors.
-	for v := range s.visited {
-		s.visited[v] = false
-	}
-	q := s.queue[:0]
-	for v := int32(0); v < int32(s.p.n); v++ {
-		if s.status[v] == statusM {
-			s.visited[v] = true
-			q = append(q, v)
-		}
-	}
-	reached := false
-	for len(q) > 0 {
-		u := q[len(q)-1]
-		q = q[:len(q)-1]
-		for _, nb := range s.p.adj[u] {
-			if s.visited[nb] {
-				continue
-			}
-			if inW[nb] {
-				s.visited[nb] = true
-				reached = true
-				q = append(q, nb)
-			} else if s.status[nb] == statusM {
-				s.visited[nb] = true
-				q = append(q, nb)
-			}
-		}
-	}
-	s.queue = q[:0]
-	if !reached {
-		return false
-	}
+	copy(s.reached, s.maskM)
+	s.reach(s.reached, allowed)
 	// Unreachable survivors must be dropped, which may invalidate the
-	// degree support of reachable ones; re-run the fixpoint on the
-	// reachable survivor set.
-	changed := false
+	// degree support of reachable ones; re-check it on the reachable
+	// survivor set.
+	reached, changed := false, false
 	for _, v := range w {
-		if inW[v] && !s.visited[v] {
+		if !inW[v] {
+			continue
+		}
+		if hasBit(s.reached, v) {
+			reached = true
+		} else {
 			inW[v] = false
 			changed = true
 		}
 	}
+	if !reached {
+		return false
+	}
 	if changed {
 		for _, v := range w {
-			if !inW[v] {
-				continue
-			}
-			d := s.degM[v]
-			for _, nb := range s.p.adj[v] {
-				if inW[nb] {
-					d++
-				}
-			}
-			if d < int32(s.p.k) {
+			if inW[v] && s.degM(v)+s.degIn(v, inW) < k {
 				// Conservative: give up on condition (ii) instead of
 				// iterating again; correctness is unaffected (we only
 				// skip an optional pruning opportunity).
@@ -404,4 +372,15 @@ func (s *state) earlyTerminate() bool {
 		}
 	}
 	return true
+}
+
+// degIn returns v's neighbours in the set in.
+func (s *state) degIn(v int32, in []bool) int32 {
+	var d int32
+	for _, nb := range s.p.adj[v] {
+		if in[nb] {
+			d++
+		}
+	}
+	return d
 }

@@ -184,49 +184,56 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestStateInvariantsDuringSearch walks search trees with retention on
+// and off and checks the state against its list oracles at every node:
+// the counters, masks and sums (checkInvariants) after each transition
+// and rewind, and prune's fixpoint (checkFixpoint) after each prune.
 func TestStateInvariantsDuringSearch(t *testing.T) {
-	// Drive a search manually and verify counter invariants at every
-	// node via a wrapped order.
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		inst := randomInstance(rng, 12)
 		bud := &budget{}
 		for _, prob := range prepare(inst.g, inst.p) {
-			st := newState(prob, bud)
-			if err := st.checkInvariants(); err != nil {
-				t.Fatalf("trial %d initial state: %v", trial, err)
+			for _, retention := range []bool{true, false} {
+				st := newState(prob, bud)
+				if err := st.checkInvariants(); err != nil {
+					t.Fatalf("trial %d initial state: %v", trial, err)
+				}
+				var walk func(depth, m int)
+				walk = func(depth, m int) {
+					if depth > 6 || !st.prune(retention, m) {
+						return
+					}
+					if err := st.checkInvariants(); err != nil {
+						t.Fatalf("trial %d, retention %t, after prune: %v", trial, retention, err)
+					}
+					if err := st.checkFixpoint(retention); err != nil {
+						t.Fatalf("trial %d, retention %t, after prune: %v", trial, retention, err)
+					}
+					ch, ok := st.chooseVertex(OrderDegree, 5, retention, false)
+					if !ok {
+						return
+					}
+					m = st.mark()
+					st.expand(ch.v)
+					if err := st.checkInvariants(); err != nil {
+						t.Fatalf("trial %d, retention %t, after expand: %v", trial, retention, err)
+					}
+					walk(depth+1, m)
+					st.rewind(m)
+					if err := st.checkInvariants(); err != nil {
+						t.Fatalf("trial %d, retention %t, after rewind: %v", trial, retention, err)
+					}
+					st.discard(ch.v)
+					walk(depth+1, m)
+					st.rewind(m)
+					if err := st.checkInvariants(); err != nil {
+						t.Fatalf("trial %d, retention %t, after shrink rewind: %v", trial, retention, err)
+					}
+				}
+				walk(0, 0)
+				st.release()
 			}
-			var walk func(depth int)
-			walk = func(depth int) {
-				if depth > 6 || !st.prune(true) {
-					return
-				}
-				if err := st.checkInvariants(); err != nil {
-					t.Fatalf("trial %d after prune: %v", trial, err)
-				}
-				ch, ok := st.chooseVertex(OrderDegree, 5, true, false)
-				if !ok {
-					return
-				}
-				m := st.mark()
-				st.expand(ch.v)
-				if err := st.checkInvariants(); err != nil {
-					t.Fatalf("trial %d after expand: %v", trial, err)
-				}
-				walk(depth + 1)
-				st.rewind(m)
-				if err := st.checkInvariants(); err != nil {
-					t.Fatalf("trial %d after rewind: %v", trial, err)
-				}
-				m = st.mark()
-				st.discard(ch.v)
-				walk(depth + 1)
-				st.rewind(m)
-				if err := st.checkInvariants(); err != nil {
-					t.Fatalf("trial %d after shrink rewind: %v", trial, err)
-				}
-			}
-			walk(0)
 		}
 	}
 }

@@ -134,10 +134,11 @@ func TestSearchTreesPinnedOnPresets(t *testing.T) {
 // check per leaf, so the bound grants every reported core 4
 // allocations. A component may also find the state pool emptied, by a
 // GC or by the race detector's random drops, and build its state
-// afresh: about 50 allocations for the struct, its 20 arrays (the
-// bitset rows share one, the masks another, their headers a third) and
-// its growing buffers. The bound grants every component 24, room for a
-// refill at every other component.
+// afresh: about 40 allocations for the struct, its 15 arrays (the
+// bitset rows share one, the masks another, their headers a third; the
+// counters are read from the masks and keep none) and its growing
+// buffers. The bound grants every component 24, room for a refill at
+// every other component.
 func TestWarmSearchAllocations(t *testing.T) {
 	d, err := dataset.Load("brightkite")
 	if err != nil {

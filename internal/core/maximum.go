@@ -64,7 +64,7 @@ func searchMaxComponent(prob *problem, comp int, opt MaxOptions, bud *budget, in
 	}
 	ms := &maxSearch{st: newState(prob, bud), opt: opt, inc: inc, comp: comp}
 	defer ms.st.release()
-	ms.node()
+	ms.node(0)
 }
 
 // incumbent is the best core found so far, shared by every worker of
@@ -140,12 +140,14 @@ type maxSearch struct {
 	comp int        // serial order index of this component
 }
 
-func (m *maxSearch) node() {
+// node is one search-tree node of Algorithm 5, reached by the
+// transitions after trail mark from.
+func (m *maxSearch) node(from int) {
 	s := m.st
 	if !s.bud.step() {
 		return
 	}
-	if !s.prune(true) {
+	if !s.prune(true, from) {
 		return
 	}
 	if s.cntM+s.cntC == 0 {
@@ -177,16 +179,15 @@ func (m *maxSearch) node() {
 		expandFirst = false
 	}
 
+	mk := s.mark()
 	runExpand := func() {
-		mk := s.mark()
 		s.expand(ch.v)
-		m.node()
+		m.node(mk)
 		s.rewind(mk)
 	}
 	runShrink := func() {
-		mk := s.mark()
 		s.discard(ch.v)
-		m.node()
+		m.node(mk)
 		s.rewind(mk)
 	}
 	if expandFirst {

@@ -6,13 +6,16 @@ package core
 // band of the synthetic Gowalla stand-in, whose large component has
 // rows 10 words wide and mostly nonzero, and on a large sparse
 // component, whose rows are 30 words wide and mostly zero (rows.go).
-// Figure-level benchmarks live in the repository root's bench_test.go.
+// BenchmarkWarmPresetSearches runs the searches a warm server answers
+// on the dataset presets. Figure-level benchmarks live in the
+// repository root's bench_test.go.
 
 import (
 	"math/rand"
 	"testing"
 
 	"krcore/internal/attr"
+	"krcore/internal/dataset"
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
 	"krcore/internal/simindex"
@@ -144,14 +147,14 @@ func BenchmarkStateExpandRewind(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := st.mark()
 		st.expand(int32(i % st.p.n))
-		st.prune(true)
+		st.prune(true, m)
 		st.rewind(m)
 	}
 }
 
 func BenchmarkChooseVertexDelta(b *testing.B) {
 	st := benchRootState(b)
-	st.prune(true)
+	st.prune(true, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -282,5 +285,57 @@ func BenchmarkBruteForceSmall(b *testing.B) {
 		if _, err := BruteForce(inst.g, inst.p); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkWarmPresetSearches runs the default searches on cached
+// settings, as a warm server does: on brightkite, gowalla and dblp at
+// the default r, each op runs Enumerate, EnumerateContaining at the
+// first vertex of the setting's maximum core, and FindMaximum on each
+// of k = 4, 5 and 6, prepared outside the timer.
+func BenchmarkWarmPresetSearches(b *testing.B) {
+	for _, preset := range []string{"brightkite", "gowalla", "dblp"} {
+		b.Run(preset, func(b *testing.B) {
+			d, err := dataset.Load(preset)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := d.DefaultThreshold()
+			if err != nil {
+				b.Fatal(err)
+			}
+			o := similarity.NewOracle(d.Metric(), r)
+			type setting struct {
+				pr     *Prepared
+				anchor int32
+			}
+			var settings []setting
+			for k := 4; k <= 6; k++ {
+				pr, err := Prepare(d.Graph, Params{K: k, Oracle: o})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := pr.FindMaximum(MaxOptions{})
+				if err != nil || len(res.Cores) == 0 {
+					b.Fatalf("%s k=%d: no maximum core (%v)", preset, k, err)
+				}
+				settings = append(settings, setting{pr, res.Cores[0][0]})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, st := range settings {
+					if _, err := st.pr.Enumerate(EnumOptions{}); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := st.pr.EnumerateContaining(st.anchor, EnumOptions{}); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := st.pr.FindMaximum(MaxOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

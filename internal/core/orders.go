@@ -40,7 +40,7 @@ func (s *state) chooseVertex(order Order, lambda float64, retention, forMaximum 
 			if !s.eligible(v, retention) {
 				continue
 			}
-			if d := s.degM[v] + s.degC[v]; d > bestDeg {
+			if d := s.degMC(v); d > bestDeg {
 				bestDeg = d
 				best.v = v
 			}
@@ -67,7 +67,7 @@ func (s *state) eligible(v int32, retention bool) bool {
 	if s.status[v] != statusC {
 		return false
 	}
-	if retention && s.dpC[v] == 0 {
+	if retention && s.dpC(v) == 0 {
 		return false // Theorem 4: never branch on similarity-free vertices
 	}
 	return true
@@ -99,9 +99,10 @@ func (s *state) chooseByDelta(order Order, lambda float64, retention, forMaximum
 	best := choice{v: -1, expandFirst: true}
 	var bestPrimary, bestSecondary float64
 	first := true
+	s.countCandidates()
 	for v := s.nextCandidate(0); v >= 0; v = s.nextCandidate(v + 1) {
-		if !s.eligible(v, retention) {
-			continue
+		if retention && s.counts[v].dpC == 0 {
+			continue // not eligible
 		}
 		exp := s.simulateBranch(v, true)
 		shr := s.simulateBranch(v, false)
@@ -166,6 +167,18 @@ func (s *state) chooseByDelta(order Order, lambda float64, retention, forMaximum
 // is left.
 func (s *state) nextCandidate(v int32) int32 { return nextBit(s.maskC, v) }
 
+// candCount is a candidate's deg(·, M∪C) and dpC at one node.
+type candCount struct{ deg, dpC int32 }
+
+// countCandidates fills the count table with every candidate's
+// deg(·, M∪C) and dpC, which the node's simulations read many times.
+// The table is valid until the state next changes.
+func (s *state) countCandidates() {
+	for v := s.nextCandidate(0); v >= 0; v = s.nextCandidate(v + 1) {
+		s.counts[v] = candCount{deg: s.degMC(v), dpC: s.dpC(v)}
+	}
+}
+
 // simulateBranch estimates Δ1 and Δ2 for branching on v without mutating
 // the search state. Pruning effects are propagated two waves beyond a
 // seed set S: S is v's dissimilar candidates when v joins M, v itself
@@ -187,7 +200,9 @@ func (s *state) nextCandidate(v int32) int32 { return nextBit(s.maskC, v) }
 // The simulation runs on the bitset rows: each wave ORs the adjacency
 // rows of its frontier and tests every candidate it reaches with one
 // AND-popcount against the removed set. The removed set grows only
-// after a wave, so W2 is decided against S∪W1 alone.
+// after a wave, so W2 is decided against S∪W1 alone. The candidates'
+// degrees and dpC come from the node's count table, which
+// countCandidates must have filled.
 func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 	w := s.words
 	rem, front, next, nbr := s.simRem[:w], s.simFront[:w], s.simNext[:w], s.simNbr[:w]
@@ -213,9 +228,7 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 				r := int32(i<<6 | bits.TrailingZeros64(x))
 				x &= x - 1
 				empty = false
-				for _, e := range s.adjOf(r) {
-					nbr[e.i] |= e.w
-				}
+				orRow(nbr, s.adjOf(r))
 			}
 		}
 		if empty {
@@ -229,7 +242,7 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 				u := int32(i<<6 | bits.TrailingZeros64(x))
 				b := x & -x
 				x &^= b
-				if s.degM[u]+s.degC[u]-andCount(s.adjOf(u), rem) < k {
+				if s.counts[u].deg-andCount(s.adjOf(u), rem) < k {
 					out |= b
 				}
 			}
@@ -245,8 +258,8 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 		for x != 0 {
 			r := i<<6 | bits.TrailingZeros64(x)
 			x &= x - 1
-			pairLoss += int64(s.dpC[r])
-			edgeLoss += int64(s.degM[r] + s.degC[r])
+			pairLoss += int64(s.counts[r].dpC)
+			edgeLoss += int64(s.counts[r].deg)
 		}
 	}
 	return s.deltas(pairLoss, edgeLoss)

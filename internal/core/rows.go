@@ -4,15 +4,17 @@ import "math/bits"
 
 // Bitset rows of a component. A search state holds one adjacency row
 // and one dissimilarity row per vertex, bitsets over the component's n
-// vertices, plus dense masks of C and M∪C, ⌈n/64⌉ words each, that
-// transition keeps current. A row is stored as its nonzero words with
-// their word indexes, the container idea of Roaring bitmaps, so ANDing
-// it with a dense mask visits only those words: no more word operations
-// than a walk of the vertex's list, whether the component is narrow and
-// dense or wide and sparse. The Δ1/Δ2 simulation (simulateBranch) and
-// the (k,k')-core bound (simPeelBound) run on these ANDs and popcounts
-// on every component. A row never has more entries than its list has
-// elements, so the rows take at most four times the bytes of the lists.
+// vertices, plus dense masks of M, C, E and M∪C, ⌈n/64⌉ words each,
+// that transition keeps current. A row is stored as its nonzero words
+// with their word indexes, the container idea of Roaring bitmaps, so
+// ANDing it with a dense mask visits only those words: no more word
+// operations than a walk of the vertex's list, whether the component is
+// narrow and dense or wide and sparse. The state's per-vertex counters
+// are such ANDs and popcounts (state.go), and so are the Δ1/Δ2
+// simulation (simulateBranch), the (k,k')-core bound (simPeelBound) and
+// the connectivity search (reach), on every component. A row never has
+// more entries than its list has elements, so the rows take at most
+// four times the bytes of the lists.
 //
 // A row's entries ascend by word index and its bits ascend within a
 // word, so a walk over a row visits the members of the sorted list in
@@ -53,14 +55,15 @@ func (s *state) buildRows() {
 		buf = appendRow(buf, s.p.dissim[v])
 		s.rows[n+v] = buf[start:len(buf):len(buf)]
 	}
-	s.maskBuf = resize(s.maskBuf, 7*w)
+	s.maskBuf = resize(s.maskBuf, 11*w)
 	dense := s.maskBuf
 	take := func() []uint64 {
 		b := dense[:w:w]
 		dense = dense[w:]
 		return b
 	}
-	s.maskC, s.maskMC = take(), take()
+	s.maskM, s.maskC, s.maskE, s.maskMC = take(), take(), take(), take()
+	s.reached, s.pending = take(), take()
 	s.simRem, s.simFront, s.simNext, s.simNbr = take(), take(), take(), take()
 	s.peelH = take()
 }
@@ -84,17 +87,22 @@ func (s *state) adjOf(v int32) []rowEntry { return s.rows[v] }
 
 func (s *state) disOf(v int32) []rowEntry { return s.rows[s.p.n+int(v)] }
 
-// maskStatus sets v's bits of the C and M∪C masks from its status.
+// maskStatus sets v's bits of the status masks from its status.
 func (s *state) maskStatus(v int32) {
 	i, b := v>>6, uint64(1)<<(v&63)
+	s.maskM[i] &^= b
 	s.maskC[i] &^= b
+	s.maskE[i] &^= b
 	s.maskMC[i] &^= b
 	switch s.status[v] {
+	case statusM:
+		s.maskM[i] |= b
+		s.maskMC[i] |= b
 	case statusC:
 		s.maskC[i] |= b
 		s.maskMC[i] |= b
-	case statusM:
-		s.maskMC[i] |= b
+	case statusE:
+		s.maskE[i] |= b
 	}
 }
 
@@ -111,6 +119,13 @@ func andCount(row []rowEntry, mask []uint64) int32 {
 	return int32(c)
 }
 
+// orRow ORs row into the dense bitset dst.
+func orRow(dst []uint64, row []rowEntry) {
+	for _, e := range row {
+		dst[e.i] |= e.w
+	}
+}
+
 // nextBit returns the least member of row at or after v, -1 when none.
 func nextBit(row []uint64, v int32) int32 {
 	i := int(v >> 6)
@@ -125,4 +140,15 @@ func nextBit(row []uint64, v int32) int32 {
 		x = row[i]
 	}
 	return int32(i<<6 | bits.TrailingZeros64(x))
+}
+
+// appendBits appends the members of the dense bitset row to dst in
+// ascending order.
+func appendBits(dst []int32, row []uint64) []int32 {
+	for i, x := range row {
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, int32(i<<6|bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
 }

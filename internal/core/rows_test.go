@@ -11,14 +11,16 @@ import (
 )
 
 // TestRowKernelsMatchLists walks search trees the way
-// TestStateInvariantsDuringSearch does and, at every node, runs the row
-// kernels beside their list-walking oracles (listKernels): the Δ
-// simulation of both branches of every candidate, and the (k,k')-core
-// peel with and without its cascade. Once per component it also checks
-// the rows themselves against the lists. The random instances have
-// 10–700 vertices, so their rows span one to eleven words; the presets
-// add the components the serving paths search, and the large sparse
-// component of the benchmarks rows 30 words wide, few of them nonzero.
+// TestStateInvariantsDuringSearch does and, at every node, checks the
+// state against its list oracles (checkInvariants, checkFixpoint) and
+// runs the row kernels beside their list-walking oracles (listKernels):
+// the Δ simulation of both branches of every candidate, and the
+// (k,k')-core peel with and without its cascade. Once per component it
+// also checks the rows themselves against the lists. The random
+// instances have 10–700 vertices, so their rows span one to eleven
+// words; the presets add the components the serving paths search, and
+// the large sparse component of the benchmarks rows 30 words wide, few
+// of them nonzero.
 func TestRowKernelsMatchLists(t *testing.T) {
 	type component struct {
 		p     *problem
@@ -76,13 +78,16 @@ func TestRowKernelsMatchLists(t *testing.T) {
 		compareRows(t, i, st)
 		lists := newListKernels(c.p.n)
 		nodes := 0
-		var walk func(depth int)
-		walk = func(depth int) {
-			if depth > 5 || nodes >= c.nodes || !st.prune(true) {
+		var walk func(depth, m int)
+		walk = func(depth, m int) {
+			if depth > 5 || nodes >= c.nodes || !st.prune(true, m) {
 				return
 			}
 			nodes++
 			if err := st.checkInvariants(); err != nil {
+				t.Fatalf("component %d after prune: %v", i, err)
+			}
+			if err := st.checkFixpoint(true); err != nil {
 				t.Fatalf("component %d after prune: %v", i, err)
 			}
 			compareKernels(t, i, st, lists)
@@ -90,19 +95,18 @@ func TestRowKernelsMatchLists(t *testing.T) {
 			if !ok {
 				return
 			}
-			m := st.mark()
-			st.expand(ch.v)
-			walk(depth + 1)
-			st.rewind(m)
 			m = st.mark()
+			st.expand(ch.v)
+			walk(depth+1, m)
+			st.rewind(m)
 			st.discard(ch.v)
-			walk(depth + 1)
+			walk(depth+1, m)
 			st.rewind(m)
 			if err := st.checkInvariants(); err != nil {
 				t.Fatalf("component %d after rewind: %v", i, err)
 			}
 		}
-		walk(0)
+		walk(0, 0)
 		st.release()
 	}
 }
@@ -136,6 +140,8 @@ func compareRows(t *testing.T, comp int, st *state) {
 // oracles at the current node.
 func compareKernels(t *testing.T, comp int, st *state, lists *listKernels) {
 	t.Helper()
+	st.countCandidates()
+	lists.count(st)
 	for v := int32(0); v < int32(st.p.n); v++ {
 		if !st.eligible(v, false) { // every candidate, a superset of the eligible ones
 			continue
@@ -158,15 +164,18 @@ func compareKernels(t *testing.T, comp int, st *state, lists *listKernels) {
 // with scratch of its own.
 type listKernels struct {
 	epoch               int32
+	degMC, dpC          []int32 // by list walks at the node (count)
 	mark, deg, degEpoch []int32
 	removed             []int32
 	inH                 []bool
-	h, sdeg, queue      []int32
+	sdeg, queue         []int32
 	bins                binQueue
 }
 
 func newListKernels(n int) *listKernels {
 	return &listKernels{
+		degMC:    make([]int32, n),
+		dpC:      make([]int32, n),
 		mark:     make([]int32, n),
 		deg:      make([]int32, n),
 		degEpoch: make([]int32, n),
@@ -178,6 +187,15 @@ func newListKernels(n int) *listKernels {
 			vert: make([]int32, n),
 			bin:  make([]int32, n+1),
 		},
+	}
+}
+
+// count fills degMC and dpC by walking every vertex's lists at the
+// current node of s, as countCandidates does on the rows.
+func (l *listKernels) count(s *state) {
+	for v := range l.degMC {
+		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		l.degMC[v], l.dpC[v] = a[statusM]+a[statusC], d[statusC]
 	}
 }
 
@@ -198,7 +216,7 @@ func (l *listKernels) simulate(s *state, v int32, expandBranch bool) branchSim {
 	tentDeg := func(u int32) int32 {
 		if l.degEpoch[u] != ep {
 			l.degEpoch[u] = ep
-			l.deg[u] = s.degM[u] + s.degC[u]
+			l.deg[u] = l.degMC[u]
 		}
 		return l.deg[u]
 	}
@@ -231,16 +249,15 @@ func (l *listKernels) simulate(s *state, v int32, expandBranch bool) branchSim {
 	l.removed = removed[:0]
 	var pairLoss, edgeLoss int64
 	for _, r := range removed {
-		pairLoss += int64(s.dpC[r])
-		edgeLoss += int64(s.degM[r] + s.degC[r])
+		pairLoss += int64(l.dpC[r])
+		edgeLoss += int64(l.degMC[r])
 	}
 	return s.deltas(pairLoss, edgeLoss)
 }
 
 // peel is simPeelBound on the lists.
 func (l *listKernels) peel(s *state, structural bool) int {
-	h := s.members(l.h[:0], statusM, statusC)
-	l.h = h
+	h := listMembers(s, statusM, statusC)
 	n := len(h)
 	if n == 0 {
 		return 0
@@ -259,7 +276,7 @@ func (l *listKernels) peel(s *state, structural bool) int {
 			}
 		}
 		q.key[v] = int32(n) - 1 - dIn
-		sdeg[v] = s.degM[v] + s.degC[v]
+		sdeg[v] = l.degMC[v]
 	}
 	q.sort(h)
 	removedTotal := int32(0)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -16,29 +16,29 @@ const (
 	statusE
 )
 
+// inMC reports whether status st lies in M∪C.
+func inMC(st byte) bool { return st == statusM || st == statusC }
+
 // change records one status transition for the undo trail.
 type change struct {
 	v        int32
 	from, to byte
 }
 
-// state is the mutable search state over one problem. All counter
-// mutations happen through apply, which records an undo entry; rewind
-// restores any earlier trail mark exactly.
+// state is the mutable search state over one problem. Every status
+// change goes through apply, which records an undo entry; rewind
+// restores any earlier trail mark exactly. Besides status and the trail
+// the state keeps a dense mask per status set (rows.go) and a few
+// scalars: Section 5.1's per-vertex counters — a vertex's neighbours in
+// M∪C and in M, its dissimilar partners in M, C and E — are each one
+// AND-popcount of the vertex's row against a mask (degMC, degM, dpM,
+// dpC, dpE).
 type state struct {
 	p      *problem
 	status []byte
 
-	// Incremental counters, maintained for every vertex regardless of
-	// status (Section 5.1's invariants are expressed through them):
-	degM []int32 // structural neighbours in M
-	degC []int32 // structural neighbours in C
-	dpM  []int32 // dissimilar partners in M
-	dpC  []int32 // dissimilar partners in C
-	dpE  []int32 // dissimilar partners in E
-
 	cntM, cntC, cntE int
-	sumDpC           int64 // Σ_{u∈C} dpC[u] = 2 × DP(C)
+	sumDpC           int64 // Σ_{u∈C} dpC(u) = 2 × DP(C)
 	edgesMC          int64 // |E(M∪C)|
 
 	trail []change
@@ -51,14 +51,19 @@ type state struct {
 	words                             int
 	rows                              [][]rowEntry
 	entries                           []rowEntry
-	maskC, maskMC                     []uint64
-	simRem, simFront, simNext, simNbr []uint64 // simulateBranch
-	peelH                             []uint64 // simPeelBound
+	maskM, maskC, maskE, maskMC       []uint64
+	reached                           []uint64 // reach's result
+	pending                           []uint64 // prune's retention seeds
+	simRem, simFront, simNext, simNbr []uint64 // simulateBranch; reach borrows front and next
+	peelH                             []uint64 // simPeelBound; leafCores and earlyTerminate borrow it
 	maskBuf                           []uint64
+
+	// counts is countCandidates' table: every candidate's deg(·, M∪C)
+	// and dpC at the node chooseByDelta runs at.
+	counts []candCount
 
 	// Scratch space reused across nodes.
 	queue   []int32
-	visited []bool
 	scratch []int32
 	// A leaf's candidate cores (leafCores), back to back: core i is
 	// leaf[leafEnd[i-1]:leafEnd[i]]. checkMaximal leaves both alone.
@@ -95,20 +100,15 @@ func newState(p *problem, bud *budget) *state {
 		p:        p,
 		bud:      bud,
 		status:   resize(s.status, n),
-		degM:     resize(s.degM, n),
-		degC:     resize(s.degC, n),
-		dpM:      resize(s.dpM, n),
-		dpC:      resize(s.dpC, n),
-		dpE:      resize(s.dpE, n),
 		trail:    s.trail[:0],
 		queue:    s.queue[:0],
-		visited:  resize(s.visited, n),
 		scratch:  s.scratch[:0],
 		leaf:     s.leaf[:0],
 		leafEnd:  s.leafEnd[:0],
 		rows:     s.rows,
 		entries:  s.entries,
 		maskBuf:  s.maskBuf,
+		counts:   resize(s.counts, n),
 		rngState: 0x9E3779B97F4A7C15,
 		inW:      resize(s.inW, n),
 		degW:     resize(s.degW, n),
@@ -126,9 +126,8 @@ func newState(p *problem, bud *budget) *state {
 	}
 	s.buildRows()
 	for v := 0; v < n; v++ {
-		s.apply(int32(v), statusC)
+		s.transition(int32(v), statusC) // the initial population is not undoable
 	}
-	s.trail = s.trail[:0] // initial population is not undoable
 	return s
 }
 
@@ -148,6 +147,18 @@ func resize[T any](buf []T, n int) []T {
 	clear(buf)
 	return buf
 }
+
+// degMC and degM return v's neighbours in M∪C and in M; dpM, dpC and
+// dpE its dissimilar partners in M, C and E.
+func (s *state) degMC(v int32) int32 { return andCount(s.adjOf(v), s.maskMC) }
+
+func (s *state) degM(v int32) int32 { return andCount(s.adjOf(v), s.maskM) }
+
+func (s *state) dpM(v int32) int32 { return andCount(s.disOf(v), s.maskM) }
+
+func (s *state) dpC(v int32) int32 { return andCount(s.disOf(v), s.maskC) }
+
+func (s *state) dpE(v int32) int32 { return andCount(s.disOf(v), s.maskE) }
 
 // mark returns the current trail position.
 func (s *state) mark() int { return len(s.trail) }
@@ -171,83 +182,49 @@ func (s *state) apply(v int32, to byte) {
 	s.transition(v, to)
 }
 
-// transition performs the status change and counter updates without
-// touching the trail.
+// transition moves v to status to without touching the trail. It
+// flips v's mask bits and updates the set sizes and the two sums: v
+// brings or takes deg(v, M∪C) edges into or out of M∪C and 2 dpC(v) to
+// or from sumDpC, each one AND-popcount of a row (v is neither its own
+// neighbour nor its own partner, so its bits do not matter).
 func (s *state) transition(v int32, to byte) {
-	s.detach(v)
+	from := s.status[v]
+	if inMC(from) != inMC(to) {
+		if d := int64(s.degMC(v)); inMC(to) {
+			s.edgesMC += d
+		} else {
+			s.edgesMC -= d
+		}
+	}
+	if (from == statusC) != (to == statusC) {
+		if d := 2 * int64(s.dpC(v)); to == statusC {
+			s.sumDpC += d
+		} else {
+			s.sumDpC -= d
+		}
+	}
+	s.addSize(from, -1)
+	s.addSize(to, 1)
 	s.status[v] = to
-	s.attach(v)
 	s.maskStatus(v)
 }
 
-func (s *state) detach(v int32) {
-	switch s.status[v] {
+// addSize adds d to the size of status st's set.
+func (s *state) addSize(st byte, d int) {
+	switch st {
 	case statusM:
-		s.cntM--
-		s.edgesMC -= int64(s.degM[v] + s.degC[v])
-		for _, nb := range s.p.adj[v] {
-			s.degM[nb]--
-		}
-		for _, d := range s.p.dissim[v] {
-			s.dpM[d]--
-		}
+		s.cntM += d
 	case statusC:
-		s.cntC--
-		s.edgesMC -= int64(s.degM[v] + s.degC[v])
-		s.sumDpC -= int64(s.dpC[v])
-		for _, nb := range s.p.adj[v] {
-			s.degC[nb]--
-		}
-		for _, d := range s.p.dissim[v] {
-			s.dpC[d]--
-			if s.status[d] == statusC {
-				s.sumDpC--
-			}
-		}
+		s.cntC += d
 	case statusE:
-		s.cntE--
-		for _, d := range s.p.dissim[v] {
-			s.dpE[d]--
-		}
-	}
-}
-
-func (s *state) attach(v int32) {
-	switch s.status[v] {
-	case statusM:
-		s.cntM++
-		s.edgesMC += int64(s.degM[v] + s.degC[v])
-		for _, nb := range s.p.adj[v] {
-			s.degM[nb]++
-		}
-		for _, d := range s.p.dissim[v] {
-			s.dpM[d]++
-		}
-	case statusC:
-		s.cntC++
-		s.edgesMC += int64(s.degM[v] + s.degC[v])
-		s.sumDpC += int64(s.dpC[v])
-		for _, nb := range s.p.adj[v] {
-			s.degC[nb]++
-		}
-		for _, d := range s.p.dissim[v] {
-			s.dpC[d]++
-			if s.status[d] == statusC {
-				s.sumDpC++
-			}
-		}
-	case statusE:
-		s.cntE++
-		for _, d := range s.p.dissim[v] {
-			s.dpE[d]++
-		}
+		s.cntE += d
 	}
 }
 
 // discard removes a candidate: to E when it is similar to all of M
 // (relevant excluded vertex), otherwise Out.
 func (s *state) discard(v int32) {
-	if s.dpM[v] == 0 {
+	if s.dpM(v) == 0 {
 		s.apply(v, statusE)
 	} else {
 		s.apply(v, statusOut)
@@ -259,274 +236,179 @@ func (s *state) discard(v int32) {
 // leave the search. Structural consequences are handled by prune.
 func (s *state) expand(u int32) {
 	s.apply(u, statusM)
-	// Collect first: apply mutates dpM which the discard destination
-	// reads, but iterating p.dissim[u] is safe (static problem data).
 	for _, d := range s.p.dissim[u] {
-		switch s.status[d] {
-		case statusC:
-			// dpM[d] > 0 now, so discard sends it Out.
-			s.apply(d, statusOut)
-		case statusE:
+		if st := s.status[d]; st == statusC || st == statusE {
 			s.apply(d, statusOut)
 		}
 	}
 }
 
-// prune restores the similarity and degree invariants (Equations 1 and
-// 2) plus the trivial connectivity rule: it repeatedly
+// prune restores the degree invariant (Equation 1), Remark 1's
+// retention and the connectivity rule after the transitions made since
+// trail mark m, which must be a mark where they held. They hold at the
+// root, where M is empty and the component is a k-core (DecodePrepared
+// checks that of a loaded one). It works the trail from m as its queue,
+// each transition seeding the vertices whose counters it changed:
 //
-//  1. discards candidates with dpM > 0 (Theorem 3),
-//  2. peels candidates with deg(v, M∪C) < k (Theorem 2),
-//  3. when retention is on, promotes similarity-free candidates already
-//     having k chosen neighbours straight into M (Remark 1), and
-//  4. discards candidates disconnected from M in M∪C.
+//   - a vertex leaving M∪C lowers its neighbours' deg(·, M∪C): a
+//     candidate falling below k is discarded at once (Theorem 2);
+//   - with retention on, a vertex leaving C may leave a dissimilar
+//     partner similarity-free, and a vertex entering M may give a
+//     neighbour its k-th neighbour in M. These seeds gather in the
+//     pending mask, and once the queue is empty each pending candidate
+//     that is similarity-free with k neighbours in M moves straight to
+//     M (Remark 1), its transitions joining the queue.
 //
-// It returns false when the branch is dead: a vertex of M lost the
-// structure constraint or M became disconnected inside M∪C.
-func (s *state) prune(retention bool) bool {
+// expand already sends every vertex dissimilar to M out of C and E
+// (Theorem 3, Equation 2), so every discard here lands in E. Once the
+// queue and the pending mask are empty and M is not, candidates that M
+// cannot reach inside M∪C are discarded, which seeds the queue again.
+// The rules only remove candidates or promote them, and a promoted
+// vertex is never removed, so the fixpoint does not depend on the order
+// they fire in.
+//
+// It returns false when the branch is dead: a vertex of M fell below k
+// neighbours in M∪C, or M spans several components of M∪C.
+func (s *state) prune(retention bool, m int) bool {
+	clear(s.pending)
 	for {
-		changed := false
-		// (1) + (2): similarity kick and structural peeling in one pass
-		// using a worklist seeded with all current candidates.
-		q := s.queue[:0]
-		for v := int32(0); v < int32(s.p.n); v++ {
-			if s.status[v] == statusC && (s.dpM[v] > 0 || s.degM[v]+s.degC[v] < int32(s.p.k)) {
-				q = append(q, v)
-			}
-			if s.status[v] == statusM && s.degM[v]+s.degC[v] < int32(s.p.k) {
-				s.queue = q
+		for ; m < len(s.trail); m++ {
+			if !s.propagate(s.trail[m], retention) {
 				return false
 			}
-			if s.status[v] == statusE && s.dpM[v] > 0 {
-				s.apply(v, statusOut)
-			}
 		}
-		for len(q) > 0 {
-			v := q[len(q)-1]
-			q = q[:len(q)-1]
-			if s.status[v] != statusC {
-				continue
-			}
-			if s.dpM[v] == 0 && s.degM[v]+s.degC[v] >= int32(s.p.k) {
-				continue // repaired by an earlier pop? cannot happen, but safe
-			}
-			changed = true
-			s.discard(v)
-			for _, nb := range s.p.adj[v] {
-				switch s.status[nb] {
-				case statusC:
-					if s.degM[nb]+s.degC[nb] < int32(s.p.k) {
-						q = append(q, nb)
-					}
-				case statusM:
-					if s.degM[nb]+s.degC[nb] < int32(s.p.k) {
-						s.queue = q
-						return false
-					}
-				}
-			}
+		if retention && s.promotePending() {
+			continue
 		}
-		s.queue = q
-
-		// (3) Remark 1: similarity-free candidates adjacent to >= k
-		// chosen vertices can move straight to M.
-		if retention {
-			for v := int32(0); v < int32(s.p.n); v++ {
-				if s.status[v] == statusC && s.dpC[v] == 0 && s.dpM[v] == 0 &&
-					s.degM[v] >= int32(s.p.k) {
-					s.expand(v)
-					changed = true
-				}
-			}
+		if s.cntM == 0 {
+			return true
 		}
-
-		// (4) Connectivity: candidates unreachable from M inside M∪C
-		// cannot join a connected core containing M.
-		if s.cntM > 0 {
-			if !s.pruneDisconnected() {
-				return false
-			}
-			// pruneDisconnected only discards C vertices; their removal
-			// may break degrees, handled by the next sweep.
-			for v := int32(0); v < int32(s.p.n); v++ {
-				if s.status[v] == statusC && s.degM[v]+s.degC[v] < int32(s.p.k) {
-					changed = true
-				}
-				if s.status[v] == statusM && s.degM[v]+s.degC[v] < int32(s.p.k) {
-					return false
-				}
-			}
+		if !s.pruneDisconnected() {
+			return false
 		}
-		if !changed {
+		if m == len(s.trail) {
 			return true
 		}
 	}
 }
 
-// pruneDisconnected discards candidates outside the M-component of M∪C.
-// Returns false when the vertices of M span multiple components.
-func (s *state) pruneDisconnected() bool {
-	var start int32 = -1
-	for v := int32(0); v < int32(s.p.n); v++ {
-		s.visited[v] = false
-		if start < 0 && s.status[v] == statusM {
-			start = v
-		}
-	}
-	if start < 0 {
-		return true
-	}
-	q := s.queue[:0]
-	q = append(q, start)
-	s.visited[start] = true
-	seenM := 1
-	for len(q) > 0 {
-		u := q[len(q)-1]
-		q = q[:len(q)-1]
-		for _, nb := range s.p.adj[u] {
-			st := s.status[nb]
-			if (st == statusM || st == statusC) && !s.visited[nb] {
-				s.visited[nb] = true
-				if st == statusM {
-					seenM++
+// propagate discards the neighbours one transition leaves below k
+// neighbours in M∪C and, with retention on, adds the candidates it may
+// make promotable to the pending mask. It returns false when a vertex
+// of M falls below k neighbours in M∪C.
+func (s *state) propagate(c change, retention bool) bool {
+	k := int32(s.p.k)
+	if inMC(c.from) && !inMC(c.to) {
+		for _, e := range s.adjOf(c.v) {
+			for x := e.w & s.maskMC[e.i]; x != 0; x &= x - 1 {
+				nb := e.i<<6 | int32(bits.TrailingZeros64(x))
+				if s.degMC(nb) >= k {
+					continue
 				}
-				q = append(q, nb)
+				if s.status[nb] == statusM {
+					return false
+				}
+				s.apply(nb, statusE)
 			}
 		}
 	}
-	s.queue = q[:0]
-	if seenM < s.cntM {
-		return false
+	if !retention {
+		return true
 	}
-	for v := int32(0); v < int32(s.p.n); v++ {
-		if s.status[v] == statusC && !s.visited[v] {
-			s.discard(v)
+	if c.from == statusC {
+		orRow(s.pending, s.disOf(c.v))
+	}
+	if c.to == statusM {
+		orRow(s.pending, s.adjOf(c.v))
+	}
+	return true
+}
+
+// promotePending moves the pending candidates that are similarity-free
+// and have k neighbours in M into M (Remark 1), and empties the pending
+// set. It reports whether it moved any.
+func (s *state) promotePending() bool {
+	k := int32(s.p.k)
+	moved := false
+	for i, x := range s.pending {
+		s.pending[i] = 0
+		for x &= s.maskC[i]; x != 0; x &= x - 1 {
+			v := int32(i<<6 | bits.TrailingZeros64(x))
+			// An earlier promotion's expand may have moved v.
+			if s.status[v] == statusC && s.degM(v) >= k && s.dpC(v) == 0 {
+				s.expand(v)
+				moved = true
+			}
+		}
+	}
+	return moved
+}
+
+// pruneDisconnected discards the candidates that M cannot reach inside
+// M∪C. It returns false when M spans several components of M∪C.
+func (s *state) pruneDisconnected() bool {
+	reached := s.reached
+	clear(reached)
+	setBit(reached, nextBit(s.maskM, 0))
+	s.reach(reached, s.maskMC)
+	for i, x := range s.maskM {
+		if x&^reached[i] != 0 {
+			return false
+		}
+	}
+	for i, x := range s.maskC {
+		for x &^= reached[i]; x != 0; x &= x - 1 {
+			s.apply(int32(i<<6|bits.TrailingZeros64(x)), statusE)
 		}
 	}
 	return true
 }
 
-// members collects the local ids currently holding any of the given
-// statuses, in ascending order, into dst.
-func (s *state) members(dst []int32, statuses ...byte) []int32 {
-	dst = dst[:0]
-	for v := int32(0); v < int32(s.p.n); v++ {
-		st := s.status[v]
-		for _, want := range statuses {
-			if st == want {
-				dst = append(dst, v)
-				break
-			}
-		}
-	}
-	return dst
-}
-
-// leafCores lists a leaf's candidate cores in leaf and leafEnd: M∪C
-// when M is non-empty, otherwise each connected component of C.
-func (s *state) leafCores() {
-	if s.cntM > 0 {
-		s.leaf = s.members(s.leaf[:0], statusM, statusC)
-		s.leafEnd = append(s.leafEnd[:0], int32(len(s.leaf)))
-		return
-	}
-	s.mcComponents()
-}
-
-// mcComponents lists the connected components of M∪C in leaf and
-// leafEnd, each in the order a depth-first walk from its least vertex
-// reaches it.
-func (s *state) mcComponents() {
-	leaf, ends := s.leaf[:0], s.leafEnd[:0]
-	clear(s.visited)
-	for v := int32(0); v < int32(s.p.n); v++ {
-		st := s.status[v]
-		if (st != statusM && st != statusC) || s.visited[v] {
-			continue
-		}
-		leaf = append(leaf, v)
-		s.visited[v] = true
-		q := s.queue[:0]
-		q = append(q, v)
-		for len(q) > 0 {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, nb := range s.p.adj[u] {
-				nst := s.status[nb]
-				if (nst == statusM || nst == statusC) && !s.visited[nb] {
-					s.visited[nb] = true
-					leaf = append(leaf, nb)
-					q = append(q, nb)
+// reach grows seen, a set inside allowed, to every vertex of allowed
+// that a path inside allowed joins to it. It runs breadth-first, a
+// level at a time: the next level is its frontier's adjacency rows ∧
+// allowed ∧ ¬seen, word by word, on simFront and simNext.
+func (s *state) reach(seen, allowed []uint64) {
+	front, next := s.simFront, s.simNext
+	copy(front, seen)
+	clear(next)
+	for grew := true; grew; front, next = next, front {
+		grew = false
+		for i, x := range front {
+			front[i] = 0
+			for ; x != 0; x &= x - 1 {
+				for _, e := range s.adjOf(int32(i<<6 | bits.TrailingZeros64(x))) {
+					if y := e.w & allowed[e.i] &^ seen[e.i]; y != 0 {
+						seen[e.i] |= y
+						next[e.i] |= y
+						grew = true
+					}
 				}
 			}
 		}
-		s.queue = q[:0]
-		ends = append(ends, int32(len(leaf)))
 	}
-	s.leaf, s.leafEnd = leaf, ends
 }
 
-// checkInvariants verifies the similarity and degree invariants
-// (Equations 1 and 2), counter consistency and the C and M∪C masks;
-// used by tests only.
-func (s *state) checkInvariants() error {
-	cntM, cntC, cntE := 0, 0, 0
-	var sum int64
-	var edges int64
-	for v := int32(0); v < int32(s.p.n); v++ {
-		var dm, dc, pm, pc, pe int32
-		for _, nb := range s.p.adj[v] {
-			switch s.status[nb] {
-			case statusM:
-				dm++
-			case statusC:
-				dc++
-			}
-		}
-		for _, d := range s.p.dissim[v] {
-			switch s.status[d] {
-			case statusM:
-				pm++
-			case statusC:
-				pc++
-			case statusE:
-				pe++
-			}
-		}
-		if dm != s.degM[v] || dc != s.degC[v] || pm != s.dpM[v] || pc != s.dpC[v] || pe != s.dpE[v] {
-			return fmt.Errorf("counters of v=%d: got degM=%d degC=%d dpM=%d dpC=%d dpE=%d, want %d %d %d %d %d",
-				v, s.degM[v], s.degC[v], s.dpM[v], s.dpC[v], s.dpE[v], dm, dc, pm, pc, pe)
-		}
-		st := s.status[v]
-		if hasBit(s.maskC, v) != (st == statusC) || hasBit(s.maskMC, v) != (st == statusC || st == statusM) {
-			return fmt.Errorf("masks of v=%d with status %d: C %t, M∪C %t", v, st, hasBit(s.maskC, v), hasBit(s.maskMC, v))
-		}
-		switch st {
-		case statusM:
-			cntM++
-			if pm != 0 || pc != 0 {
-				return fmt.Errorf("similarity invariant violated at M vertex %d", v)
-			}
-			edges += int64(dm + dc)
-		case statusC:
-			cntC++
-			sum += int64(pc)
-			edges += int64(dm + dc)
-		case statusE:
-			cntE++
-			if pm != 0 {
-				return fmt.Errorf("E vertex %d dissimilar to M", v)
-			}
+// leafCores lists a leaf's candidate cores in leaf and leafEnd, each in
+// ascending order: M∪C when M is non-empty, otherwise each connected
+// component of C, by ascending least vertex.
+func (s *state) leafCores() {
+	s.leaf, s.leafEnd = s.leaf[:0], s.leafEnd[:0]
+	if s.cntM > 0 {
+		s.leaf = appendBits(s.leaf, s.maskMC)
+		s.leafEnd = append(s.leafEnd, int32(len(s.leaf)))
+		return
+	}
+	left := s.peelH
+	copy(left, s.maskMC)
+	for v := nextBit(left, 0); v >= 0; v = nextBit(left, v+1) {
+		clear(s.reached)
+		setBit(s.reached, v)
+		s.reach(s.reached, left)
+		s.leaf = appendBits(s.leaf, s.reached)
+		s.leafEnd = append(s.leafEnd, int32(len(s.leaf)))
+		for i, x := range s.reached {
+			left[i] &^= x
 		}
 	}
-	if cntM != s.cntM || cntC != s.cntC || cntE != s.cntE {
-		return fmt.Errorf("set sizes: got %d/%d/%d, want %d/%d/%d", s.cntM, s.cntC, s.cntE, cntM, cntC, cntE)
-	}
-	if sum != s.sumDpC {
-		return fmt.Errorf("sumDpC: got %d, want %d", s.sumDpC, sum)
-	}
-	if edges != 2*s.edgesMC {
-		return fmt.Errorf("edgesMC: got %d, want %d", s.edgesMC, edges/2)
-	}
-	return nil
 }
