@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"krcore/internal/attr"
 	"krcore/internal/graph"
 	"krcore/internal/similarity"
 )
@@ -392,10 +393,10 @@ func (d *DynamicEngine) commit(batch []Update) (int, error) {
 	return req.newN, <-req.done
 }
 
-// applyToDelta validates one batch against the staged delta, recording
-// attribute updates aside. On error the delta is dirty: the round must
-// restart from a fresh one.
-func applyToDelta(delta *graph.Delta, batch []Update, attrUps *[]Update) error {
+// applyToDelta validates one batch against the staged delta and the
+// attribute store, recording attribute updates aside. On error the
+// delta is dirty: the round must restart from a fresh one.
+func applyToDelta(delta *graph.Delta, attrs DynamicAttributes, batch []Update, attrUps *[]Update) error {
 	for i, up := range batch {
 		var err error
 		switch up.Op {
@@ -408,7 +409,7 @@ func applyToDelta(delta *graph.Delta, batch []Update, attrUps *[]Update) error {
 		case OpSetAttributes:
 			if up.U < 0 || int(up.U) >= delta.N() {
 				err = fmt.Errorf("krcore: vertex %d out of range [0,%d)", up.U, delta.N())
-			} else {
+			} else if err = checkAttributes(attrs, up.Attrs); err == nil {
 				*attrUps = append(*attrUps, up)
 			}
 		default:
@@ -416,6 +417,20 @@ func applyToDelta(delta *graph.Delta, batch []Update, attrUps *[]Update) error {
 		}
 		if err != nil {
 			return &BatchError{Index: i, Op: up.Op, Err: err}
+		}
+	}
+	return nil
+}
+
+// checkAttributes rejects attributes the store would refuse: a weighted
+// keyword store holds only finite, non-negative weights (see
+// WeightedKeywordAttributes.Set), which the metrics and the snapshot
+// decoder rely on. The store is recognised by its metric, so an
+// adapter that delegates to a weighted store is checked too.
+func checkAttributes(attrs DynamicAttributes, a VertexAttributes) error {
+	if _, ok := attrs.Metric().(similarity.WeightedJaccard); ok {
+		if err := attr.CheckWeights(weightedEntries(a.Keys, a.Weights)); err != nil {
+			return fmt.Errorf("krcore: %w", err)
 		}
 	}
 	return nil
@@ -441,7 +456,7 @@ restart:
 		if errs[gi] != nil {
 			continue
 		}
-		if err := applyToDelta(delta, req.batch, &attrUps); err != nil {
+		if err := applyToDelta(delta, cur.attrs, req.batch, &attrUps); err != nil {
 			errs[gi] = err
 			goto restart
 		}

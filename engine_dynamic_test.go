@@ -1,8 +1,10 @@
 package krcore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -1315,5 +1317,92 @@ func TestDynamicEngineGroupCommitAtomicity(t *testing.T) {
 	}
 	if rejected.Load() != writers/2*rounds {
 		t.Fatalf("rejected=%d, want %d", rejected.Load(), writers/2*rounds)
+	}
+}
+
+// TestDynamicEngineRejectsBadWeights checks that a weighted engine
+// refuses, as a *BatchError and before anything applies, an update
+// whose weights the store cannot hold: negative, NaN, infinite, or
+// overflowing once a repeated key's weights add up. A batch carrying
+// one such update is discarded whole. The checkpoint taken afterwards
+// loads and re-encodes byte-identically, and a valid zero weight still
+// commits. The engine is checked over the store itself and over an
+// adapter that delegates to it, which the engine knows by its metric
+// alone.
+func TestDynamicEngineRejectsBadWeights(t *testing.T) {
+	for _, adapt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("adapter=%v", adapt), func(t *testing.T) {
+			checkRejectsBadWeights(t, adapt)
+		})
+	}
+}
+
+// delegatingAttrs is a caller's adapter that forwards every call to the
+// store it wraps.
+type delegatingAttrs struct{ DynamicAttributes }
+
+func (a delegatingAttrs) Clone() DynamicAttributes {
+	return delegatingAttrs{a.DynamicAttributes.Clone()}
+}
+
+func checkRejectsBadWeights(t *testing.T, adapt bool) {
+	b := NewGraphBuilder(4)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}} {
+		b.AddEdge(e[0], e[1])
+	}
+	ws := NewWeightedKeywordAttributes(4)
+	for u := int32(0); u < 4; u++ {
+		ws.Set(u, []int32{1, 2}, []float64{1, float64(u + 1)})
+	}
+	var attrs DynamicAttributes = ws
+	if adapt {
+		attrs = delegatingAttrs{ws}
+	}
+	d, err := NewDynamicEngine(b.Build(), attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Warm(2, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() []byte {
+		var buf bytes.Buffer
+		if err := d.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := snapshot()
+	inf := math.Inf(1)
+	for _, a := range []VertexAttributes{
+		{Keys: []int32{1}, Weights: []float64{-3}},
+		{Keys: []int32{1}, Weights: []float64{math.NaN()}},
+		{Keys: []int32{1, 2}, Weights: []float64{1, inf}},
+		{Keys: []int32{1, 1}, Weights: []float64{math.MaxFloat64, math.MaxFloat64}},
+	} {
+		batch := []Update{SetAttributesUpdate(1, VertexAttributes{Keys: []int32{7}}), SetAttributesUpdate(2, a)}
+		err := d.ApplyBatch(batch)
+		var be *BatchError
+		if !errors.As(err, &be) || be.Index != 1 || be.Op != OpSetAttributes {
+			t.Fatalf("weights %v: ApplyBatch = %v, want a *BatchError at update 1", a.Weights, err)
+		}
+	}
+	if !bytes.Equal(snapshot(), before) {
+		t.Fatal("a rejected batch changed the engine")
+	}
+	if err := d.SetAttributes(2, VertexAttributes{Keys: []int32{1}, Weights: []float64{0}}); err != nil {
+		t.Fatal(err)
+	}
+	raw := snapshot()
+	loaded, err := LoadDynamicEngine(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("checkpoint does not load: %v", err)
+	}
+	var re bytes.Buffer
+	if err := loaded.SaveSnapshot(&re); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(re.Bytes(), raw) {
+		t.Fatal("a loaded checkpoint re-encodes differently")
 	}
 }

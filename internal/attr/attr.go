@@ -9,10 +9,18 @@
 // The keyword stores are flat CSR structures: one backing slice of
 // keys (plus a parallel weight slice for Weighted) with per-vertex
 // offset/length headers, so bulk similarity scans walk contiguous
-// memory instead of chasing one heap slice per vertex.
+// memory instead of chasing one heap slice per vertex. Beside each key
+// they keep its dense id, the key's number in a store-level dictionary
+// of the distinct keys, so a pair test can index a flat row by key
+// instead of merging two sorted lists.
 package attr
 
-import "sort"
+import (
+	"fmt"
+	"maps"
+	"math"
+	"sort"
+)
 
 // Kind identifies the attribute type carried by a store.
 type Kind int
@@ -46,17 +54,45 @@ type span struct {
 	n   int32
 }
 
+// dict numbers the distinct keys of a store densely, from 0 in the
+// order they first appear. A key keeps its id while the store lives,
+// even when no vertex holds it any more.
+type dict map[int32]int32
+
+// id returns the dense id of key k, numbering k if it is new.
+func (d dict) id(k int32) int32 {
+	id, ok := d[k]
+	if !ok {
+		id = int32(len(d))
+		d[k] = id
+	}
+	return id
+}
+
+// denseIDs numbers the keys of a decoded store: one id per entry,
+// parallel to keys.
+func denseIDs(keys []int32) ([]int32, dict) {
+	d := dict{}
+	ids := make([]int32, len(keys))
+	for i, k := range keys {
+		ids[i] = d.id(k)
+	}
+	return ids, d
+}
+
 // Keywords stores a sorted, deduplicated keyword-id set per vertex in
 // CSR form: all keys live in one backing slice, addressed by per-vertex
-// spans.
+// spans, with each key's dense id in a parallel slice.
 type Keywords struct {
 	keys  []int32
+	ids   []int32
 	spans []span
+	dict  dict
 }
 
 // NewKeywords returns a Keywords store for n vertices with empty sets.
 func NewKeywords(n int) *Keywords {
-	return &Keywords{spans: make([]span, n)}
+	return &Keywords{spans: make([]span, n), dict: dict{}}
 }
 
 // SetVertex assigns the keyword set of vertex u; the slice is sorted and
@@ -75,13 +111,17 @@ func (s *Keywords) SetVertex(u int32, kws []int32) {
 	}
 	kws = kws[:w]
 	sp := s.spans[u]
-	if int(sp.n) >= w {
-		copy(s.keys[sp.off:], kws)
-		s.spans[u].n = int32(w)
-		return
+	if int(sp.n) < w {
+		sp.off = int32(len(s.keys))
+		s.keys = append(s.keys, make([]int32, w)...)
+		s.ids = append(s.ids, make([]int32, w)...)
 	}
-	s.spans[u] = span{off: int32(len(s.keys)), n: int32(w)}
-	s.keys = append(s.keys, kws...)
+	sp.n = int32(w)
+	for i, k := range kws {
+		s.keys[int(sp.off)+i] = k
+		s.ids[int(sp.off)+i] = s.dict.id(k)
+	}
+	s.spans[u] = sp
 }
 
 // Grow extends the store to n vertices with empty keyword sets (no-op
@@ -98,6 +138,16 @@ func (s *Keywords) Vertex(u int32) []int32 {
 	sp := s.spans[u]
 	return s.keys[sp.off : sp.off+sp.n : sp.off+sp.n]
 }
+
+// IDs returns the dense ids of u's keywords, parallel to Vertex (a
+// view; do not modify). Ids lie in [0, NumIDs()).
+func (s *Keywords) IDs(u int32) []int32 {
+	sp := s.spans[u]
+	return s.ids[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// NumIDs returns the number of dense ids the store has handed out.
+func (s *Keywords) NumIDs() int { return len(s.dict) }
 
 // Len returns the keyword count of u without materialising the view.
 func (s *Keywords) Len(u int32) int { return int(s.spans[u].n) }
@@ -139,23 +189,24 @@ type WeightedEntry struct {
 }
 
 // Weighted stores a sorted keyword->weight list per vertex in CSR form:
-// parallel key and weight backing slices addressed by per-vertex spans.
-// Weights must be non-negative.
+// parallel key, dense-id and weight backing slices addressed by
+// per-vertex spans. Every stored weight is finite and non-negative.
 type Weighted struct {
 	keys    []int32
+	ids     []int32
 	weights []float64
 	spans   []span
+	dict    dict
 }
 
 // NewWeighted returns a Weighted store for n vertices with empty lists.
 func NewWeighted(n int) *Weighted {
-	return &Weighted{spans: make([]span, n)}
+	return &Weighted{spans: make([]span, n), dict: dict{}}
 }
 
-// SetVertex assigns the weighted keyword list of u; entries are sorted by
-// key and duplicate keys have their weights summed. Re-assigning a
-// vertex reuses its slot when the new list fits.
-func (s *Weighted) SetVertex(u int32, entries []WeightedEntry) {
+// mergeEntries sorts entries by key in place and sums the weights of
+// duplicate keys, returning the merged prefix.
+func mergeEntries(entries []WeightedEntry) []WeightedEntry {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	w := 0
 	for i, e := range entries {
@@ -166,16 +217,55 @@ func (s *Weighted) SetVertex(u int32, entries []WeightedEntry) {
 		entries[w] = e
 		w++
 	}
-	entries = entries[:w]
+	return entries[:w]
+}
+
+// checkWeights returns an error naming the first entry whose weight is
+// negative or not finite.
+func checkWeights(entries []WeightedEntry) error {
+	for _, e := range entries {
+		if !(e.Weight >= 0 && e.Weight <= math.MaxFloat64) {
+			return fmt.Errorf("key %d has weight %g, want finite and non-negative", e.Key, e.Weight)
+		}
+	}
+	return nil
+}
+
+// CheckWeights reports whether a weighted list is fit to store: every
+// weight finite and non-negative, and still finite once SetVertex sums
+// the weights of duplicate keys. Inputs from outside the program (a
+// dataset file, an update) pass it before they reach SetVertex. It does
+// not modify entries.
+func CheckWeights(entries []WeightedEntry) error {
+	if err := checkWeights(entries); err != nil {
+		return err
+	}
+	return checkWeights(mergeEntries(append([]WeightedEntry(nil), entries...)))
+}
+
+// SetVertex assigns the weighted keyword list of u; entries are sorted by
+// key and duplicate keys have their weights summed. Re-assigning a
+// vertex reuses its slot when the new list fits. It panics when a
+// weight it would store, after duplicates merge, is negative or not
+// finite: the metrics assume none is, so a caller passing weights from
+// outside the program checks them first (see CheckWeights).
+func (s *Weighted) SetVertex(u int32, entries []WeightedEntry) {
+	entries = mergeEntries(entries)
+	if err := checkWeights(entries); err != nil {
+		panic(fmt.Sprintf("attr: Weighted.SetVertex: vertex %d: %v", u, err))
+	}
+	w := len(entries)
 	sp := s.spans[u]
 	if int(sp.n) < w {
-		sp = span{off: int32(len(s.keys)), n: int32(w)}
+		sp.off = int32(len(s.keys))
 		s.keys = append(s.keys, make([]int32, w)...)
+		s.ids = append(s.ids, make([]int32, w)...)
 		s.weights = append(s.weights, make([]float64, w)...)
 	}
 	sp.n = int32(w)
 	for i, e := range entries {
 		s.keys[int(sp.off)+i] = e.Key
+		s.ids[int(sp.off)+i] = s.dict.id(e.Key)
 		s.weights[int(sp.off)+i] = e.Weight
 	}
 	s.spans[u] = sp
@@ -213,6 +303,16 @@ func (s *Weighted) Weights(u int32) []float64 {
 	sp := s.spans[u]
 	return s.weights[sp.off : sp.off+sp.n : sp.off+sp.n]
 }
+
+// IDs returns the dense ids of u's keys, parallel to Keys (a view; do
+// not modify). Ids lie in [0, NumIDs()).
+func (s *Weighted) IDs(u int32) []int32 {
+	sp := s.spans[u]
+	return s.ids[sp.off : sp.off+sp.n : sp.off+sp.n]
+}
+
+// NumIDs returns the number of dense ids the store has handed out.
+func (s *Weighted) NumIDs() int { return len(s.dict) }
 
 // Len returns the entry count of u.
 func (s *Weighted) Len(u int32) int { return int(s.spans[u].n) }
@@ -306,7 +406,9 @@ func (s *Geo) Distance2(u, v int32) float64 {
 func (s *Keywords) Clone() *Keywords {
 	return &Keywords{
 		keys:  append([]int32(nil), s.keys...),
+		ids:   append([]int32(nil), s.ids...),
 		spans: append([]span(nil), s.spans...),
+		dict:  maps.Clone(s.dict),
 	}
 }
 
@@ -315,8 +417,10 @@ func (s *Keywords) Clone() *Keywords {
 func (s *Weighted) Clone() *Weighted {
 	return &Weighted{
 		keys:    append([]int32(nil), s.keys...),
+		ids:     append([]int32(nil), s.ids...),
 		weights: append([]float64(nil), s.weights...),
 		spans:   append([]span(nil), s.spans...),
+		dict:    maps.Clone(s.dict),
 	}
 }
 

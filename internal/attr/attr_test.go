@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"krcore/internal/binenc"
 )
 
 func TestKeywordsJaccard(t *testing.T) {
@@ -164,5 +166,131 @@ func TestGrow(t *testing.T) {
 	geo.Grow(3)
 	if geo.N() != 3 || geo.Vertex(2) != (Point{}) || geo.Vertex(0) != (Point{X: 5, Y: 6}) {
 		t.Fatalf("Geo.Grow: N=%d v0=%v v2=%v", geo.N(), geo.Vertex(0), geo.Vertex(2))
+	}
+}
+
+// checkDenseIDs verifies the dictionary invariant of a keyword store:
+// equal keys carry equal ids, distinct keys distinct ones, and every id
+// lies below NumIDs.
+func checkDenseIDs(t *testing.T, label string, n, numIDs int, keys, ids func(int32) []int32) {
+	t.Helper()
+	idOf := map[int32]int32{}
+	keyOf := map[int32]int32{}
+	for u := int32(0); u < int32(n); u++ {
+		ks, is := keys(u), ids(u)
+		if len(ks) != len(is) {
+			t.Fatalf("%s: vertex %d has %d keys and %d ids", label, u, len(ks), len(is))
+		}
+		for i, k := range ks {
+			id := is[i]
+			if id < 0 || int(id) >= numIDs {
+				t.Fatalf("%s: vertex %d key %d has id %d outside [0,%d)", label, u, k, id, numIDs)
+			}
+			if prev, ok := idOf[k]; ok && prev != id {
+				t.Fatalf("%s: key %d has ids %d and %d", label, k, prev, id)
+			}
+			if prev, ok := keyOf[id]; ok && prev != k {
+				t.Fatalf("%s: id %d names keys %d and %d", label, id, prev, k)
+			}
+			idOf[k], keyOf[id] = id, k
+		}
+	}
+}
+
+// TestDenseIDs checks the keyword stores' dense ids through random
+// re-assignments (slot reuse and fresh slots), a clone edited apart
+// from its original, and a decode, which numbers the keys afresh.
+func TestDenseIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	pool := []int32{0, 7, -3, math.MinInt32, math.MaxInt32, 1 << 30, 12}
+	n := 12
+	kw := NewKeywords(n)
+	ww := NewWeighted(n)
+	for round := 0; round < 60; round++ {
+		u := int32(rng.Intn(n))
+		var keys []int32
+		var entries []WeightedEntry
+		for i := 0; i < rng.Intn(6); i++ {
+			k := pool[rng.Intn(len(pool))]
+			keys = append(keys, k)
+			entries = append(entries, WeightedEntry{Key: k, Weight: float64(rng.Intn(3))})
+		}
+		kw.SetVertex(u, keys)
+		ww.SetVertex(u, entries)
+		checkDenseIDs(t, "keywords", n, kw.NumIDs(), kw.Vertex, kw.IDs)
+		checkDenseIDs(t, "weighted", n, ww.NumIDs(), ww.Keys, ww.IDs)
+	}
+	kc, wc := kw.Clone(), ww.Clone()
+	kc.SetVertex(0, []int32{99, 100})
+	wc.SetVertex(0, []WeightedEntry{{Key: 99, Weight: 1}})
+	if kw.NumIDs() == kc.NumIDs() || ww.NumIDs() == wc.NumIDs() {
+		t.Fatal("a clone's new keys reached the original's dictionary")
+	}
+	checkDenseIDs(t, "keywords clone", n, kc.NumIDs(), kc.Vertex, kc.IDs)
+	checkDenseIDs(t, "weighted clone", n, wc.NumIDs(), wc.Keys, wc.IDs)
+	checkDenseIDs(t, "keywords original", n, kw.NumIDs(), kw.Vertex, kw.IDs)
+
+	var b binenc.Buffer
+	kc.AppendBinary(&b)
+	kd, err := DecodeKeywords(binenc.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDenseIDs(t, "keywords decoded", n, kd.NumIDs(), kd.Vertex, kd.IDs)
+	var bw binenc.Buffer
+	wc.AppendBinary(&bw)
+	wd, err := DecodeWeighted(binenc.NewReader(bw.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDenseIDs(t, "weighted decoded", n, wd.NumIDs(), wd.Keys, wd.IDs)
+	kd.SetVertex(1, []int32{-99})
+	checkDenseIDs(t, "keywords decoded then set", n, kd.NumIDs(), kd.Vertex, kd.IDs)
+}
+
+// TestWeightedRejectsBadWeights checks both guards on stored weights:
+// CheckWeights reports a negative or non-finite weight, before and
+// after duplicate keys merge, and SetVertex panics on a stored one and
+// leaves the store unchanged.
+func TestWeightedRejectsBadWeights(t *testing.T) {
+	inf := math.Inf(1)
+	bad := [][]WeightedEntry{
+		{{Key: 1, Weight: -3}},
+		{{Key: 1, Weight: math.NaN()}},
+		{{Key: 1, Weight: inf}},
+		{{Key: 2, Weight: 1}, {Key: 1, Weight: -inf}},
+		{{Key: 1, Weight: math.MaxFloat64}, {Key: 1, Weight: math.MaxFloat64}},
+	}
+	for _, entries := range bad {
+		if CheckWeights(entries) == nil {
+			t.Errorf("CheckWeights(%v) = nil", entries)
+		}
+		s := NewWeighted(1)
+		s.SetVertex(0, []WeightedEntry{{Key: 5, Weight: 1}})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetVertex(%v) did not panic", entries)
+				}
+			}()
+			s.SetVertex(0, append([]WeightedEntry(nil), entries...))
+		}()
+		if got := s.Vertex(0); len(got) != 1 || got[0] != (WeightedEntry{Key: 5, Weight: 1}) {
+			t.Errorf("a rejected SetVertex changed the vertex to %v", got)
+		}
+	}
+	// A negative input weight is refused at the boundary even when its
+	// key's merged weight would be fine; SetVertex, which checks what
+	// it stores, takes it.
+	mixed := []WeightedEntry{{Key: 1, Weight: -1}, {Key: 1, Weight: 3}}
+	if CheckWeights(mixed) == nil {
+		t.Error("CheckWeights accepted a negative input weight")
+	}
+	NewWeighted(1).SetVertex(0, mixed)
+	for _, ok := range [][]WeightedEntry{nil, {{Key: 1, Weight: 0}}, {{Key: 1, Weight: math.MaxFloat64}}} {
+		if err := CheckWeights(ok); err != nil {
+			t.Errorf("CheckWeights(%v) = %v", ok, err)
+		}
+		NewWeighted(1).SetVertex(0, ok)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // A store that accumulated backing-slice holes through SetVertex slot
 // reuse re-encodes without them, and a decoded store is always
 // compact, so decode-then-encode is byte-identical — the snapshot
-// golden tests depend on exactly that.
+// golden tests depend on exactly that. The keyword stores' dense ids
+// are not written: decoding numbers the keys afresh.
 
 // AppendBinary serialises the geo store.
 func (s *Geo) AppendBinary(b *binenc.Buffer) {
@@ -100,7 +101,8 @@ func DecodeKeywords(r *binenc.Reader) (*Keywords, error) {
 	if err != nil {
 		return nil, fmt.Errorf("keyword store: %w", err)
 	}
-	return &Keywords{keys: keys, spans: spans}, nil
+	ids, d := denseIDs(keys)
+	return &Keywords{keys: keys, ids: ids, spans: spans, dict: d}, nil
 }
 
 // AppendBinary serialises the weighted keyword store in compact CSR
@@ -143,5 +145,6 @@ func DecodeWeighted(r *binenc.Reader) (*Weighted, error) {
 			return nil, fmt.Errorf("weighted store: weight %d is %g, want finite and non-negative", i, w)
 		}
 	}
-	return &Weighted{keys: keys, weights: weights, spans: spans}, nil
+	ids, d := denseIDs(keys)
+	return &Weighted{keys: keys, ids: ids, weights: weights, spans: spans, dict: d}, nil
 }

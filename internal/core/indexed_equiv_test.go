@@ -6,10 +6,13 @@ package core
 // problems and bit-identical search results.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"krcore/internal/dataset"
+	"krcore/internal/graph"
+	"krcore/internal/simgraph"
 	"krcore/internal/similarity"
 	"krcore/internal/simindex"
 )
@@ -166,6 +169,58 @@ func TestIndexedSearchMatchesSerialRandom(t *testing.T) {
 		}
 		if es.Nodes != ei.Nodes || !sameCoreSets(es.Cores, ei.Cores) {
 			t.Fatalf("trial %d: serial and indexed enumerations differ", trial)
+		}
+	}
+}
+
+// sameEdges reports whether two graphs have the same vertices and
+// neighbour lists.
+func sameEdges(a, b *graph.Graph) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
+	}
+	for u := int32(0); u < int32(a.N()); u++ {
+		if !equalCores(a.Neighbors(u), b.Neighbors(u)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFilterDissimilarMatchesKeys checks the pair-test filter against
+// the key filter the engine runs (FilterByKeys over EdgeKeys), on the
+// four presets over a sweep of r around each preset's default, zero
+// and negative thresholds included, and on random instances of both
+// attribute kinds. dblp and pokec are large enough for the filter to
+// split its edges across workers when more than one CPU is available.
+func TestFilterDissimilarMatchesKeys(t *testing.T) {
+	check := func(label string, g *graph.Graph, m similarity.Metric, r float64) {
+		t.Helper()
+		ko := similarity.NewOracle(m, r)
+		want := simgraph.FilterByKeys(g, simgraph.EdgeKeys(g, ko), ko)
+		if got := FilterDissimilar(g, similarity.NewOracle(m, r)); !sameEdges(got, want) {
+			t.Fatalf("%s r=%v: FilterDissimilar keeps %d edges, the key filter %d", label, r, got.M(), want.M())
+		}
+	}
+	for _, name := range dataset.PresetNames() {
+		d, err := dataset.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r0, err := d.DefaultThreshold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []float64{-1, 0, 0.5, 0.7, 0.85, 1, 1.15, 1.3, 2} {
+			check(name, d.Graph, d.Metric(), f*r0)
+		}
+	}
+	rng := rand.New(rand.NewSource(778))
+	for trial := 0; trial < 30; trial++ {
+		inst := randomInstance(rng, 60)
+		r := inst.p.Oracle.Threshold()
+		for _, f := range []float64{0, 0.5, 1, 1.5} {
+			check(fmt.Sprintf("random %d", trial), inst.g, inst.p.Oracle.Metric(), f*r)
 		}
 	}
 }

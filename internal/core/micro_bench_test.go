@@ -11,6 +11,7 @@ package core
 // repository root's bench_test.go.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -335,6 +336,92 @@ func BenchmarkWarmPresetSearches(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			}
+		})
+	}
+}
+
+// dblpSettings are the settings the dblp benchmarks prepare: the hot
+// (5, r0) and three of the kind a cold sweep draws (k in 4..10, r in
+// [0.7, 1.3]·r0), as k and a factor of r0.
+var dblpSettings = []struct {
+	k int
+	f float64
+}{{5, 1}, {4, 0.75}, {7, 1.1}, {9, 1.25}}
+
+// loadDBLP loads the dblp preset and its default threshold r0, with the
+// preset's weighted-Jaccard metric or, unweighted, the Jaccard metric
+// over the same keys without their weights (the Keywords store, which
+// no preset uses). At the same r0 both keep about the same edges.
+func loadDBLP(b *testing.B, weighted bool) (*graph.Graph, similarity.Metric, float64) {
+	d, err := dataset.Load("dblp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	r0, err := d.DefaultThreshold()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if weighted {
+		return d.Graph, d.Metric(), r0
+	}
+	ws := d.Metric().(similarity.WeightedJaccard).Store
+	kw := attr.NewKeywords(d.Graph.N())
+	for u := int32(0); u < int32(d.Graph.N()); u++ {
+		kw.SetVertex(u, append([]int32(nil), ws.Keys(u)...))
+	}
+	return d.Graph, similarity.Jaccard{Store: kw}, r0
+}
+
+// BenchmarkPrepareDBLP times PrepareFiltered on dblp at each of
+// dblpSettings: the k-core peel, the component split and each
+// component's problem, dissimilarity lists included. The index and
+// the filtered graph are built outside the timer, as a serving engine
+// keeps them per threshold.
+func BenchmarkPrepareDBLP(b *testing.B) { benchPrepareDBLP(b, true) }
+
+// BenchmarkPrepareDBLPKeywords is BenchmarkPrepareDBLP on the
+// unweighted Jaccard metric over dblp's keys.
+func BenchmarkPrepareDBLPKeywords(b *testing.B) { benchPrepareDBLP(b, false) }
+
+func benchPrepareDBLP(b *testing.B, weighted bool) {
+	g, m, r0 := loadDBLP(b, weighted)
+	for _, s := range dblpSettings {
+		b.Run(fmt.Sprintf("k=%d,r=%.2fr0", s.k, s.f), func(b *testing.B) {
+			o := similarity.NewOracle(m, s.f*r0)
+			simindex.For(o)
+			p := Params{K: s.k, Oracle: o}
+			filtered := FilterDissimilar(g, o)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := PrepareFiltered(filtered, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFilterDissimilarDBLP times the one-shot dissimilar-edge
+// filter on dblp at the thresholds of dblpSettings, each with its
+// index attached outside the timer.
+func BenchmarkFilterDissimilarDBLP(b *testing.B) { benchFilterDBLP(b, true) }
+
+// BenchmarkFilterDissimilarDBLPKeywords is BenchmarkFilterDissimilarDBLP
+// on the unweighted Jaccard metric over dblp's keys.
+func BenchmarkFilterDissimilarDBLPKeywords(b *testing.B) { benchFilterDBLP(b, false) }
+
+func benchFilterDBLP(b *testing.B, weighted bool) {
+	g, m, r0 := loadDBLP(b, weighted)
+	for _, s := range dblpSettings {
+		b.Run(fmt.Sprintf("r=%.2fr0", s.f), func(b *testing.B) {
+			o := similarity.NewOracle(m, s.f*r0)
+			simindex.For(o)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FilterDissimilar(g, o)
 			}
 		})
 	}

@@ -6,8 +6,6 @@ import (
 
 	"krcore/internal/graph"
 	"krcore/internal/kcore"
-	"krcore/internal/similarity"
-	"krcore/internal/simindex"
 )
 
 // PatchStats reports how much prepared state a patch call carried over
@@ -262,7 +260,7 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 			attrTouched[v] = true
 		}
 	}
-	var src similarity.BulkSource
+	var b *builder
 	for _, comp := range comps {
 		if len(comp) < p.K+1 {
 			continue
@@ -282,10 +280,10 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 			st.Rebuilt++
 			continue
 		}
-		if src == nil {
-			src = simindex.For(p.Oracle)
+		if b == nil {
+			b = newBuilder(filtered, p)
 		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		pr.probs = append(pr.probs, b.build(comp))
 		st.Rebuilt++
 	}
 	// Components are discovered by ComponentsOf in order of smallest

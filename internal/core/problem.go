@@ -83,14 +83,22 @@ func Prepare(g *graph.Graph, p Params) (*Prepared, error) {
 }
 
 // FilterDissimilar drops the edges of g joining dissimilar vertex pairs
-// (Algorithm 1 line 1): every edge is scored once, sharded across
-// cores (simgraph.EdgeKeys), and its score compared with the threshold.
-// The result depends only on the similarity threshold r, not on k, so
-// a serving layer can share one filtered graph across every k at the
-// same r; krcore.Engine also keeps the scores, which do not depend on
-// r, so each new r costs only the compare (simgraph.FilterByKeys).
+// (Algorithm 1 line 1). Each edge is decided once by the exact pair
+// test of the oracle's engine (simindex.NewPairTest, which attaches
+// the engine), a yes or no with no score kept; large graphs are split
+// across cores (simgraph.FilterByTest). An engine without a pair test
+// scores every edge instead (simgraph.EdgeKeys, also split across
+// cores) and compares the score with the threshold. The result depends
+// only on the similarity threshold r, not on k, so a serving layer can
+// share one filtered graph across every k at the same r. krcore.Engine
+// instead keeps every edge's score, which does not depend on r, so
+// each new r costs it only a compare (simgraph.FilterByKeys); all give
+// the same graph.
 func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
-	return simgraph.FilterByKeys(g, simgraph.EdgeKeys(g, o), o)
+	if simindex.NewPairTest(o) == nil {
+		return simgraph.FilterByKeys(g, simgraph.EdgeKeys(g, o), o)
+	}
+	return simgraph.FilterByTest(g, func() similarity.PairTest { return simindex.NewPairTest(o) })
 }
 
 // PrepareFiltered builds the candidate components for p on a graph
@@ -99,18 +107,23 @@ func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
 // problems. Components smaller than k+1 vertices cannot host a
 // (k,r)-core and are skipped.
 //
-// The per-component dissimilarity lists come from the bulk engine's
-// similar-pair construction instead of O(n²) per-pair oracle calls.
-// The engine is bit-identical to the serial oracle path, so the
-// resulting problems — and every core derived from them — are
-// unchanged.
+// Each component's dissimilarity lists come from one pass over its
+// vertex pairs with the oracle engine's exact pair test
+// (simgraph.BuildDissimBulk, simindex.NewPairTest): a gather over the
+// probing vertex's dense key row for the keyword metrics, r² for the
+// Euclidean one. An engine without a test (Brute over a custom metric,
+// Serial, or a caller's own engine attached with Oracle.SetBulk)
+// yields the component's similar pairs in bulk instead, and the pass
+// writes their complement.
+// Either agrees with the oracle on every pair, so the resulting
+// problems — and every core derived from them — are unchanged. One
+// test and one local-id scratch serve all the components of a
+// preparation.
 //
-// The filtered graph's edges are trusted as similar pairs: each
-// component hands its edges to the engine as a known-similar hint
-// (see similarity.BulkSource), which the inverted indexes accept
-// without scoring. The graph must therefore come from FilterDissimilar
-// (or krcore.Engine, or simgraph.PatchFiltered) with the same oracle;
-// a graph holding a dissimilar edge yields wrong dissimilarity lists.
+// The filtered graph's edges are trusted as similar pairs: the pass
+// skips them. The graph must therefore come from FilterDissimilar (or
+// krcore.Engine, or simgraph.PatchFiltered) with the same oracle; a
+// graph holding a dissimilar edge yields wrong dissimilarity lists.
 func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -138,7 +151,7 @@ func prepareFull(filtered *graph.Graph, p Params, old *Prepared, touched []bool)
 	if len(kc) == 0 {
 		return pr, st // ComponentsOf(nil) would mean every vertex
 	}
-	var src similarity.BulkSource // built on first use: reused components need none
+	var b *builder // made on first use: reused components need none
 	for _, comp := range filtered.ComponentsOf(kc) {
 		if len(comp) < p.K+1 {
 			continue
@@ -153,10 +166,10 @@ func prepareFull(filtered *graph.Graph, p Params, old *Prepared, touched []bool)
 				continue
 			}
 		}
-		if src == nil {
-			src = simindex.For(p.Oracle)
+		if b == nil {
+			b = newBuilder(filtered, p)
 		}
-		pr.probs = append(pr.probs, buildProblem(filtered, src, p, comp))
+		pr.probs = append(pr.probs, b.build(comp))
 		st.Rebuilt++
 	}
 	// The maximum search starts from the component holding the
@@ -180,12 +193,37 @@ func prepare(g *graph.Graph, p Params) []*problem {
 	return pr.probs
 }
 
-// buildProblem constructs the local problem for one component of the
+// builder constructs the local problems of one preparation's
+// components: it holds the oracle's pair test, or the bulk engine of
+// an oracle without one, and the local-id scratch of graph.Induced,
+// which every component reuses.
+type builder struct {
+	filtered *graph.Graph
+	k        int
+	test     similarity.PairTest
+	src      similarity.BulkSource // nil when test is set
+	local    []int32
+}
+
+func newBuilder(filtered *graph.Graph, p Params) *builder {
+	b := &builder{
+		filtered: filtered,
+		k:        p.K,
+		test:     simindex.NewPairTest(p.Oracle),
+		local:    make([]int32, filtered.N()),
+	}
+	if b.test == nil {
+		b.src = simindex.For(p.Oracle)
+	}
+	return b
+}
+
+// build constructs the local problem for one component of the
 // filtered k-core.
-func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, comp []int32) *problem {
-	sub, orig := filtered.Induced(comp)
+func (b *builder) build(comp []int32) *problem {
+	sub, orig := b.filtered.Induced(comp, b.local)
 	pr := &problem{
-		k:    p.K,
+		k:    b.k,
 		n:    sub.N(),
 		adj:  make([][]int32, sub.N()),
 		orig: orig,
@@ -196,9 +234,13 @@ func buildProblem(filtered *graph.Graph, src similarity.BulkSource, p Params, co
 			pr.maxDeg = len(pr.adj[u])
 		}
 	}
-	// Every filtered edge joins a similar pair: the engine need not
-	// score those again.
-	d := simgraph.BuildDissimBulk(src, orig, pr.adj)
+	// Every filtered edge joins a similar pair: the test need not
+	// decide those again, nor the engine score them.
+	known := pr.adj
+	if b.src != nil {
+		known = b.src.SimilarAdjacency(orig, pr.adj)
+	}
+	d := simgraph.BuildDissimBulk(b.test, orig, known)
 	pr.dissim, pr.pairs = d.Lists, d.Pairs
 	return pr
 }

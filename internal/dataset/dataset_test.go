@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"krcore/internal/attr"
@@ -180,6 +182,38 @@ func TestReadRejectsGarbage(t *testing.T) {
 		if _, err := Read(bytes.NewReader([]byte(c))); err == nil {
 			t.Fatalf("case %d (%q) should fail", i, c)
 		}
+	}
+}
+
+// TestReadRejectsBadAttributes checks the attribute values the loader
+// refuses: a weight that is negative or not finite, weights of one key
+// that overflow when merged, and a key outside int32, which an int32
+// conversion would silently truncate. The extremes of int32 and a zero
+// weight load.
+func TestReadRejectsBadAttributes(t *testing.T) {
+	for _, v := range []string{"3:-1", "3:NaN", "3:+Inf", "3:-Inf", "3:1e308 3:1e308", "2147483648:1", "-2147483649:1"} {
+		if _, err := Read(strings.NewReader("d name 1 1\nv 0 " + v + "\n")); err == nil {
+			t.Errorf("weighted vertex %q loaded", v)
+		}
+	}
+	for _, v := range []string{"2147483648", "-2147483649", "4294967297"} {
+		if _, err := Read(strings.NewReader("d name 0 1\nv 0 " + v + "\n")); err == nil {
+			t.Errorf("keyword vertex %q loaded", v)
+		}
+	}
+	d, err := Read(strings.NewReader("d name 1 2\nv 0 -2147483648:0 2147483647:2.5\nv 1 2147483647:1 2147483647:1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(d.Weighted.Vertex(0), d.Weighted.Vertex(1)); got != "[{-2147483648 0} {2147483647 2.5}] [{2147483647 2}]" {
+		t.Fatalf("weighted vertices = %s", got)
+	}
+	k, err := Read(strings.NewReader("d name 0 1\nv 0 2147483647 -2147483648\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(k.Keywords.Vertex(0)); got != "[-2147483648 2147483647]" {
+		t.Fatalf("keyword vertex = %s", got)
 	}
 }
 

@@ -168,18 +168,21 @@ func (d *Dataset) parseVertex(fields []string, n int) error {
 			if len(kv) != 2 {
 				return fmt.Errorf("bad weighted entry %q", f)
 			}
-			k, err1 := strconv.Atoi(kv[0])
+			k, err1 := strconv.ParseInt(kv[0], 10, 32)
 			w, err2 := strconv.ParseFloat(kv[1], 64)
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("bad weighted entry %q", f)
 			}
 			entries = append(entries, attr.WeightedEntry{Key: int32(k), Weight: w})
 		}
+		if err := attr.CheckWeights(entries); err != nil {
+			return fmt.Errorf("bad weighted entries: %v", err)
+		}
 		d.Weighted.SetVertex(int32(id), entries)
 	default:
 		words := make([]int32, 0, len(rest))
 		for _, f := range rest {
-			k, err := strconv.Atoi(f)
+			k, err := strconv.ParseInt(f, 10, 32)
 			if err != nil {
 				return fmt.Errorf("bad keyword %q", f)
 			}

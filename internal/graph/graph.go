@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -207,29 +206,48 @@ func (g *Graph) KeepEdges(keep []bool) *Graph {
 
 // Induced returns the subgraph induced by vertices (global ids, strictly
 // ascending), with local ids 0..len(vertices)-1 assigned in that order,
-// plus the local-to-global mapping (a copy of vertices). A neighbour's
-// local id is its index in vertices, found by binary search; neighbour
-// lists ascend, so every induced row ascends too. It panics when
-// vertices does not ascend strictly.
-func (g *Graph) Induced(vertices []int32) (*Graph, []int32) {
+// plus the local-to-global mapping (a copy of vertices). Neighbour
+// lists ascend, so every induced row ascends too; the rows share one
+// backing array sized by a count pass. It panics when vertices does not
+// ascend strictly.
+//
+// local is scratch of length N, all zero: Induced stores local id + 1
+// there for each of vertices and zeroes those entries again before it
+// returns, so one slice serves every component of a graph.
+func (g *Graph) Induced(vertices, local []int32) (*Graph, []int32) {
 	for i := 1; i < len(vertices); i++ {
 		if vertices[i] <= vertices[i-1] {
 			panic("graph: Induced: vertices not strictly ascending")
 		}
 	}
-	adj := make([][]int32, len(vertices))
-	m := 0
 	for i, v := range vertices {
+		local[v] = int32(i) + 1
+	}
+	total := 0
+	for _, v := range vertices {
 		for _, w := range g.adj[v] {
-			if lw, ok := slices.BinarySearch(vertices, w); ok {
-				adj[i] = append(adj[i], int32(lw))
-				m++
+			if local[w] != 0 {
+				total++
 			}
 		}
 	}
+	backing := make([]int32, 0, total)
+	adj := make([][]int32, len(vertices))
+	for i, v := range vertices {
+		off := len(backing)
+		for _, w := range g.adj[v] {
+			if l := local[w]; l != 0 {
+				backing = append(backing, l-1)
+			}
+		}
+		adj[i] = backing[off:len(backing):len(backing)]
+	}
+	for _, v := range vertices {
+		local[v] = 0
+	}
 	orig := make([]int32, len(vertices))
 	copy(orig, vertices)
-	return &Graph{adj: adj, m: m / 2}, orig
+	return &Graph{adj: adj, m: total / 2}, orig
 }
 
 // ComponentsOf returns the connected components of the subgraph induced

@@ -125,7 +125,8 @@ func TestInduced(t *testing.T) {
 	b.AddEdge(3, 4)
 	b.AddEdge(4, 0)
 	g := b.Build() // 5-cycle
-	sub, orig := g.Induced([]int32{0, 1, 2, 4})
+	local := make([]int32, g.N())
+	sub, orig := g.Induced([]int32{0, 1, 2, 4}, local)
 	if sub.N() != 4 {
 		t.Fatalf("induced N = %d, want 4", sub.N())
 	}
@@ -140,6 +141,14 @@ func TestInduced(t *testing.T) {
 	if !sub.HasEdge(0, 3) || sub.HasEdge(2, 3) {
 		t.Fatal("induced adjacency wrong")
 	}
+	// The scratch comes back all zero, so it serves the next call.
+	if !reflect.DeepEqual(local, make([]int32, g.N())) {
+		t.Fatalf("scratch left as %v", local)
+	}
+	sub2, _ := g.Induced([]int32{2, 3, 4}, local)
+	if sub2.M() != 2 || !sub2.HasEdge(0, 1) || !sub2.HasEdge(1, 2) || sub2.HasEdge(0, 2) {
+		t.Fatal("induced adjacency wrong on a reused scratch")
+	}
 }
 
 func TestInducedUnsortedPanics(t *testing.T) {
@@ -151,7 +160,7 @@ func TestInducedUnsortedPanics(t *testing.T) {
 					t.Errorf("Induced(%v) must panic: the vertices do not ascend strictly", vs)
 				}
 			}()
-			g.Induced(vs)
+			g.Induced(vs, make([]int32, g.N()))
 		}()
 	}
 }

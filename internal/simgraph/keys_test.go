@@ -134,3 +134,32 @@ func TestEdgeKeysSharded(t *testing.T) {
 		}
 	}
 }
+
+// TestFilterByTestSharded checks the pair-test filter against the
+// per-edge oracle filter for every engine with a pair test, at worker
+// counts that do not divide the edge count, on a graph large enough to
+// shard.
+func TestFilterByTestSharded(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	n := 3000
+	g := randomGraph(rng, n, 4*n)
+	geo, kw, ww := keyStores(rng, n)
+	cases := []struct {
+		m similarity.Metric
+		r float64
+	}{
+		{similarity.Euclidean{Store: geo}, 6},
+		{similarity.Jaccard{Store: kw}, 0.4},
+		{similarity.WeightedJaccard{Store: ww}, 0.4},
+	}
+	for _, c := range cases {
+		o := similarity.NewOracle(c.m, c.r)
+		want := scratchFilter(g, o)
+		for _, procs := range []int{1, 3, 7} {
+			prev := runtime.GOMAXPROCS(procs)
+			got := FilterByTest(g, func() similarity.PairTest { return simindex.NewPairTest(o) })
+			runtime.GOMAXPROCS(prev)
+			sameGraph(t, fmt.Sprintf("%s at %d procs", c.m.Name(), procs), got, want)
+		}
+	}
+}

@@ -11,6 +11,7 @@ package simgraph
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,46 +67,83 @@ func SimilarityGraph(o *similarity.Oracle, vertices []int32) *graph.Graph {
 	return graph.FromAdjacency(adj)
 }
 
-// BuildDissimBulk computes the same Dissim as BuildDissim through a
-// bulk similarity engine: the engine yields the similar adjacency of
-// the set in bulk (near-linear for the indexed metrics) and the
-// dissimilarity lists are its complement, written with trivial per-item
-// work instead of one metric evaluation per pair. known is the
-// engine's optional hint of pairs already known similar (see
-// similarity.BulkSource; nil for none). The result is bit-identical to
-// BuildDissim for the engine's oracle.
-func BuildDissimBulk(src similarity.BulkSource, vertices []int32, known [][]int32) *Dissim {
-	n := len(vertices)
-	sim := src.SimilarAdjacency(vertices, known)
-	d := &Dissim{Lists: make([][]int32, n)}
-	simEdges := 0
-	total := 0
-	for i := 0; i < n; i++ {
-		simEdges += len(sim[i])
-		total += n - 1 - len(sim[i])
+// BuildDissimBulk computes the same Dissim as BuildDissim through an
+// exact pair test (see simindex.NewPairTest): it probes each local
+// vertex i once, tests i against every j < i that known does not hint,
+// and writes the dissimilarity lists from the pairs that fail. No
+// similar adjacency is built, so its cost is one test per unhinted
+// pair plus the dissimilar pairs it writes.
+//
+// known is an optional hint (nil for none, else one row per vertex):
+// known[i] lists local ids j whose pair with i is similar, such as the
+// edges of a dissimilar-edge-filtered graph. Hinted pairs are not
+// tested, so every hinted pair must be similar. A nil t finds every
+// pair outside the hint dissimilar: an engine without a pair test
+// passes its whole similar adjacency (BulkSource.SimilarAdjacency) as
+// known. The result is bit-identical to BuildDissim for the test's
+// oracle.
+func BuildDissimBulk(t similarity.PairTest, vertices []int32, known [][]int32) *Dissim {
+	if t == nil {
+		t = noneSimilar{}
 	}
-	d.Pairs = n*(n-1)/2 - simEdges/2
-	backing := make([]int32, total)
-	mark := make([]bool, n)
-	off := 0
+	n := len(vertices)
+	// back holds each vertex's dissimilar partners below it, ascending,
+	// one run per vertex from start[i]; deg counts both directions.
+	var back []int32
+	start := make([]int32, n+1)
+	deg := make([]int32, n)
+	hinted := make([]int32, n) // stamp = probing vertex + 1
 	for i := 0; i < n; i++ {
-		for _, j := range sim[i] {
-			mark[j] = true
-		}
-		list := backing[off:off]
-		for j := 0; j < n; j++ {
-			if j != i && !mark[j] {
-				list = append(list, int32(j))
+		start[i] = int32(len(back))
+		stamp := int32(i) + 1
+		if known != nil {
+			for _, j := range known[i] {
+				hinted[j] = stamp
 			}
 		}
-		off += len(list)
-		d.Lists[i] = list
-		for _, j := range sim[i] {
-			mark[j] = false
+		t.Probe(vertices[i])
+		for j := 0; j < i; j++ {
+			if hinted[j] == stamp {
+				continue
+			}
+			// Appended always and kept only if dissimilar: the outcome
+			// is a count, not a branch the CPU must guess.
+			dis := int32(1)
+			if t.Similar(vertices[j]) {
+				dis = 0
+			}
+			back = append(back, int32(j))
+			back = back[:int32(len(back))-1+dis]
+			deg[j] += dis
+		}
+		deg[i] += int32(len(back)) - start[i]
+	}
+	start[n] = int32(len(back))
+	d := &Dissim{Lists: make([][]int32, n), Pairs: len(back)}
+	backing := make([]int32, 2*len(back))
+	off := int32(0)
+	for i := range d.Lists {
+		d.Lists[i] = backing[off : off : off+deg[i]]
+		off += deg[i]
+	}
+	// In ascending i, a list receives its own run (the partners below
+	// it) before any partner above it pushes itself: sorted, no sort.
+	for i := 0; i < n; i++ {
+		run := back[start[i]:start[i+1]]
+		d.Lists[i] = append(d.Lists[i], run...)
+		for _, j := range run {
+			d.Lists[j] = append(d.Lists[j], int32(i))
 		}
 	}
 	return d
 }
+
+// noneSimilar is the pair test of BuildDissimBulk when known holds
+// every similar pair.
+type noneSimilar struct{}
+
+func (noneSimilar) Probe(int32)        {}
+func (noneSimilar) Similar(int32) bool { return false }
 
 // SimilarityGraphBulk materialises the explicit similarity graph
 // through a bulk similarity engine; identical to SimilarityGraph for
@@ -114,46 +152,41 @@ func SimilarityGraphBulk(src similarity.BulkSource, vertices []int32) *graph.Gra
 	return graph.FromAdjacency(src.SimilarAdjacency(vertices, nil))
 }
 
-// parallelEdges is the edge count from which EdgeKeys shards its work
-// across cores, the threshold the bulk engines use for pair batches;
-// runEdges is the size of one share a worker claims.
+// parallelEdges is the edge count from which EdgeKeys and FilterByTest
+// shard their work across cores, the threshold the bulk engines use
+// for pair batches; runEdges is the size of one share a worker claims.
 const (
 	parallelEdges = 4096
 	runEdges      = 1024
 )
 
-// EdgeKeys scores every edge of g once: keys[i] is o.Key(u,v) for the
-// i-th edge in Edges order. A key does not depend on o's threshold, so
-// one table serves the dissimilar-edge filter at every r over the same
-// metric and attribute data (see FilterByKeys). Large graphs are split
-// into runs of consecutive vertices holding about runEdges edges each,
-// scored by up to GOMAXPROCS workers.
-func EdgeKeys(g *graph.Graph, o *similarity.Oracle) []float64 {
+// forwardOffsets returns, for every vertex u, the position off[u] in
+// Edges order of u's first edge (u,v>u); off[N] is M.
+func forwardOffsets(g *graph.Graph) []int {
 	n := g.N()
-	// off[u] is the position in Edges order of u's first edge (u,v>u).
 	off := make([]int, n+1)
 	for u := 0; u < n; u++ {
 		nb := g.Neighbors(int32(u))
-		back := sort.Search(len(nb), func(i int) bool { return nb[i] > int32(u) })
+		back, _ := slices.BinarySearch(nb, int32(u)+1)
 		off[u+1] = off[u] + len(nb) - back
 	}
+	return off
+}
+
+// shardEdges calls work(lo, hi) on runs of consecutive vertices that
+// together cover 0..N-1, for the edges (u,v>u) of every u in [lo,hi).
+// Large graphs are split into runs holding about runEdges edges each,
+// claimed by up to GOMAXPROCS workers; newWorker is called once per
+// worker and returns that worker's work function, so a worker may keep
+// state no other touches.
+func shardEdges(off []int, newWorker func() func(lo, hi int)) {
+	n := len(off) - 1
 	m := off[n]
-	keys := make([]float64, m)
-	score := func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			nb := g.Neighbors(int32(u))
-			i := off[u]
-			for _, v := range nb[len(nb)-(off[u+1]-off[u]):] {
-				keys[i] = o.Key(int32(u), v)
-				i++
-			}
-		}
-	}
 	runs := m / runEdges
 	nw := min(runtime.GOMAXPROCS(0), runs)
 	if m < parallelEdges || nw < 2 {
-		score(0, n)
-		return keys
+		newWorker()(0, n)
+		return
 	}
 	// first returns the first vertex of run r: the first vertex whose
 	// edges start at or past the r-th share of them.
@@ -165,11 +198,12 @@ func EdgeKeys(g *graph.Graph, o *similarity.Oracle) []float64 {
 	}
 	// Workers, the caller among them, claim runs from a shared counter,
 	// so one that loses its core (to the garbage collector, say) holds
-	// the table back by one run, not by a fixed share of the edges.
+	// the result back by one run, not by a fixed share of the edges.
 	var next atomic.Int64
 	claim := func() {
+		work := newWorker()
 		for r := int(next.Add(1) - 1); r < runs; r = int(next.Add(1) - 1) {
-			score(first(r), first(r+1))
+			work(first(r), first(r+1))
 		}
 	}
 	var wg sync.WaitGroup
@@ -182,7 +216,56 @@ func EdgeKeys(g *graph.Graph, o *similarity.Oracle) []float64 {
 	}
 	claim()
 	wg.Wait()
+}
+
+// EdgeKeys scores every edge of g once: keys[i] is o.Key(u,v) for the
+// i-th edge in Edges order. A key does not depend on o's threshold, so
+// one table serves the dissimilar-edge filter at every r over the same
+// metric and attribute data (see FilterByKeys). Large graphs are
+// scored by up to GOMAXPROCS workers (see shardEdges).
+func EdgeKeys(g *graph.Graph, o *similarity.Oracle) []float64 {
+	off := forwardOffsets(g)
+	keys := make([]float64, off[g.N()])
+	shardEdges(off, func() func(lo, hi int) {
+		return func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				nb := g.Neighbors(int32(u))
+				i := off[u]
+				for _, v := range nb[len(nb)-(off[u+1]-off[u]):] {
+					keys[i] = o.Key(int32(u), v)
+					i++
+				}
+			}
+		}
+	})
 	return keys
+}
+
+// FilterByTest drops the edges of g joining dissimilar pairs
+// (Algorithm 1 line 1), deciding each edge with an exact pair test
+// that probes its lower endpoint: a yes or no, with no score kept.
+// newTest returns a fresh test for the filtering oracle; large graphs
+// are split across up to GOMAXPROCS workers, each with its own test
+// (see shardEdges). The result equals g.FilterEdges(o.Similar).
+func FilterByTest(g *graph.Graph, newTest func() similarity.PairTest) *graph.Graph {
+	off := forwardOffsets(g)
+	keep := make([]bool, off[g.N()])
+	shardEdges(off, func() func(lo, hi int) {
+		t := newTest()
+		return func(lo, hi int) {
+			for u := lo; u < hi; u++ {
+				if off[u+1] == off[u] {
+					continue
+				}
+				nb := g.Neighbors(int32(u))
+				t.Probe(int32(u))
+				for i, v := range nb[len(nb)-(off[u+1]-off[u]):] {
+					keep[off[u]+i] = t.Similar(v)
+				}
+			}
+		}
+	})
+	return g.KeepEdges(keep)
 }
 
 // FilterByKeys drops the edges of g joining dissimilar pairs

@@ -92,9 +92,25 @@ type BulkSource interface {
 	// vertex): known[i] lists local ids j whose pair with i is already
 	// known to be similar, such as the edges of a dissimilar-edge
 	// filtered graph. An engine may accept those pairs without scoring
-	// them; every hinted pair must be similar, so the output is the
-	// same with or without the hint.
+	// them (the built-in ones ignore the hint); every hinted pair must
+	// be similar, so the output is the same with or without the hint.
 	SimilarAdjacency(vertices []int32, known [][]int32) [][]int32
+}
+
+// PairTest decides vertex pairs exactly as Oracle.Similar does, for
+// callers that need a yes or no per pair of a set they scan themselves
+// (a component's dissimilarity lists, the dissimilar-edge filter): one
+// probing vertex against each of many others. It keeps scratch state
+// for its probing vertex, so each goroutine needs its own.
+// simindex.NewPairTest returns the test of an oracle's engine, or nil
+// for an engine without one.
+type PairTest interface {
+	// Probe makes u the probing vertex of the Similar calls that
+	// follow.
+	Probe(u int32)
+	// Similar reports Oracle.Similar(u, v) for the probing vertex u
+	// and a vertex v != u.
+	Similar(v int32) bool
 }
 
 // Oracle answers thresholded pairwise similarity queries: Similar(u,v)

@@ -70,9 +70,9 @@ func (iv *Inverted) pairSimilar(u, v int32) bool {
 	return iv.store.Jaccard(u, v) >= iv.r
 }
 
-// SimilarAdjacency implements similarity.BulkSource. Hinted pairs
-// skip the intersection.
-func (iv *Inverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource; the hint is
+// ignored.
+func (iv *Inverted) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	if math.IsNaN(iv.r) {
 		// score >= NaN holds for no pair.
 		return make([][]int32, len(vertices))
@@ -81,7 +81,7 @@ func (iv *Inverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int3
 		// Every score is >= 0 >= r: all pairs are similar.
 		return completeAdjacency(len(vertices))
 	}
-	return invertedAdjacency(len(vertices), known,
+	return invertedAdjacency(len(vertices),
 		func(i int32) []int32 {
 			v := vertices[i]
 			return iv.store.Vertex(v)[:iv.prefix[v]]
@@ -158,17 +158,21 @@ func (iv *WeightedInverted) pairSimilar(u, v int32) bool {
 	return iv.store.WeightedJaccard(u, v) >= iv.r
 }
 
-// SimilarAdjacency implements similarity.BulkSource. Hinted pairs
-// skip the weighted merge.
-func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, known [][]int32) [][]int32 {
+// SimilarAdjacency implements similarity.BulkSource; the hint is
+// ignored.
+func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 	if math.IsNaN(iv.r) {
 		// score >= NaN holds for no pair.
 		return make([][]int32, len(vertices))
 	}
 	if iv.r <= 0 {
-		return completeAdjacency(len(vertices))
+		// Every score is at least 0 >= r, except a NaN one: the merge's
+		// sums can overflow, finite weights notwithstanding.
+		return bruteAdjacency(len(vertices), func(i, j int32) bool {
+			return iv.pairSimilar(vertices[i], vertices[j])
+		})
 	}
-	return invertedAdjacency(len(vertices), known,
+	return invertedAdjacency(len(vertices),
 		func(i int32) []int32 {
 			v := vertices[i]
 			return iv.store.Keys(v)[:iv.prefix[v]]
@@ -179,10 +183,7 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, known [][]int32) 
 
 // invertedAdjacency is the candidate sweep shared by both inverted
 // indexes. prefixKeys yields the indexed key prefix of a local vertex;
-// accept performs the bound checks and the exact verification, which
-// pairs hinted similar by known (see similarity.BulkSource) skip. The
-// prefix filter is complete, so every hinted pair is a candidate and
-// the hint changes the work, never the output.
+// accept performs the bound checks and the exact verification.
 //
 // The sweep first builds the prefix posting lists for the subset, then
 // probes in parallel: vertex i collects every j < i co-occurring in one
@@ -190,7 +191,7 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, known [][]int32) 
 // unordered candidate pair is examined exactly once, by its larger
 // endpoint. Rows are sorted before the symmetric merge, making the
 // output deterministic.
-func invertedAdjacency(n int, known [][]int32, prefixKeys func(int32) []int32, accept func(i, j int32) bool) [][]int32 {
+func invertedAdjacency(n int, prefixKeys func(int32) []int32, accept func(i, j int32) bool) [][]int32 {
 	lists := make(map[int32][]int32)
 	for i := int32(0); i < int32(n); i++ {
 		for _, t := range prefixKeys(i) {
@@ -204,17 +205,8 @@ func invertedAdjacency(n int, known [][]int32, prefixKeys func(int32) []int32, a
 	}
 	runParallel(nw, func(w int) {
 		seen := make([]int32, n) // stamp = probing vertex + 1
-		var hinted []int32       // same stamps, for pairs known similar
-		if known != nil {
-			hinted = make([]int32, n)
-		}
 		var cand []int32
 		for i := int32(w); i < int32(n); i += int32(nw) {
-			if known != nil {
-				for _, j := range known[i] {
-					hinted[j] = i + 1
-				}
-			}
 			cand = cand[:0]
 			for _, t := range prefixKeys(i) {
 				for _, j := range lists[t] {
@@ -231,7 +223,7 @@ func invertedAdjacency(n int, known [][]int32, prefixKeys func(int32) []int32, a
 			sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
 			var row []int32
 			for _, j := range cand {
-				if (hinted != nil && hinted[j] == i+1) || accept(i, j) {
+				if accept(i, j) {
 					row = append(row, j)
 				}
 			}

@@ -21,6 +21,15 @@
 // equivalence tests and benchmarks. Every engine agrees bit-for-bit
 // with the serial per-pair oracle path: identical similarity graphs,
 // identical dissimilarity lists, and therefore identical (k,r)-cores.
+//
+// The joins pay off for callers that pass whole vertex sets and want
+// the similar pairs among them (krcore.BuildIndex, Clique+,
+// BruteForce). A caller that needs only a yes or no per pair of a set
+// it scans itself — a component's dissimilarity lists, where nearly
+// every pair is a join candidate anyway, or the dissimilar-edge
+// filter — takes the engine's exact pair test instead (NewPairTest,
+// pairtest.go): a comparison with r² for the grid, a gather over a
+// dense row of the probing vertex's keys for the keyword indexes.
 package simindex
 
 import (

@@ -57,6 +57,8 @@ func subset(rng *rand.Rand, n int) []int32 {
 func checkSource(t *testing.T, rng *rand.Rand, name string, src similarity.BulkSource, o *similarity.Oracle, n int) {
 	t.Helper()
 	serial := simindex.NewSerial(o)
+	o.SetBulk(src)
+	test := simindex.NewPairTest(o)
 	for trial := 0; trial < 4; trial++ {
 		vs := subset(rng, n)
 		got := src.SimilarAdjacency(vs, nil)
@@ -77,14 +79,21 @@ func checkSource(t *testing.T, rng *rand.Rand, name string, src similarity.BulkS
 					name, hint, known, vs, o.Threshold(), got, want)
 			}
 		}
-		// The bulk dissimilarity lists must be bit-identical to the
-		// serial BuildDissim, and the bulk similarity graph to the
-		// serial SimilarityGraph.
-		d := simgraph.BuildDissimBulk(src, vs, nil)
+		// The dissimilarity lists of the engine's pair test, or of its
+		// similar adjacency for an engine without one, must be
+		// bit-identical to the serial BuildDissim, with or without a
+		// hint, and the bulk similarity graph to the serial
+		// SimilarityGraph.
 		ds := simgraph.BuildDissim(o, vs)
-		if d.Pairs != ds.Pairs || !sameAdjacency(d.Lists, ds.Lists) {
-			t.Fatalf("%s: BuildDissimBulk mismatch on %v (r=%v): got %v/%d want %v/%d",
-				name, vs, o.Threshold(), d.Lists, d.Pairs, ds.Lists, ds.Pairs)
+		for _, known := range [][][]int32{nil, want, randomHint(rng, want)} {
+			if test == nil {
+				known = src.SimilarAdjacency(vs, known)
+			}
+			d := simgraph.BuildDissimBulk(test, vs, known)
+			if d.Pairs != ds.Pairs || !sameAdjacency(d.Lists, ds.Lists) {
+				t.Fatalf("%s: BuildDissimBulk mismatch on %v (r=%v): got %v/%d want %v/%d",
+					name, vs, o.Threshold(), d.Lists, d.Pairs, ds.Lists, ds.Pairs)
+			}
 		}
 		sg := simgraph.SimilarityGraphBulk(src, vs)
 		sgs := simgraph.SimilarityGraph(o, vs)
@@ -256,6 +265,20 @@ func weightedStore(rng *rand.Rand, n int) *attr.Weighted {
 
 func TestWeightedInvertedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
+	// Finite weights whose sums overflow: the merge scores such a pair
+	// NaN, so it is dissimilar even at r <= 0.
+	huge := attr.NewWeighted(4)
+	for u := int32(0); u < 4; u++ {
+		var entries []attr.WeightedEntry
+		for k := int32(0); k < 3+u%2; k++ {
+			entries = append(entries, attr.WeightedEntry{Key: k, Weight: math.MaxFloat64 / 3})
+		}
+		huge.SetVertex(u, entries)
+	}
+	for _, r := range []float64{0, -0.5, 0.5} {
+		o := similarity.NewOracle(similarity.WeightedJaccard{Store: huge}, r)
+		checkSource(t, rng, "weighted-overflow", simindex.NewWeightedInverted(huge, r), o, 4)
+	}
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(60)
 		ww := weightedStore(rng, n)

@@ -236,8 +236,17 @@ func NewWeightedKeywordAttributes(n int) *WeightedKeywordAttributes {
 	return &WeightedKeywordAttributes{store: attr.NewWeighted(n)}
 }
 
-// Set assigns the (keyword, weight) list of vertex u.
+// Set assigns the (keyword, weight) list of vertex u; a missing weight
+// is 1 and the weights of a repeated keyword add up. Set panics when a
+// weight it would store, once added up, is negative or not finite. A
+// DynamicEngine instead rejects, with a *BatchError, any update
+// carrying such a weight or a negative or non-finite one.
 func (a *WeightedKeywordAttributes) Set(u int32, keys []int32, weights []float64) {
+	a.store.SetVertex(u, weightedEntries(keys, weights))
+}
+
+// weightedEntries pairs keys with weights, a missing weight being 1.
+func weightedEntries(keys []int32, weights []float64) []attr.WeightedEntry {
 	entries := make([]attr.WeightedEntry, 0, len(keys))
 	for i := range keys {
 		w := 1.0
@@ -246,7 +255,7 @@ func (a *WeightedKeywordAttributes) Set(u int32, keys []int32, weights []float64
 		}
 		entries = append(entries, attr.WeightedEntry{Key: keys[i], Weight: w})
 	}
-	a.store.SetVertex(u, entries)
+	return entries
 }
 
 // WeightedJaccardAtLeast returns an oracle with threshold r on the

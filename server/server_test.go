@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -422,6 +423,51 @@ func TestServerDynamicUpdates(t *testing.T) {
 	_, cs := newTestServer(t, eng, Config{})
 	if _, err := cs.ApplyBatch(ctx, []krcore.Update{krcore.AddEdgeUpdate(0, 1)}); err == nil {
 		t.Fatal("static daemon accepted an update")
+	}
+}
+
+// TestServerRejectsBadWeights checks /v1/update on a weighted engine: a
+// negative weight is a 400 that names the update and applies nothing,
+// and the snapshot served afterwards loads as a new engine.
+func TestServerRejectsBadWeights(t *testing.T) {
+	const n = 6
+	b := krcore.NewGraphBuilder(n)
+	for u := int32(1); u < n; u++ {
+		b.AddEdge(u-1, u)
+	}
+	ws := krcore.NewWeightedKeywordAttributes(n)
+	for u := int32(0); u < n; u++ {
+		ws.Set(u, []int32{1, 2}, []float64{1, 2})
+	}
+	deng, err := krcore.NewDynamicEngine(b.Build(), ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestServer(t, deng, Config{Snapshot: deng.SaveSnapshot})
+	ctx := context.Background()
+	body := `{"updates":[{"op":"sa","u":1,"keys":[3]},{"op":"sa","u":2,"keys":[1],"weights":[-3]}]}`
+	resp, err := http.Post(srvURL(t, deng)+api.PathUpdate, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "update 1") {
+		t.Fatalf("negative weight: %d %s, want 400 naming update 1", resp.StatusCode, msg)
+	}
+	if v := deng.DynamicStats().Version; v != 0 {
+		t.Fatalf("a rejected batch committed: version %d", v)
+	}
+	if _, err := c.ApplyBatch(ctx, []krcore.Update{krcore.SetAttributesUpdate(2, krcore.VertexAttributes{Keys: []int32{1}, Weights: []float64{0.5}})}); err != nil {
+		t.Fatal(err)
+	}
+	rc, _, err := c.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if _, err := krcore.LoadDynamicEngine(rc); err != nil {
+		t.Fatalf("served snapshot does not load: %v", err)
 	}
 }
 
