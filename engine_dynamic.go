@@ -375,12 +375,12 @@ func (d *DynamicEngine) commit(batch []Update) (int, error) {
 	d.pendMu.Unlock()
 
 	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
 	// A previous leader may have committed this request already; its
 	// send on done happened before it released commitMu, so the result
 	// is guaranteed visible here.
 	select {
 	case err := <-req.done:
-		d.commitMu.Unlock()
 		return req.newN, err
 	default:
 	}
@@ -389,9 +389,12 @@ func (d *DynamicEngine) commit(batch []Update) (int, error) {
 	d.pending = nil
 	d.pendMu.Unlock()
 	d.commitGroup(group) // delivers every request's outcome, ours included
-	d.commitMu.Unlock()
 	return req.newN, <-req.done
 }
+
+// errLeaderPanicked is the outcome of every request of a round whose
+// leader panicked before publishing it.
+var errLeaderPanicked = errors.New("krcore: the commit round was abandoned: its leader panicked")
 
 // applyToDelta validates one batch against the staged delta and the
 // attribute store, recording attribute updates aside. On error the
@@ -437,12 +440,24 @@ func checkAttributes(attrs DynamicAttributes, a VertexAttributes) error {
 }
 
 // commitGroup commits one round: validate and merge every queued batch
-// into a single delta, append the accepted updates to the journal,
-// build the next snapshot beside the current one and publish it. Caller
-// holds commitMu, so cur cannot change under the leader.
+// into a single delta, build the round's attribute store, append the
+// accepted updates to the journal, build the next snapshot beside the
+// current one and publish it. Caller holds commitMu, so cur cannot
+// change under the leader. Every request receives its outcome, even
+// when the leader panics: then each gets errLeaderPanicked, and the
+// panic goes on to the leader's caller.
 func (d *DynamicEngine) commitGroup(group []*commitReq) {
 	cur := d.cur.Load()
 	errs := make([]error, len(group))
+	settled := false
+	defer func() {
+		if !settled {
+			for gi := range errs {
+				errs[gi] = errLeaderPanicked
+			}
+		}
+		deliver(group, errs)
+	}()
 	var delta *graph.Delta
 	var attrUps []Update
 	// Merge with per-batch atomicity: a batch failing validation is
@@ -461,6 +476,18 @@ restart:
 			goto restart
 		}
 		req.newN = delta.N()
+	}
+
+	// The round's store copy is built before the journal append, so a
+	// caller's store that panics on an update leaves nothing journalled
+	// to panic again on replay.
+	attrs := cur.attrs
+	if delta.N() > cur.eng.g.N() || len(attrUps) > 0 {
+		attrs = attrs.Clone()
+		attrs.Grow(delta.N())
+		for _, up := range attrUps {
+			attrs.SetAttributes(up.U, up.Attrs)
+		}
 	}
 
 	// One journal append for the round, before any state changes: the
@@ -482,7 +509,7 @@ restart:
 					errs[gi] = jerr
 				}
 			}
-			deliver(group, errs)
+			settled = true
 			return
 		}
 	}
@@ -494,30 +521,24 @@ restart:
 	next.stats.Batches += int64(accepted)
 	next.stats.Updates += int64(len(ops))
 	if !delta.Empty() || len(attrUps) > 0 {
-		next.advance(delta, attrUps)
+		next.advance(delta, attrUps, attrs)
 	}
 	d.cur.Store(&next)
+	settled = true
 	if d.commitObs != nil && accepted > 0 {
 		d.commitObs(CommitInfo{Batches: accepted, Ops: len(ops)})
 	}
-	deliver(group, errs)
 }
 
 // advance moves the snapshot s past one round's merged delta and
-// attribute updates. An attribute or growth round edits a copy of the
-// store; the engine carries over every cache entry the round left
-// intact (see Engine.advance).
-func (s *dynSnapshot) advance(delta *graph.Delta, attrUps []Update) {
+// attribute updates, with attrs the round's store: the current one, or
+// for an attribute or growth round an edited copy. The engine carries
+// over every cache entry the round left intact (see Engine.advance).
+func (s *dynSnapshot) advance(delta *graph.Delta, attrUps []Update, attrs DynamicAttributes) {
 	g := s.eng.g
 	g2 := g.Apply(delta)
 	grown := g2.N() > g.N()
-	if grown || len(attrUps) > 0 {
-		s.attrs = s.attrs.Clone()
-		s.attrs.Grow(g2.N())
-		for _, up := range attrUps {
-			s.attrs.SetAttributes(up.U, up.Attrs)
-		}
-	}
+	s.attrs = attrs
 	attrVerts := make([]int32, 0, len(attrUps))
 	attrSeen := map[int32]bool{}
 	for _, up := range attrUps {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1404,5 +1406,144 @@ func checkRejectsBadWeights(t *testing.T, adapt bool) {
 	}
 	if !bytes.Equal(re.Bytes(), raw) {
 		t.Fatal("a loaded checkpoint re-encodes differently")
+	}
+}
+
+// panickyAttrs is a caller's adapter that forwards every call to the
+// store it wraps, except that SetAttributes panics on attributes
+// holding panicKey.
+type panickyAttrs struct{ DynamicAttributes }
+
+const panicKey = 99
+
+func (a panickyAttrs) Clone() DynamicAttributes {
+	return panickyAttrs{a.DynamicAttributes.Clone()}
+}
+
+func (a panickyAttrs) SetAttributes(u int32, v VertexAttributes) {
+	if slices.Contains(v.Keys, panicKey) {
+		panic("the store refuses the marker key")
+	}
+	a.DynamicAttributes.SetAttributes(u, v)
+}
+
+// memJournal keeps the appended batches in memory. Its first append
+// closes entered and waits for release to close.
+type memJournal struct {
+	batches          [][]Update
+	entered, release chan struct{}
+}
+
+func (j *memJournal) AppendBatch(b []Update) error {
+	if len(j.batches) == 0 {
+		close(j.entered)
+		<-j.release
+	}
+	j.batches = append(j.batches, slices.Clone(b))
+	return nil
+}
+
+// TestDynamicEnginePanickingStore checks a commit round whose leader
+// panics in the caller's attribute store: the leader's caller gets the
+// panic, the round's other writer an error rather than a wait that
+// never ends, a later write commits, the journal holds no trace of the
+// round, and the checkpoint taken before it plus the journal reload to
+// the live engine's state.
+func TestDynamicEnginePanickingStore(t *testing.T) {
+	b := NewGraphBuilder(4)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}} {
+		b.AddEdge(e[0], e[1])
+	}
+	ws := NewWeightedKeywordAttributes(4)
+	for u := int32(0); u < 4; u++ {
+		ws.Set(u, []int32{1, 2}, []float64{1, float64(u + 1)})
+	}
+	d, err := NewDynamicEngine(b.Build(), panickyAttrs{ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Warm(2, 0.3); err != nil {
+		t.Fatal(err)
+	}
+	var checkpoint bytes.Buffer
+	if err := d.SaveSnapshot(&checkpoint); err != nil {
+		t.Fatal(err)
+	}
+	j := &memJournal{entered: make(chan struct{}), release: make(chan struct{})}
+	d.SetJournal(j)
+
+	type outcome struct {
+		err      error
+		panicked bool
+	}
+	write := func(batch ...Update) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					out <- outcome{panicked: true}
+				}
+			}()
+			out <- outcome{err: d.ApplyBatch(batch)}
+		}()
+		return out
+	}
+	first := write(RemoveEdgeUpdate(0, 2))
+	<-j.entered // the first round's leader holds the commit lock
+	marked := write(SetAttributesUpdate(1, VertexAttributes{Keys: []int32{panicKey}, Weights: []float64{1}}))
+	other := write(SetAttributesUpdate(2, VertexAttributes{Keys: []int32{1}, Weights: []float64{3}}))
+	for queued := 0; queued < 2; runtime.Gosched() {
+		d.pendMu.Lock()
+		queued = len(d.pending)
+		d.pendMu.Unlock()
+	}
+	close(j.release)
+	if o := <-first; o.err != nil || o.panicked {
+		t.Fatalf("the first write: %+v", o)
+	}
+	panics, errs := 0, 0
+	for _, ch := range []<-chan outcome{marked, other} {
+		select {
+		case o := <-ch:
+			if o.panicked {
+				panics++
+			} else if errors.Is(o.err, errLeaderPanicked) {
+				errs++
+			} else {
+				t.Fatalf("a writer of the panicking round returned %v", o.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a writer of the panicking round is still waiting")
+		}
+	}
+	if panics != 1 || errs != 1 {
+		t.Fatalf("the panicking round gave %d panics and %d errors, want one of each", panics, errs)
+	}
+	later := []Update{AddEdgeUpdate(1, 3), SetAttributesUpdate(3, VertexAttributes{Keys: []int32{2}, Weights: []float64{5}})}
+	if err := d.ApplyBatch(later); err != nil {
+		t.Fatalf("a write after the panic: %v", err)
+	}
+	if want := [][]Update{{RemoveEdgeUpdate(0, 2)}, later}; fmt.Sprint(j.batches) != fmt.Sprint(want) {
+		t.Fatalf("journal holds %v, want %v", j.batches, want)
+	}
+
+	reloaded, err := LoadDynamicEngine(bytes.NewReader(checkpoint.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range j.batches {
+		if err := reloaded.ApplyBatch(batch); err != nil {
+			t.Fatalf("replaying the journal: %v", err)
+		}
+	}
+	var live, replayed bytes.Buffer
+	if err := d.SaveSnapshot(&live); err != nil {
+		t.Fatal(err)
+	}
+	if err := reloaded.SaveSnapshot(&replayed); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live.Bytes(), replayed.Bytes()) {
+		t.Fatal("checkpoint plus journal does not reload to the live engine's state")
 	}
 }

@@ -17,8 +17,11 @@ import "sort"
 // without materialising the dense complement.
 //
 // active selects the participating local vertices; nil means all of
-// 0..len(dissim)-1.
-func ColorsComplement(dissim [][]int32, active []int32) int {
+// 0..len(dissim)-1. The count stops once it passes limit, returning
+// limit+1, which decides "more than limit colours" without colouring
+// the rest; a limit of at least the number of active vertices gives
+// the whole count.
+func ColorsComplement(dissim [][]int32, active []int32, limit int) int {
 	n := len(dissim)
 	var order []int32
 	if active == nil {
@@ -72,7 +75,9 @@ func ColorsComplement(dissim [][]int32, active []int32) int {
 		}
 		color[u] = c
 		if c == maxColor {
-			maxColor++
+			if maxColor++; maxColor > limit {
+				return maxColor
+			}
 			colorCount = append(colorCount, 0)
 		}
 		colorCount[c]++

@@ -37,7 +37,31 @@ func TestColorsComplementBoundsClique(t *testing.T) {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		g := b.Build()
-		return ColorsComplement(dissimOf(g), nil) >= clique.MaxCliqueSize(g)
+		return ColorsComplement(dissimOf(g), nil, n) >= clique.MaxCliqueSize(g)
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a limit below the whole count stops the count at limit+1,
+// so ColorsComplement with limit l is min(count, l+1).
+func TestColorsComplementLimit(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(12)
+		b := graph.NewBuilder(n)
+		for i := 0; i < 3*n; i++ {
+			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
+		}
+		dis := dissimOf(b.Build())
+		whole := ColorsComplement(dis, nil, n)
+		for limit := 0; limit <= n; limit++ {
+			if ColorsComplement(dis, nil, limit) != min(whole, limit+1) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -48,7 +72,7 @@ func TestColorsComplementExtremes(t *testing.T) {
 	// Complete graph: empty dissim lists -> every vertex needs its own colour.
 	n := 6
 	dis := make([][]int32, n)
-	if got := ColorsComplement(dis, nil); got != n {
+	if got := ColorsComplement(dis, nil, len(dis)); got != n {
 		t.Fatalf("complete graph colours = %d, want %d", got, n)
 	}
 	// Edgeless graph: everyone dissimilar -> one colour suffices.
@@ -59,7 +83,7 @@ func TestColorsComplementExtremes(t *testing.T) {
 			}
 		}
 	}
-	if got := ColorsComplement(dis, nil); got != 1 {
+	if got := ColorsComplement(dis, nil, len(dis)); got != 1 {
 		t.Fatalf("edgeless graph colours = %d, want 1", got)
 	}
 }
@@ -74,13 +98,13 @@ func TestColorsComplementActiveSubset(t *testing.T) {
 		{0, 1, 3},
 		{0, 1, 2},
 	}
-	if got := ColorsComplement(dis, []int32{0, 1}); got != 2 {
+	if got := ColorsComplement(dis, []int32{0, 1}, 2); got != 2 {
 		t.Fatalf("active {0,1} colours = %d, want 2", got)
 	}
-	if got := ColorsComplement(dis, []int32{2, 3}); got != 1 {
+	if got := ColorsComplement(dis, []int32{2, 3}, 2); got != 1 {
 		t.Fatalf("active {2,3} colours = %d, want 1", got)
 	}
-	if got := ColorsComplement(dis, nil); got != 2 {
+	if got := ColorsComplement(dis, nil, len(dis)); got != 2 {
 		t.Fatalf("all active colours = %d, want 2", got)
 	}
 }

@@ -12,39 +12,45 @@ import (
 // node satisfies R ⊆ H, so an upper bound on the maximum clique of J'
 // (respectively the (k,k')-core of Theorem 7) bounds |R|.
 
-// bound dispatches to the configured upper-bound computation.
-func (s *state) bound(kind Bound) int {
+// boundExceeds reports whether the kind's bound exceeds thr: the
+// decision the searches prune on, with thr the maximum search's
+// incumbent or Enumerate's MinSize−1. It stops each bound as soon as
+// the answer is known. No bound exceeds |M∪C|, and every bound of a non-empty M∪C is
+// at least 1, so either answers thr ≥ |M∪C| or thr < 1 at once; the
+// colour count stops once it passes thr, and the peels stop as
+// simPeelBound says.
+func (s *state) boundExceeds(kind Bound, thr int) bool {
+	if s.cntM+s.cntC <= thr {
+		return false
+	}
+	if thr < 1 {
+		return true
+	}
 	switch kind {
-	case BoundNaive:
-		return s.cntM + s.cntC
 	case BoundColor:
-		return s.colorBound()
+		return s.colorCount(thr) > thr
 	case BoundKcore:
-		return s.simPeelBound(false)
+		return s.simPeelBound(false, thr) > thr
 	case BoundColorKcore:
-		c := s.colorBound()
-		k := s.simPeelBound(false)
-		if k < c {
-			return k
-		}
-		return c
+		return s.simPeelBound(false, thr) > thr && s.colorCount(thr) > thr
 	case BoundDoubleKcore, BoundDefault:
-		return s.simPeelBound(true)
-	default:
-		return s.cntM + s.cntC
+		return s.simPeelBound(true, thr) > thr
+	default: // BoundNaive: |M∪C|, which exceeds thr
+		return true
 	}
 }
 
-// colorBound greedily colours the similarity graph J' (the complement of
-// the dissimilarity lists restricted to H); a clique of size q needs q
-// colours, so the colour count bounds |R|.
-func (s *state) colorBound() int {
+// colorCount greedily colours the similarity graph J' (the complement
+// of the dissimilarity lists restricted to H); a clique of size q needs
+// q colours, so the colour count bounds |R|. The count stops at
+// limit+1, so a limit of |H| or more gives the whole count.
+func (s *state) colorCount(limit int) int {
 	h := appendBits(s.scratch[:0], s.maskMC)
 	s.scratch = h[:0]
 	if len(h) == 0 {
 		return 0
 	}
-	return color.ColorsComplement(s.p.dissim, h)
+	return color.ColorsComplement(s.p.dissim, h, limit)
 }
 
 // simPeelBound peels H by ascending similarity degree, optionally with
@@ -52,6 +58,14 @@ func (s *state) colorBound() int {
 // cascade it computes k'max of the (k,k')-core (Theorem 7), returning
 // k'max+1; without it, it computes the similarity-graph degeneracy
 // kmax(J'), returning kmax+1 — the plain k-core clique bound.
+//
+// With thr ≥ 0 the peel stops once the result's side of thr is known,
+// returning k'+1 for the k' reached so far, which lies on the same side
+// of thr as the whole peel's result. k' only rises, so k'+1 > thr
+// settles it. A vertex's effective key is its similarity degree in H,
+// so no later key exceeds the vertices left in H minus one: with
+// k'+1 ≤ thr and at most thr vertices left, the result stays at most
+// thr. With thr < 0 the peel runs to the end.
 //
 // The similarity graph is dense inside H, so the peel runs on the
 // complement: simdeg(v) = |H|−1−|dissim(v)∩H|. Removing any vertex w
@@ -75,7 +89,7 @@ func (s *state) colorBound() int {
 // mask, dIn(v) = |dissim(v) ∧ H|, and a removed vertex's partners and
 // neighbours left in H are the bits of its rows ANDed with H, visited in
 // ascending order as a walk of its lists would visit them.
-func (s *state) simPeelBound(structural bool) int {
+func (s *state) simPeelBound(structural bool, thr int) int {
 	inH := s.peelH
 	copy(inH, s.maskMC)
 	h := appendBits(s.scratch[:0], inH)
@@ -83,6 +97,11 @@ func (s *state) simPeelBound(structural bool) int {
 	n := len(h)
 	if n == 0 {
 		return 0
+	}
+	// The peel stops once k' reaches hi or at most lo vertices are left.
+	hi, lo := int32(thr), int32(thr)
+	if thr < 0 {
+		hi, lo = int32(n), -1
 	}
 	q, sdeg := s.bins, s.sdeg
 	for _, v := range h {
@@ -100,8 +119,14 @@ func (s *state) simPeelBound(structural bool) int {
 		if !hasBit(inH, v) {
 			continue // removed by an earlier cascade
 		}
+		if int32(n)-removedTotal <= lo {
+			break
+		}
 		if eff := q.key[v] - removedTotal; eff > kPrime {
 			kPrime = eff
+			if kPrime >= hi {
+				break
+			}
 		}
 		// Remove v, then cascade through structurally deficient
 		// vertices at the current k' level (KK'coreUpdate); their

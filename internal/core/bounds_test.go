@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -54,6 +55,24 @@ func bruteKPrimeMax(p *problem) int {
 		}
 	}
 	return best
+}
+
+// bound is the exact value of the kind's bound, which the search only
+// compares with a threshold (boundExceeds).
+func (s *state) bound(kind Bound) int {
+	size := s.cntM + s.cntC
+	switch kind {
+	case BoundColor:
+		return s.colorCount(size)
+	case BoundKcore:
+		return s.simPeelBound(false, -1)
+	case BoundColorKcore:
+		return min(s.colorCount(size), s.simPeelBound(false, -1))
+	case BoundDoubleKcore, BoundDefault:
+		return s.simPeelBound(true, -1)
+	default:
+		return size
+	}
 }
 
 func rootState(prob *problem) *state {
@@ -170,5 +189,66 @@ func TestBoundsOnEmptyState(t *testing.T) {
 		if b := st.bound(kind); b != 0 {
 			t.Fatalf("bound %v on empty state = %d, want 0", kind, b)
 		}
+	}
+}
+
+// boundKinds lists every Bound kind.
+var boundKinds = []Bound{BoundDefault, BoundNaive, BoundColor, BoundKcore, BoundColorKcore, BoundDoubleKcore}
+
+// checkBoundDecisions fails t unless, at st's node, boundExceeds(kind,
+// thr) is bound(kind) > thr for every kind and every thr in
+// [−1, |M∪C|+1].
+func checkBoundDecisions(t *testing.T, what string, st *state) {
+	t.Helper()
+	size := st.cntM + st.cntC
+	for _, kind := range boundKinds {
+		exact := st.bound(kind)
+		for thr := -1; thr <= size+1; thr++ {
+			if got := st.boundExceeds(kind, thr); got != (exact > thr) {
+				t.Fatalf("%s: bound %v is %d, but boundExceeds at thr=%d says %t (|M∪C| = %d)",
+					what, kind, exact, thr, got, size)
+			}
+		}
+	}
+}
+
+// TestBoundExceedsMatchesBound checks the search's bound decisions
+// against the exact bounds at every node of the walks
+// TestStateInvariantsDuringSearch makes: the same instances, retention
+// on and off, six levels deep.
+func TestBoundExceedsMatchesBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	nodes := 0
+	for trial := 0; trial < 200; trial++ {
+		inst := randomInstance(rng, 12)
+		for _, prob := range prepare(inst.g, inst.p) {
+			for _, retention := range []bool{true, false} {
+				st := newState(prob, &budget{})
+				var walk func(depth, m int)
+				walk = func(depth, m int) {
+					if depth > 6 || !st.prune(retention, m) {
+						return
+					}
+					nodes++
+					checkBoundDecisions(t, fmt.Sprintf("trial %d, retention %t, depth %d", trial, retention, depth), st)
+					ch, ok := st.chooseVertex(OrderDegree, 5, retention, false)
+					if !ok {
+						return
+					}
+					m = st.mark()
+					st.expand(ch.v)
+					walk(depth+1, m)
+					st.rewind(m)
+					st.discard(ch.v)
+					walk(depth+1, m)
+					st.rewind(m)
+				}
+				walk(0, 0)
+				st.release()
+			}
+		}
+	}
+	if nodes == 0 {
+		t.Fatal("no search nodes checked")
 	}
 }

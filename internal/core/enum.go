@@ -190,7 +190,7 @@ func (e *enumSearch) node(m int) {
 	}
 	// Size-constrained enumeration: no core larger than the
 	// (k,k')-core bound can emerge from this subtree (Theorem 7).
-	if e.opt.MinSize > 0 && s.bound(BoundDoubleKcore) < e.opt.MinSize {
+	if e.opt.MinSize > 0 && !s.boundExceeds(BoundDoubleKcore, e.opt.MinSize-1) {
 		return
 	}
 

@@ -156,7 +156,7 @@ func (m *maxSearch) node(from int) {
 	if !m.opt.DisableEarlyTermination && s.earlyTerminate() {
 		return
 	}
-	if s.bound(m.opt.Bound) <= m.inc.threshold(m.comp) {
+	if !s.boundExceeds(m.opt.Bound, m.inc.threshold(m.comp)) {
 		return
 	}
 	if s.sumDpC == 0 { // C = SF(C): M∪C is a (k,r)-core (Theorem 4)

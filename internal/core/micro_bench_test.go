@@ -403,6 +403,29 @@ func benchPrepareDBLP(b *testing.B, weighted bool) {
 	}
 }
 
+// BenchmarkFindMaximumDBLP times FindMaximum on dblp at each of
+// dblpSettings, prepared outside the timer: the search of the hot
+// re-query at (5, r0) and those of three new settings a cold sweep
+// prepares and searches once each.
+func BenchmarkFindMaximumDBLP(b *testing.B) {
+	g, m, r0 := loadDBLP(b, true)
+	for _, s := range dblpSettings {
+		b.Run(fmt.Sprintf("k=%d,r=%.2fr0", s.k, s.f), func(b *testing.B) {
+			pr, err := Prepare(g, Params{K: s.k, Oracle: similarity.NewOracle(m, s.f*r0)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pr.FindMaximum(MaxOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFilterDissimilarDBLP times the one-shot dissimilar-edge
 // filter on dblp at the thresholds of dblpSettings, each with its
 // index attached outside the timer.

@@ -171,11 +171,19 @@ func (s *state) nextCandidate(v int32) int32 { return nextBit(s.maskC, v) }
 type candCount struct{ deg, dpC int32 }
 
 // countCandidates fills the count table with every candidate's
-// deg(·, M∪C) and dpC, which the node's simulations read many times.
-// The table is valid until the state next changes.
+// deg(·, M∪C) and dpC, which the node's simulations read many times,
+// and the tight mask: the candidates with deg(·, M∪C) ≤ k, the ones
+// that losing a single neighbour leaves below k. Both are valid until
+// the state next changes.
 func (s *state) countCandidates() {
+	k := int32(s.p.k)
+	clear(s.tight)
 	for v := s.nextCandidate(0); v >= 0; v = s.nextCandidate(v + 1) {
-		s.counts[v] = candCount{deg: s.degMC(v), dpC: s.dpC(v)}
+		c := candCount{deg: s.degMC(v), dpC: s.dpC(v)}
+		s.counts[v] = c
+		if c.deg <= k {
+			setBit(s.tight, v)
+		}
 	}
 }
 
@@ -198,25 +206,38 @@ func (s *state) countCandidates() {
 // while its dissimilar pairs disappear with their removed partners.
 //
 // The simulation runs on the bitset rows: each wave ORs the adjacency
-// rows of its frontier and tests every candidate it reaches with one
+// rows of its frontier and tests the candidates it reaches with one
 // AND-popcount against the removed set. The removed set grows only
-// after a wave, so W2 is decided against S∪W1 alone. The candidates'
-// degrees and dpC come from the node's count table, which
-// countCandidates must have filled.
+// after a wave, so W2 is decided against S∪W1 alone. A candidate u
+// falls when more than its slack, deg(u, M∪C) − k, of its neighbours
+// are removed, and the removed set holds no more than |removed| of
+// them, so a wave tests only the candidates whose slack is below
+// |removed|. A discarded v removes one vertex, which only tight
+// candidates cannot spare: when v's row misses the tight mask, W1 is
+// empty and the shrink branch loses v's own pairs and edges alone,
+// with no wave run. The candidates' degrees and dpC, and the tight
+// mask, come from countCandidates, which must have run at the node.
 func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
+	if !expandBranch && !meets(s.adjOf(v), s.tight) {
+		c := s.counts[v]
+		return s.deltas(int64(c.dpC), int64(c.deg))
+	}
 	w := s.words
 	rem, front, next, nbr := s.simRem[:w], s.simFront[:w], s.simNext[:w], s.simNbr[:w]
 	maskC := s.maskC[:w]
 	clear(rem)
 	clear(front)
+	var removed int32 // |rem|
 	if expandBranch {
 		for _, e := range s.disOf(v) {
 			x := e.w & maskC[e.i]
 			rem[e.i], front[e.i] = x, x
 		}
+		removed = s.counts[v].dpC
 	} else {
 		setBit(rem, v)
 		setBit(front, v)
+		removed = 1
 	}
 	k := int32(s.p.k)
 	// nbr is all zero outside a wave: buildRows zeroes it, and the
@@ -234,6 +255,8 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 		if empty {
 			break
 		}
+		// A candidate may fall only when deg(u, M∪C) < k + |removed|.
+		lim := k + removed
 		for i, x := range nbr {
 			nbr[i] = 0
 			x &= maskC[i] &^ rem[i]
@@ -242,7 +265,7 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 				u := int32(i<<6 | bits.TrailingZeros64(x))
 				b := x & -x
 				x &^= b
-				if s.counts[u].deg-andCount(s.adjOf(u), rem) < k {
+				if d := s.counts[u].deg; d < lim && d-andCount(s.adjOf(u), rem) < k {
 					out |= b
 				}
 			}
@@ -250,6 +273,7 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 		}
 		for i, x := range next {
 			rem[i] |= x
+			removed += int32(bits.OnesCount64(x))
 		}
 		front, next = next, front
 	}

@@ -55,7 +55,7 @@ func (s *state) buildRows() {
 		buf = appendRow(buf, s.p.dissim[v])
 		s.rows[n+v] = buf[start:len(buf):len(buf)]
 	}
-	s.maskBuf = resize(s.maskBuf, 11*w)
+	s.maskBuf = resize(s.maskBuf, 12*w)
 	dense := s.maskBuf
 	take := func() []uint64 {
 		b := dense[:w:w]
@@ -65,7 +65,7 @@ func (s *state) buildRows() {
 	s.maskM, s.maskC, s.maskE, s.maskMC = take(), take(), take(), take()
 	s.reached, s.pending = take(), take()
 	s.simRem, s.simFront, s.simNext, s.simNbr = take(), take(), take(), take()
-	s.peelH = take()
+	s.peelH, s.tight = take(), take()
 }
 
 // appendRow appends the row of the sorted list to buf.
@@ -117,6 +117,16 @@ func andCount(row []rowEntry, mask []uint64) int32 {
 		c += bits.OnesCount64(e.w & mask[e.i])
 	}
 	return int32(c)
+}
+
+// meets reports whether row ∧ mask has a member.
+func meets(row []rowEntry, mask []uint64) bool {
+	for _, e := range row {
+		if e.w&mask[e.i] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // orRow ORs row into the dense bitset dst.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -73,6 +74,7 @@ func TestRowKernelsMatchLists(t *testing.T) {
 	}
 	comps = append(comps, component{biggest, 3})
 
+	var cover shrinkCover
 	for i, c := range comps {
 		st := newState(c.p, &budget{})
 		compareRows(t, i, st)
@@ -90,7 +92,7 @@ func TestRowKernelsMatchLists(t *testing.T) {
 			if err := st.checkFixpoint(true); err != nil {
 				t.Fatalf("component %d after prune: %v", i, err)
 			}
-			compareKernels(t, i, st, lists)
+			compareKernels(t, i, st, lists, &cover)
 			ch, ok := st.chooseVertex(OrderDelta1ThenDelta2, 5, true, false)
 			if !ok {
 				return
@@ -109,6 +111,64 @@ func TestRowKernelsMatchLists(t *testing.T) {
 		walk(0, 0)
 		st.release()
 	}
+	if cover.shortcut == 0 || cover.waves == 0 {
+		t.Fatalf("shrink simulations: %d took the shortcut and %d ran the waves, want both", cover.shortcut, cover.waves)
+	}
+}
+
+// shrinkCover counts the shrink simulations compareKernels ran whose
+// vertex has no candidate neighbour with deg(·, M∪C) ≤ k, which
+// simulateBranch answers without a wave, and those whose vertex has
+// one, which run the two waves.
+type shrinkCover struct{ shortcut, waves int }
+
+// maxFuzzSteps caps FuzzSearchDecisions' branch paths: a node of a
+// 192-vertex component checks every threshold of every bound kind.
+const maxFuzzSteps = 12
+
+// FuzzSearchDecisions walks one branch path of the search on each
+// component of a random instance of 8–192 vertices, so rows one to
+// three words wide, the path's bytes choosing each branching vertex and
+// branch, for at most maxFuzzSteps branches. At every node it checks the
+// bound decisions against the exact bounds (checkBoundDecisions) and
+// the row kernels against their list oracles (compareKernels).
+func FuzzSearchDecisions(f *testing.F) {
+	f.Add(int64(1), uint8(30), false, []byte{0, 3, 4, 9, 1})
+	f.Add(int64(2), uint8(120), true, []byte{255, 6, 17, 0, 0, 2})
+	f.Add(int64(3), uint8(184), false, []byte{1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(int64(4), uint8(70), true, []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, keywords bool, path []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + int(size)%185
+		inst := geoInstanceOfSize(rng, n)
+		if keywords {
+			inst = keywordInstanceOfSize(rng, n)
+		}
+		var cover shrinkCover // one input need not reach both kinds
+		for i, p := range prepare(inst.g, inst.p) {
+			st := newState(p, &budget{})
+			lists := newListKernels(p.n)
+			for step, m := 0, 0; st.prune(true, m); step++ {
+				checkBoundDecisions(t, fmt.Sprintf("component %d, step %d", i, step), st)
+				compareKernels(t, i, st, lists, &cover)
+				if st.cntC == 0 || step == min(len(path), maxFuzzSteps) {
+					break
+				}
+				b := path[step]
+				v := nextBit(st.maskC, 0)
+				for j := int(b>>1) % st.cntC; j > 0; j-- {
+					v = nextBit(st.maskC, v+1)
+				}
+				m = st.mark()
+				if b&1 == 0 {
+					st.expand(v)
+				} else {
+					st.discard(v)
+				}
+			}
+			st.release()
+		}
+	})
 }
 
 // compareRows fails t unless every row of st holds exactly the members
@@ -137,14 +197,23 @@ func compareRows(t *testing.T, comp int, st *state) {
 }
 
 // compareKernels fails t unless st's row kernels agree with the list
-// oracles at the current node.
-func compareKernels(t *testing.T, comp int, st *state, lists *listKernels) {
+// oracles at the current node, and counts its shrink simulations in
+// cover.
+func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover *shrinkCover) {
 	t.Helper()
 	st.countCandidates()
 	lists.count(st)
 	for v := int32(0); v < int32(st.p.n); v++ {
 		if !st.eligible(v, false) { // every candidate, a superset of the eligible ones
 			continue
+		}
+		tightNeighbour := slices.ContainsFunc(st.p.adj[v], func(u int32) bool {
+			return st.status[u] == statusC && lists.degMC[u] <= int32(st.p.k)
+		})
+		if tightNeighbour {
+			cover.waves++
+		} else {
+			cover.shortcut++
 		}
 		for _, expand := range []bool{true, false} {
 			if rows, list := st.simulateBranch(v, expand), lists.simulate(st, v, expand); rows != list {
@@ -153,7 +222,7 @@ func compareKernels(t *testing.T, comp int, st *state, lists *listKernels) {
 		}
 	}
 	for _, structural := range []bool{true, false} {
-		if rows, list := st.simPeelBound(structural), lists.peel(st, structural); rows != list {
+		if rows, list := st.simPeelBound(structural, -1), lists.peel(st, structural); rows != list {
 			t.Fatalf("component %d, structural=%t: rows bound %d, lists %d", comp, structural, rows, list)
 		}
 	}

@@ -59,8 +59,10 @@ type state struct {
 	maskBuf                           []uint64
 
 	// counts is countCandidates' table: every candidate's deg(·, M∪C)
-	// and dpC at the node chooseByDelta runs at.
+	// and dpC at the node chooseByDelta runs at; tight, a slice of
+	// maskBuf, holds the candidates among them with deg(·, M∪C) ≤ k.
 	counts []candCount
+	tight  []uint64
 
 	// Scratch space reused across nodes.
 	queue   []int32
