@@ -50,7 +50,7 @@ func (s *state) colorCount(limit int) int {
 	if len(h) == 0 {
 		return 0
 	}
-	return color.ColorsComplement(s.p.dissim, h, limit)
+	return color.ColorsComplement(s.p.dissim, h, limit, &s.colors)
 }
 
 // simPeelBound peels H by ascending similarity degree, optionally with

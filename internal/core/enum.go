@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -264,123 +265,66 @@ func (e *enumSearch) reportLeaf() {
 // earlyTerminate implements Theorem 5: the subtree cannot contain any
 // maximal (k,r)-core when some excluded vertex (or excluded set) can
 // extend every core derivable from (M, C).
+//
+// Condition (i): a vertex u ∈ SF_C(E) with deg(u, M) ≥ k extends any
+// derived core (it is similar to all of M∪C and structurally supported
+// by M alone). Condition (ii): a set U ⊆ SF_{C∪E}(E) where every u ∈ U
+// has deg(u, M∪U) ≥ k. The eligible excluded vertices W are peeled to
+// the greatest fixpoint of that test, and U is the survivors that M
+// reaches (the extension must keep R∪U connected). The peel runs on
+// one dense mask of M∪W, borrowed from peelH, so deg(v, M) +
+// |adj(v) ∧ W| is one AND-popcount of v's row; it tests every vertex
+// of W and again the neighbours in W of each vertex it removes, and the
+// fixpoint does not depend on the order it removes them in.
 func (s *state) earlyTerminate() bool {
 	if s.cntE == 0 {
 		return false
 	}
 	k := int32(s.p.k)
-	// Condition (i): a vertex u ∈ SF_C(E) with deg(u,M) >= k extends any
-	// derived core (it is similar to all of M∪C and structurally
-	// supported by M alone). Condition (ii): a set U ⊆ SF_{C∪E}(E) where
-	// every u ∈ U has deg(u, M∪U) >= k. Computed as the k-core-style
-	// fixpoint of the eligible excluded vertices W supported by M,
-	// restricted to vertices reachable from M (the extension must keep
-	// R∪U connected).
-	w := s.scratch[:0]
+	mw := s.peelH
+	copy(mw, s.maskM)
+	queue := s.queue[:0] // W's vertices to test
 	for v := nextBit(s.maskE, 0); v >= 0; v = nextBit(s.maskE, v+1) {
 		if s.dpC(v) != 0 {
 			continue
 		}
 		if s.degM(v) >= k {
-			s.scratch = w[:0]
+			s.queue = queue[:0]
 			return true
 		}
 		if s.dpE(v) == 0 {
-			w = append(w, v)
-		}
-	}
-	s.scratch = w[:0]
-	if len(w) == 0 {
-		return false
-	}
-	inW, degW := s.inW, s.degW
-	for _, v := range w {
-		inW[v] = true
-	}
-	defer func() {
-		for _, v := range w {
-			inW[v] = false
-		}
-	}()
-	for _, v := range w {
-		degW[v] = s.degM(v) + s.degIn(v, inW)
-	}
-	queue := s.queue[:0]
-	for _, v := range w {
-		if degW[v] < k {
+			setBit(mw, v)
 			queue = append(queue, v)
-			inW[v] = false
 		}
+	}
+	if len(queue) == 0 {
+		return false
 	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, nb := range s.p.adj[v] {
-			if !inW[nb] {
-				continue
-			}
-			degW[nb]--
-			if degW[nb] < k {
-				inW[nb] = false
-				queue = append(queue, nb)
+		if !hasBit(mw, v) || andCount(s.adjOf(v), mw) >= k {
+			continue
+		}
+		mw[v>>6] &^= 1 << (v & 63)
+		for _, e := range s.adjOf(v) {
+			for x := e.w & mw[e.i] &^ s.maskM[e.i]; x != 0; x &= x - 1 {
+				queue = append(queue, e.i<<6|int32(bits.TrailingZeros64(x)))
 			}
 		}
 	}
 	s.queue = queue[:0]
-	// Keep only survivors attached to M: reach from M inside M ∪
-	// survivors.
-	allowed := s.peelH
-	copy(allowed, s.maskM)
-	survivors := false
-	for _, v := range w {
-		if inW[v] {
-			setBit(allowed, v)
-			survivors = true
+	// U is the survivors that a path inside M and the survivors joins to
+	// M. A survivor's neighbours among the survivors are joined with it,
+	// so each keeps its k neighbours in M∪U, and U qualifies whenever it
+	// is not empty.
+	reached := s.reached
+	copy(reached, s.maskM)
+	s.reach(reached, mw)
+	for i, x := range reached {
+		if x&^s.maskM[i] != 0 {
+			return true
 		}
 	}
-	if !survivors {
-		return false
-	}
-	copy(s.reached, s.maskM)
-	s.reach(s.reached, allowed)
-	// Unreachable survivors must be dropped, which may invalidate the
-	// degree support of reachable ones; re-check it on the reachable
-	// survivor set.
-	reached, changed := false, false
-	for _, v := range w {
-		if !inW[v] {
-			continue
-		}
-		if hasBit(s.reached, v) {
-			reached = true
-		} else {
-			inW[v] = false
-			changed = true
-		}
-	}
-	if !reached {
-		return false
-	}
-	if changed {
-		for _, v := range w {
-			if inW[v] && s.degM(v)+s.degIn(v, inW) < k {
-				// Conservative: give up on condition (ii) instead of
-				// iterating again; correctness is unaffected (we only
-				// skip an optional pruning opportunity).
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// degIn returns v's neighbours in the set in.
-func (s *state) degIn(v int32, in []bool) int32 {
-	var d int32
-	for _, nb := range s.p.adj[v] {
-		if in[nb] {
-			d++
-		}
-	}
-	return d
+	return false
 }

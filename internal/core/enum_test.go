@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"krcore/internal/attr"
@@ -187,9 +189,13 @@ func TestSummarize(t *testing.T) {
 // TestStateInvariantsDuringSearch walks search trees with retention on
 // and off and checks the state against its list oracles at every node:
 // the counters, masks and sums (checkInvariants) after each transition
-// and rewind, and prune's fixpoint (checkFixpoint) after each prune.
+// and rewind, and prune's fixpoint (checkFixpoint) after each prune. At
+// every leaf (no dissimilar pair left in C) it also checks the maximal
+// check's verdicts against brute force and its allocations
+// (checkLeafVerdicts).
 func TestStateInvariantsDuringSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
+	var cover leafCover
 	for trial := 0; trial < 200; trial++ {
 		inst := randomInstance(rng, 12)
 		bud := &budget{}
@@ -209,6 +215,9 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 					}
 					if err := st.checkFixpoint(retention); err != nil {
 						t.Fatalf("trial %d, retention %t, after prune: %v", trial, retention, err)
+					}
+					if st.sumDpC == 0 {
+						checkLeafVerdicts(t, fmt.Sprintf("trial %d, retention %t", trial, retention), inst, st, &cover)
 					}
 					ch, ok := st.chooseVertex(OrderDegree, 5, retention, false)
 					if !ok {
@@ -236,4 +245,109 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 			}
 		}
 	}
+	if cover.maximal == 0 || cover.extended == 0 || cover.branched == 0 {
+		t.Fatalf("leaf cores checked: %d maximal, %d not, %d checks branched; want each", cover.maximal, cover.extended, cover.branched)
+	}
+}
+
+// leafCover counts what checkLeafVerdicts checked: the maximal and the
+// non-maximal cores, and the checks that branched.
+type leafCover struct{ maximal, extended, branched int }
+
+// checkLeafVerdicts runs checkMaximal in each check order on every
+// candidate core of at least k+1 vertices at the leaf st is at. It fails
+// t unless each verdict matches bruteMaximal's, the check leaves the
+// state as it found it (the trail, the statuses, the leaf's cores and
+// every counter, checkInvariants), and a check that branches, run
+// again, allocates nothing.
+func checkLeafVerdicts(t *testing.T, what string, inst testInstance, st *state, cover *leafCover) {
+	t.Helper()
+	st.leafCores()
+	leaf, leafEnd := slices.Clone(st.leaf), slices.Clone(st.leafEnd)
+	trail, status := len(st.trail), slices.Clone(st.status)
+	start := int32(0)
+	for _, end := range leafEnd {
+		r := leaf[start:end]
+		start = end
+		if len(r) < st.p.k+1 {
+			continue
+		}
+		want := bruteMaximal(inst, st, r)
+		if want {
+			cover.maximal++
+		} else {
+			cover.extended++
+		}
+		for _, order := range []Order{OrderDegree, OrderRandom, OrderDelta1ThenDelta2, OrderLambdaDelta} {
+			nodes := st.bud.count()
+			if got := st.checkMaximal(r, order, 0); got != want {
+				t.Fatalf("%s, core %v, check order %v: checkMaximal says maximal=%t, brute force %t", what, r, order, got, want)
+			}
+			if st.bud.count()-nodes > 1 {
+				cover.branched++
+				if allocs := testing.AllocsPerRun(3, func() { st.checkMaximal(r, order, 0) }); allocs != 0 {
+					t.Fatalf("%s, core %v, check order %v: a check that branches makes %.0f allocations", what, r, order, allocs)
+				}
+			}
+			if len(st.trail) != trail || !slices.Equal(st.status, status) ||
+				!slices.Equal(st.leaf, leaf) || !slices.Equal(st.leafEnd, leafEnd) {
+				t.Fatalf("%s, core %v, check order %v: the check changed the state", what, r, order)
+			}
+			if err := st.checkInvariants(); err != nil {
+				t.Fatalf("%s, core %v, check order %v, after the check: %v", what, r, order, err)
+			}
+		}
+	}
+}
+
+// TestCheckCoreNeedsConnectivity checks the maximal check's core test
+// on M alone: two triangles joined only through a candidate give every
+// vertex of M its k = 2 neighbours in M, yet M is no core until the
+// candidate joins it.
+func TestCheckCoreNeedsConnectivity(t *testing.T) {
+	b := graph.NewBuilder(7)
+	for _, e := range [][2]int32{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}, {2, 6}, {6, 3}} {
+		b.AddEdge(e[0], e[1])
+	}
+	geo := attr.NewGeo(7) // every vertex at the origin, so all are similar
+	probs := prepare(b.Build(), Params{K: 2, Oracle: similarity.NewOracle(similarity.Euclidean{Store: geo}, 1)})
+	if len(probs) != 1 || !slices.Equal(probs[0].orig, []int32{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("want one component of all 7 vertices, got %d components", len(probs))
+	}
+	st := newState(probs[0], &budget{})
+	defer st.release()
+	for v := int32(0); v < 6; v++ {
+		st.expand(v)
+	}
+	if st.connectedCoreM() {
+		t.Fatal("two triangles joined only through a candidate pass as a connected core")
+	}
+	st.expand(6)
+	if !st.connectedCoreM() {
+		t.Fatal("the joined triangles fail as a connected core")
+	}
+}
+
+// bruteMaximal reports, by trying every subset, whether no non-empty
+// set U of E's vertices similar to all of the core r makes r∪U a
+// connected (k,r)-core, judged on inst's graph and oracle.
+func bruteMaximal(inst testInstance, st *state, r []int32) bool {
+	var eligible []int32
+	for _, v := range listMembers(st, statusE) {
+		if !slices.ContainsFunc(st.p.dissim[v], func(d int32) bool { return slices.Contains(r, d) }) {
+			eligible = append(eligible, v)
+		}
+	}
+	for set := 1; set < 1<<len(eligible); set++ {
+		ext := slices.Clone(r)
+		for i, v := range eligible {
+			if set>>i&1 == 1 {
+				ext = append(ext, v)
+			}
+		}
+		if subsetIsCore(inst.g, inst.p, st.p.toGlobal(ext)) {
+			return false
+		}
+	}
+	return true
 }

@@ -47,6 +47,30 @@ func pinOf(res *Result) searchPin {
 	return searchPin{nodes: res.Nodes, cores: len(res.Cores), digest: coresDigest(res.Cores)}
 }
 
+// presetPrepared prepares the preset at its default r and k, with one
+// oracle per preset kept in oracles.
+func presetPrepared(t *testing.T, oracles map[string]*similarity.Oracle, preset string, k int) *Prepared {
+	t.Helper()
+	d, err := dataset.Load(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := oracles[preset]
+	if o == nil {
+		r, err := d.DefaultThreshold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o = similarity.NewOracle(d.Metric(), r)
+		oracles[preset] = o
+	}
+	pr, err := Prepare(d.Graph, Params{K: k, Oracle: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
 // TestSearchTreesPinnedOnPresets pins the default searches at each
 // preset's default r and k ∈ {4,5,6}: node counts and cores of
 // Enumerate and FindMaximum, plus EnumerateContaining at two vertices
@@ -90,23 +114,7 @@ func TestSearchTreesPinnedOnPresets(t *testing.T) {
 	}
 	oracles := map[string]*similarity.Oracle{}
 	for _, tc := range cases {
-		d, err := dataset.Load(tc.preset)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := oracles[tc.preset]
-		if o == nil {
-			r, err := d.DefaultThreshold()
-			if err != nil {
-				t.Fatal(err)
-			}
-			o = similarity.NewOracle(d.Metric(), r)
-			oracles[tc.preset] = o
-		}
-		pr, err := Prepare(d.Graph, Params{K: tc.k, Oracle: o})
-		if err != nil {
-			t.Fatal(err)
-		}
+		pr := presetPrepared(t, oracles, tc.preset, tc.k)
 		check := func(what string, want searchPin, res *Result, err error) {
 			t.Helper()
 			if err != nil {
@@ -128,17 +136,80 @@ func TestSearchTreesPinnedOnPresets(t *testing.T) {
 	}
 }
 
+// TestVariantTreesPinnedOnPresets pins, on the same presets and k, the
+// searches TestSearchTreesPinnedOnPresets leaves at their defaults:
+// Enumerate with the random, Δ1-then-Δ2 and λΔ orders inside the
+// maximal check (Figure 11(f)), and Enumerate and FindMaximum without
+// early termination (Theorem 5). Node counts include the maximal
+// check's nodes, so they pin its trees as well as the search's. The
+// values were recorded from the search whose maximal check kept lists
+// and bool arrays of its own.
+func TestVariantTreesPinnedOnPresets(t *testing.T) {
+	variants := []struct {
+		name string
+		run  func(pr *Prepared) (*Result, error)
+	}{
+		{"Enumerate CheckOrder=random", func(pr *Prepared) (*Result, error) {
+			return pr.Enumerate(EnumOptions{CheckOrder: OrderRandom})
+		}},
+		{"Enumerate CheckOrder=d1-then-d2", func(pr *Prepared) (*Result, error) {
+			return pr.Enumerate(EnumOptions{CheckOrder: OrderDelta1ThenDelta2})
+		}},
+		{"Enumerate CheckOrder=lambda*d1-d2", func(pr *Prepared) (*Result, error) {
+			return pr.Enumerate(EnumOptions{CheckOrder: OrderLambdaDelta})
+		}},
+		{"Enumerate DisableEarlyTermination", func(pr *Prepared) (*Result, error) {
+			return pr.Enumerate(EnumOptions{DisableEarlyTermination: true})
+		}},
+		{"FindMaximum DisableEarlyTermination", func(pr *Prepared) (*Result, error) {
+			return pr.FindMaximum(MaxOptions{DisableEarlyTermination: true})
+		}},
+	}
+	cases := []struct {
+		preset string
+		k      int
+		want   [5]searchPin // one per variant, in order
+	}{
+		{"brightkite", 4, [5]searchPin{{224, 74, 0xf025e3ec1263ce0d}, {223, 74, 0xf025e3ec1263ce0d}, {224, 74, 0xf025e3ec1263ce0d}, {223, 74, 0xf025e3ec1263ce0d}, {23, 1, 0xb6a01412bd763efe}}},
+		{"brightkite", 5, [5]searchPin{{152, 46, 0x6a363c6722552da5}, {152, 46, 0x6a363c6722552da5}, {152, 46, 0x6a363c6722552da5}, {152, 46, 0x6a363c6722552da5}, {24, 1, 0x9b44db927c2dc0ff}}},
+		{"brightkite", 6, [5]searchPin{{99, 23, 0xbebce14001061ff9}, {99, 23, 0xbebce14001061ff9}, {99, 23, 0xbebce14001061ff9}, {99, 23, 0xbebce14001061ff9}, {23, 1, 0x35b9831669bfed2e}}},
+		{"gowalla", 4, [5]searchPin{{367, 127, 0x47bedc2c259aeb3f}, {367, 127, 0x47bedc2c259aeb3f}, {367, 127, 0x47bedc2c259aeb3f}, {367, 127, 0x47bedc2c259aeb3f}, {30, 1, 0x624cfd119f973fa6}}},
+		{"gowalla", 5, [5]searchPin{{237, 75, 0xcca7fde79252b6e2}, {237, 75, 0xcca7fde79252b6e2}, {237, 75, 0xcca7fde79252b6e2}, {237, 75, 0xcca7fde79252b6e2}, {22, 1, 0x624cfd119f973fa6}}},
+		{"gowalla", 6, [5]searchPin{{119, 22, 0x8acd6ddf8a5bdfaa}, {119, 22, 0x8acd6ddf8a5bdfaa}, {119, 22, 0x8acd6ddf8a5bdfaa}, {119, 22, 0x8acd6ddf8a5bdfaa}, {10, 1, 0x624cfd119f973fa6}}},
+		{"dblp", 4, [5]searchPin{{1150, 303, 0x745911e31fb04392}, {1145, 303, 0x745911e31fb04392}, {1145, 303, 0x745911e31fb04392}, {1139, 303, 0x745911e31fb04392}, {81, 1, 0xdf85272bbd94501}}},
+		{"dblp", 5, [5]searchPin{{936, 248, 0xcf7d2353f629015e}, {936, 248, 0xcf7d2353f629015e}, {936, 248, 0xcf7d2353f629015e}, {936, 248, 0xcf7d2353f629015e}, {66, 1, 0xdf85272bbd94501}}},
+		{"dblp", 6, [5]searchPin{{795, 215, 0x1646c49f9a500e53}, {795, 215, 0x1646c49f9a500e53}, {795, 215, 0x1646c49f9a500e53}, {795, 215, 0x1646c49f9a500e53}, {51, 1, 0xdf85272bbd94501}}},
+		{"pokec", 4, [5]searchPin{{3536, 467, 0xdd650defbcfe9577}, {3094, 467, 0xdd650defbcfe9577}, {3090, 467, 0xdd650defbcfe9577}, {3178, 467, 0xdd650defbcfe9577}, {35, 1, 0xd4badcfb4d3e54a4}}},
+		{"pokec", 5, [5]searchPin{{2499, 358, 0x8e4c198963342cc5}, {2493, 358, 0x8e4c198963342cc5}, {2493, 358, 0x8e4c198963342cc5}, {2498, 358, 0x8e4c198963342cc5}, {31, 1, 0xd4badcfb4d3e54a4}}},
+		{"pokec", 6, [5]searchPin{{1799, 222, 0x9a75a8eedb8417eb}, {1798, 222, 0x9a75a8eedb8417eb}, {1798, 222, 0x9a75a8eedb8417eb}, {1798, 222, 0x9a75a8eedb8417eb}, {38, 1, 0x5421aa26d77af1ea}}},
+	}
+	oracles := map[string]*similarity.Oracle{}
+	for _, tc := range cases {
+		pr := presetPrepared(t, oracles, tc.preset, tc.k)
+		for i, v := range variants {
+			res, err := v.run(pr)
+			if err != nil {
+				t.Fatalf("%s k=%d %s: %v", tc.preset, tc.k, v.name, err)
+			}
+			if got, want := pinOf(res), tc.want[i]; got != want {
+				t.Errorf("%s k=%d %s: got %d nodes, %d cores, digest %#x; want %d, %d, %#x",
+					tc.preset, tc.k, v.name, got.nodes, got.cores, got.digest, want.nodes, want.cores, want.digest)
+			}
+		}
+	}
+}
+
 // TestWarmSearchAllocations bounds the allocations of the default
 // searches on a cached Prepared (warm brightkite, k = 4–6). A search
-// allocates its result — each core's global-id copy — and a maximal
-// check per leaf, so the bound grants every reported core 4
-// allocations. A component may also find the state pool emptied, by a
-// GC or by the race detector's random drops, and build its state
-// afresh: about 40 allocations for the struct, its 15 arrays (the
-// bitset rows share one, the masks another, their headers a third; the
-// counters are read from the masks and keep none) and its growing
-// buffers. The bound grants every component 24, room for a refill at
-// every other component.
+// allocates its result — each core's global-id copy — and the bound
+// grants every reported core 4 allocations; the maximal check runs on
+// the state and allocates nothing. A component may also find the state
+// pool emptied, by a GC or by the race detector's random drops, and
+// build its state afresh: 35 to 50 allocations for the struct, its 10
+// arrays (the bitset rows share one, the masks another, their headers
+// a third; the counters are read from the masks and keep none) and its
+// growing buffers. The bound grants every component 24, room for a
+// refill at every other component.
 func TestWarmSearchAllocations(t *testing.T) {
 	d, err := dataset.Load("brightkite")
 	if err != nil {

@@ -15,13 +15,13 @@ import (
 // TestStateInvariantsDuringSearch does and, at every node, checks the
 // state against its list oracles (checkInvariants, checkFixpoint) and
 // runs the row kernels beside their list-walking oracles (listKernels):
-// the Δ simulation of both branches of every candidate, and the
-// (k,k')-core peel with and without its cascade. Once per component it
-// also checks the rows themselves against the lists. The random
-// instances have 10–700 vertices, so their rows span one to eleven
-// words; the presets add the components the serving paths search, and
-// the large sparse component of the benchmarks rows 30 words wide, few
-// of them nonzero.
+// the Δ simulation of both branches of every candidate, the
+// (k,k')-core peel with and without its cascade, and early termination
+// (Theorem 5). Once per component it also checks the rows themselves
+// against the lists. The random instances have 10–700 vertices, so
+// their rows span one to eleven words; the presets add the components
+// the serving paths search, and the large sparse component of the
+// benchmarks rows 30 words wide, few of them nonzero.
 func TestRowKernelsMatchLists(t *testing.T) {
 	type component struct {
 		p     *problem
@@ -74,7 +74,7 @@ func TestRowKernelsMatchLists(t *testing.T) {
 	}
 	comps = append(comps, component{biggest, 3})
 
-	var cover shrinkCover
+	var cover kernelCover
 	for i, c := range comps {
 		st := newState(c.p, &budget{})
 		compareRows(t, i, st)
@@ -114,13 +114,17 @@ func TestRowKernelsMatchLists(t *testing.T) {
 	if cover.shortcut == 0 || cover.waves == 0 {
 		t.Fatalf("shrink simulations: %d took the shortcut and %d ran the waves, want both", cover.shortcut, cover.waves)
 	}
+	if cover.terminated == 0 {
+		t.Fatal("early termination held at no node")
+	}
 }
 
-// shrinkCover counts the shrink simulations compareKernels ran whose
+// kernelCover counts the shrink simulations compareKernels ran whose
 // vertex has no candidate neighbour with deg(·, M∪C) ≤ k, which
 // simulateBranch answers without a wave, and those whose vertex has
-// one, which run the two waves.
-type shrinkCover struct{ shortcut, waves int }
+// one, which run the two waves; and the nodes where early termination
+// holds.
+type kernelCover struct{ shortcut, waves, terminated int }
 
 // maxFuzzSteps caps FuzzSearchDecisions' branch paths: a node of a
 // 192-vertex component checks every threshold of every bound kind.
@@ -137,6 +141,9 @@ func FuzzSearchDecisions(f *testing.F) {
 	f.Add(int64(2), uint8(120), true, []byte{255, 6, 17, 0, 0, 2})
 	f.Add(int64(3), uint8(184), false, []byte{1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add(int64(4), uint8(70), true, []byte{})
+	// Early termination holds through a survivor whose degree counts
+	// excluded vertices the peel removes first.
+	f.Add(int64(4), uint8(37), true, []byte("a'\xadZC2"))
 	f.Fuzz(func(t *testing.T, seed int64, size uint8, keywords bool, path []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + int(size)%185
@@ -144,7 +151,7 @@ func FuzzSearchDecisions(f *testing.F) {
 		if keywords {
 			inst = keywordInstanceOfSize(rng, n)
 		}
-		var cover shrinkCover // one input need not reach both kinds
+		var cover kernelCover // one input need not reach both kinds
 		for i, p := range prepare(inst.g, inst.p) {
 			st := newState(p, &budget{})
 			lists := newListKernels(p.n)
@@ -197,9 +204,9 @@ func compareRows(t *testing.T, comp int, st *state) {
 }
 
 // compareKernels fails t unless st's row kernels agree with the list
-// oracles at the current node, and counts its shrink simulations in
-// cover.
-func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover *shrinkCover) {
+// oracles at the current node, and counts its shrink simulations and
+// early terminations in cover.
+func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover *kernelCover) {
 	t.Helper()
 	st.countCandidates()
 	lists.count(st)
@@ -226,18 +233,25 @@ func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover
 			t.Fatalf("component %d, structural=%t: rows bound %d, lists %d", comp, structural, rows, list)
 		}
 	}
+	rows, list := st.earlyTerminate(), lists.earlyTerminate(st)
+	if rows != list {
+		t.Fatalf("component %d: rows early termination %t, lists %t", comp, rows, list)
+	}
+	if rows {
+		cover.terminated++
+	}
 }
 
 // listKernels walks a state's adjacency and dissimilarity lists to
-// compute what simulateBranch and simPeelBound compute on its rows,
-// with scratch of its own.
+// compute what simulateBranch, simPeelBound and earlyTerminate compute
+// on its rows and masks, with scratch of its own.
 type listKernels struct {
 	epoch               int32
 	degMC, dpC          []int32 // by list walks at the node (count)
 	mark, deg, degEpoch []int32
 	removed             []int32
-	inH                 []bool
-	sdeg, queue         []int32
+	inH, inW, seen      []bool
+	sdeg, degW, queue   []int32
 	bins                binQueue
 }
 
@@ -249,7 +263,10 @@ func newListKernels(n int) *listKernels {
 		deg:      make([]int32, n),
 		degEpoch: make([]int32, n),
 		inH:      make([]bool, n),
+		inW:      make([]bool, n),
+		seen:     make([]bool, n),
 		sdeg:     make([]int32, n),
+		degW:     make([]int32, n),
 		bins: binQueue{
 			key:  make([]int32, n),
 			pos:  make([]int32, n),
@@ -385,4 +402,104 @@ func (l *listKernels) peel(s *state, structural bool) int {
 	}
 	l.queue = queue[:0]
 	return int(kPrime) + 1
+}
+
+// earlyTerminate is Theorem 5 on the lists: condition (i) from list
+// counts, and condition (ii) as a queue peel of the eligible excluded
+// vertices W on per-vertex degrees in M∪W, then a walk from M inside M
+// and the survivors. After dropping the survivors the walk does not
+// reach it re-checks the degrees of the rest, a check earlyTerminate
+// leaves out because it cannot fail: a survivor's neighbours among the
+// survivors are reached with it.
+func (l *listKernels) earlyTerminate(s *state) bool {
+	k := int32(s.p.k)
+	inW, degW := l.inW, l.degW
+	clear(inW)
+	var w []int32
+	for _, v := range listMembers(s, statusE) {
+		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		if d[statusC] != 0 {
+			continue
+		}
+		if a[statusM] >= k {
+			return true
+		}
+		if d[statusE] == 0 {
+			w = append(w, v)
+			inW[v] = true
+		}
+	}
+	if len(w) == 0 {
+		return false
+	}
+	degIn := func(v int32) int32 {
+		d := statusCounts(s, s.p.adj[v])[statusM]
+		for _, nb := range s.p.adj[v] {
+			if inW[nb] {
+				d++
+			}
+		}
+		return d
+	}
+	for _, v := range w {
+		degW[v] = degIn(v)
+	}
+	queue := l.queue[:0]
+	for _, v := range w {
+		if degW[v] < k {
+			queue = append(queue, v)
+			inW[v] = false
+		}
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, nb := range s.p.adj[v] {
+			if !inW[nb] {
+				continue
+			}
+			if degW[nb]--; degW[nb] < k {
+				inW[nb] = false
+				queue = append(queue, nb)
+			}
+		}
+	}
+	// Walk from every vertex of M inside M and the survivors.
+	seen := l.seen
+	clear(seen)
+	queue = append(queue[:0], listMembers(s, statusM)...)
+	for _, v := range queue {
+		seen[v] = true
+	}
+	for len(queue) > 0 {
+		v := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, nb := range s.p.adj[v] {
+			if !seen[nb] && (inW[nb] || s.status[nb] == statusM) {
+				seen[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	l.queue = queue[:0]
+	attached, dropped := false, false
+	for _, v := range w {
+		if inW[v] && seen[v] {
+			attached = true
+		} else if inW[v] {
+			inW[v] = false
+			dropped = true
+		}
+	}
+	if !attached {
+		return false
+	}
+	if dropped {
+		for _, v := range w {
+			if inW[v] && degIn(v) < k {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math/bits"
 	"sync"
+
+	"krcore/internal/color"
 )
 
 // Vertex statuses of the set-enumeration search. M holds chosen
@@ -32,7 +34,17 @@ type change struct {
 // scalars: Section 5.1's per-vertex counters — a vertex's neighbours in
 // M∪C and in M, its dissimilar partners in M, C and E — are each one
 // AND-popcount of the vertex's row against a mask (degMC, degM, dpM,
-// dpC, dpE).
+// dpC, dpE). The enumeration, the maximum search and the maximal check
+// all run on it, and the status masks are its only mutable vertex sets.
+//
+// Its dense scratch masks serve one step at a time: pending holds
+// prune's retention seeds; reached is the result of every reach
+// (pruneDisconnected, leafCores, earlyTerminate and the maximal check's
+// core test); simRem and simNbr are simulateBranch's, and so are
+// simFront and simNext, which reach borrows; peelH is the (k,k')-core
+// peel's H, which leafCores borrows for the vertices it has not yet
+// split, earlyTerminate for M and the eligible excluded vertices, and
+// checkMaximal for the checked core.
 type state struct {
 	p      *problem
 	status []byte
@@ -55,7 +67,7 @@ type state struct {
 	reached                           []uint64 // reach's result
 	pending                           []uint64 // prune's retention seeds
 	simRem, simFront, simNext, simNbr []uint64 // simulateBranch; reach borrows front and next
-	peelH                             []uint64 // simPeelBound; leafCores and earlyTerminate borrow it
+	peelH                             []uint64 // simPeelBound; leafCores, earlyTerminate and checkMaximal borrow it
 	maskBuf                           []uint64
 
 	// counts is countCandidates' table: every candidate's deg(·, M∪C)
@@ -73,16 +85,11 @@ type state struct {
 	leafEnd []int32
 	// The random orders' xorshift state (nextRand).
 	rngState uint64
-	// Theorem 5 scratch (earlyTerminate): inW is all false between
-	// calls.
-	inW  []bool
-	degW []int32
-	// Maximal-check masks and root candidates (checkMaximal).
-	inT, inCand, seen []bool
-	cand              []int32
 	// The (k,k')-core peel's queue and structural degrees (simPeelBound).
 	bins binQueue
 	sdeg []int32
+	// The colour bound's working arrays (colorCount).
+	colors color.Scratch
 }
 
 // statePool recycles search states across queries and components: a
@@ -112,19 +119,14 @@ func newState(p *problem, bud *budget) *state {
 		maskBuf:  s.maskBuf,
 		counts:   resize(s.counts, n),
 		rngState: 0x9E3779B97F4A7C15,
-		inW:      resize(s.inW, n),
-		degW:     resize(s.degW, n),
-		inT:      resize(s.inT, n),
-		inCand:   resize(s.inCand, n),
-		seen:     resize(s.seen, n),
-		cand:     s.cand[:0],
 		bins: binQueue{
 			key:  resize(s.bins.key, n),
 			pos:  resize(s.bins.pos, n),
 			vert: resize(s.bins.vert, n),
 			bin:  resize(s.bins.bin, n+1),
 		},
-		sdeg: resize(s.sdeg, n),
+		sdeg:   resize(s.sdeg, n),
+		colors: s.colors,
 	}
 	s.buildRows()
 	for v := 0; v < n; v++ {
@@ -238,9 +240,9 @@ func (s *state) discard(v int32) {
 // leave the search. Structural consequences are handled by prune.
 func (s *state) expand(u int32) {
 	s.apply(u, statusM)
-	for _, d := range s.p.dissim[u] {
-		if st := s.status[d]; st == statusC || st == statusE {
-			s.apply(d, statusOut)
+	for _, e := range s.disOf(u) {
+		for x := e.w & (s.maskC[e.i] | s.maskE[e.i]); x != 0; x &= x - 1 {
+			s.apply(e.i<<6|int32(bits.TrailingZeros64(x)), statusOut)
 		}
 	}
 }
