@@ -31,7 +31,7 @@ import (
 //     which depend on r but not on k;
 //   - per pair (k,r): the prepared candidate components (the filtered
 //     graph's k-core split into connected components with their
-//     dissimilarity lists), reused by every query at that setting.
+//     adjacency and dissimilarity rows), reused by every query at that setting.
 //
 // All methods are safe for concurrent use. Concurrent queries for the
 // same uncached (k,r) prepare it exactly once (the others wait);
@@ -494,7 +494,7 @@ type advanceStats struct {
 //     and rebuilt (see core.PatchPreparedDelta); batches touching a
 //     region larger than the patch budget fall back to the O(n+m) full
 //     recompute, and either way every component untouched by the delta
-//     keeps its existing problem, including its dissimilarity lists.
+//     keeps its existing problem, including its dissimilarity rows.
 //
 // The per-edge key table is not carried: the new engine scores its
 // graph's edges again on its first new threshold.

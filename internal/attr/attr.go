@@ -190,18 +190,29 @@ type WeightedEntry struct {
 
 // Weighted stores a sorted keyword->weight list per vertex in CSR form:
 // parallel key, dense-id and weight backing slices addressed by
-// per-vertex spans. Every stored weight is finite and non-negative.
+// per-vertex spans, plus each vertex's total weight. Every stored
+// weight is finite and non-negative.
 type Weighted struct {
 	keys    []int32
 	ids     []int32
 	weights []float64
 	spans   []span
+	totals  []float64 // per vertex, its weights summed in key order
 	dict    dict
 }
 
 // NewWeighted returns a Weighted store for n vertices with empty lists.
 func NewWeighted(n int) *Weighted {
-	return &Weighted{spans: make([]span, n), dict: dict{}}
+	return &Weighted{spans: make([]span, n), totals: make([]float64, n), dict: dict{}}
+}
+
+// sumWeights adds ws up in order, from +0: the total the store keeps.
+func sumWeights(ws []float64) float64 {
+	var t float64
+	for _, w := range ws {
+		t += w
+	}
+	return t
 }
 
 // mergeEntries sorts entries by key in place and sums the weights of
@@ -269,6 +280,7 @@ func (s *Weighted) SetVertex(u int32, entries []WeightedEntry) {
 		s.weights[int(sp.off)+i] = e.Weight
 	}
 	s.spans[u] = sp
+	s.totals[u] = sumWeights(s.Weights(u))
 }
 
 // Grow extends the store to n vertices with empty lists (no-op when
@@ -276,6 +288,7 @@ func (s *Weighted) SetVertex(u int32, entries []WeightedEntry) {
 func (s *Weighted) Grow(n int) {
 	for len(s.spans) < n {
 		s.spans = append(s.spans, span{})
+		s.totals = append(s.totals, 0)
 	}
 }
 
@@ -316,6 +329,9 @@ func (s *Weighted) NumIDs() int { return len(s.dict) }
 
 // Len returns the entry count of u.
 func (s *Weighted) Len(u int32) int { return int(s.spans[u].n) }
+
+// Total returns the sum of u's weights, added in key order from +0.
+func (s *Weighted) Total(u int32) float64 { return s.totals[u] }
 
 // N returns the number of vertices.
 func (s *Weighted) N() int { return len(s.spans) }
@@ -420,6 +436,7 @@ func (s *Weighted) Clone() *Weighted {
 		ids:     append([]int32(nil), s.ids...),
 		weights: append([]float64(nil), s.weights...),
 		spans:   append([]span(nil), s.spans...),
+		totals:  append([]float64(nil), s.totals...),
 		dict:    maps.Clone(s.dict),
 	}
 }

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -292,5 +293,60 @@ func TestWeightedRejectsBadWeights(t *testing.T) {
 			t.Errorf("CheckWeights(%v) = %v", ok, err)
 		}
 		NewWeighted(1).SetVertex(0, ok)
+	}
+}
+
+// checkTotals fails t unless every vertex's Total is, bit for bit, its
+// stored weights added in key order from +0.
+func checkTotals(t *testing.T, what string, s *Weighted) {
+	t.Helper()
+	for u := int32(0); u < int32(s.N()); u++ {
+		var want float64
+		for _, w := range s.Weights(u) {
+			want += w
+		}
+		if got := s.Total(u); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: vertex %d total %v, want %v", what, u, got, want)
+		}
+	}
+}
+
+// TestWeightedTotals keeps each vertex's total right through random
+// re-assignments, with duplicate keys to merge and lists that shrink
+// and grow, and through Grow, Clone and a binary round trip.
+func TestWeightedTotals(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s := NewWeighted(6)
+	for step := 0; step < 200; step++ {
+		u := int32(rng.Intn(s.N()))
+		var entries []WeightedEntry
+		for i := rng.Intn(6); i > 0; i-- {
+			entries = append(entries, WeightedEntry{Key: int32(rng.Intn(8)), Weight: rng.Float64() * 10})
+		}
+		s.SetVertex(u, entries)
+		checkTotals(t, fmt.Sprintf("step %d", step), s)
+		if step%50 == 49 {
+			s.Grow(s.N() + 2)
+			checkTotals(t, fmt.Sprintf("step %d, grown", step), s)
+		}
+	}
+	c := s.Clone()
+	c.SetVertex(0, []WeightedEntry{{Key: 1, Weight: 123}})
+	checkTotals(t, "original after its clone changed", s)
+	checkTotals(t, "clone", c)
+	if c.Total(0) != 123 {
+		t.Fatalf("clone's re-assigned total %v, want 123", c.Total(0))
+	}
+	var b binenc.Buffer
+	s.AppendBinary(&b)
+	got, err := DecodeWeighted(binenc.NewReader(b.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTotals(t, "decoded", got)
+	for u := int32(0); u < int32(s.N()); u++ {
+		if math.Float64bits(got.Total(u)) != math.Float64bits(s.Total(u)) {
+			t.Fatalf("decoded vertex %d total %v, want %v", u, got.Total(u), s.Total(u))
+		}
 	}
 }

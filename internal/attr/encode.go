@@ -146,5 +146,9 @@ func DecodeWeighted(r *binenc.Reader) (*Weighted, error) {
 		}
 	}
 	ids, d := denseIDs(keys)
-	return &Weighted{keys: keys, ids: ids, weights: weights, spans: spans, dict: d}, nil
+	s := &Weighted{keys: keys, ids: ids, weights: weights, spans: spans, totals: make([]float64, len(spans)), dict: d}
+	for u := range spans {
+		s.totals[u] = sumWeights(s.Weights(int32(u)))
+	}
+	return s, nil
 }

@@ -1,8 +1,20 @@
 // Package bitset implements a dense fixed-size bitset used by the clique
-// enumerator and the (k,r)-core search engine for fast set intersection.
+// enumerator, and the sparse row the (k,r)-core search engine and the
+// colour bound store a component's adjacency and dissimilarity in.
 package bitset
 
 import "math/bits"
+
+// Entry is one nonzero word of a sparse row: bits W of word I, which
+// holds the members 64I to 64I+63. A sparse row is a []Entry listing
+// its nonzero words by ascending I, the container idea of Roaring
+// bitmaps: ANDing it with a dense bitset of the same universe visits
+// only those words, and a walk over its bits visits its members in
+// ascending order.
+type Entry struct {
+	W uint64
+	I int32
+}
 
 // Set is a fixed-capacity bitset. Create one with New; the zero value is
 // an empty set with zero capacity.

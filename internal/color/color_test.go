@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"krcore/internal/bitset"
 	"krcore/internal/clique"
 	"krcore/internal/graph"
 )
@@ -25,6 +26,21 @@ func dissimOf(g *graph.Graph) [][]int32 {
 	return out
 }
 
+// rowsOf returns the sparse rows of ascending lists.
+func rowsOf(lists [][]int32) [][]bitset.Entry {
+	rows := make([][]bitset.Entry, len(lists))
+	for v, l := range lists {
+		for _, u := range l {
+			if last := len(rows[v]) - 1; last >= 0 && rows[v][last].I == u>>6 {
+				rows[v][last].W |= 1 << (u & 63)
+			} else {
+				rows[v] = append(rows[v], bitset.Entry{W: 1 << (u & 63), I: u >> 6})
+			}
+		}
+	}
+	return rows
+}
+
 // Property: ColorsComplement on dissim(g) produces a proper colouring
 // count for g itself, i.e. it upper-bounds g's max clique. We check the
 // clique bound, the complete and edgeless extremes, and agreement under
@@ -38,7 +54,7 @@ func TestColorsComplementBoundsClique(t *testing.T) {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		g := b.Build()
-		return ColorsComplement(dissimOf(g), nil, n, new(Scratch)) >= clique.MaxCliqueSize(g)
+		return ColorsComplement(rowsOf(dissimOf(g)), nil, n, new(Scratch)) >= clique.MaxCliqueSize(g)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -58,9 +74,9 @@ func TestColorsComplementLimit(t *testing.T) {
 			b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
 		dis := dissimOf(b.Build())
-		whole := ColorsComplement(dis, nil, n, &sc)
+		whole := ColorsComplement(rowsOf(dis), nil, n, &sc)
 		for limit := 0; limit <= n; limit++ {
-			if ColorsComplement(dis, nil, limit, &sc) != min(whole, limit+1) {
+			if ColorsComplement(rowsOf(dis), nil, limit, &sc) != min(whole, limit+1) {
 				return false
 			}
 		}
@@ -75,7 +91,7 @@ func TestColorsComplementExtremes(t *testing.T) {
 	// Complete graph: empty dissim lists -> every vertex needs its own colour.
 	n := 6
 	dis := make([][]int32, n)
-	if got := ColorsComplement(dis, nil, len(dis), new(Scratch)); got != n {
+	if got := ColorsComplement(rowsOf(dis), nil, len(dis), new(Scratch)); got != n {
 		t.Fatalf("complete graph colours = %d, want %d", got, n)
 	}
 	// Edgeless graph: everyone dissimilar -> one colour suffices.
@@ -86,7 +102,7 @@ func TestColorsComplementExtremes(t *testing.T) {
 			}
 		}
 	}
-	if got := ColorsComplement(dis, nil, len(dis), new(Scratch)); got != 1 {
+	if got := ColorsComplement(rowsOf(dis), nil, len(dis), new(Scratch)); got != 1 {
 		t.Fatalf("edgeless graph colours = %d, want 1", got)
 	}
 }
@@ -102,13 +118,13 @@ func TestColorsComplementActiveSubset(t *testing.T) {
 		{0, 1, 2},
 	}
 	var sc Scratch
-	if got := ColorsComplement(dis, []int32{0, 1}, 2, &sc); got != 2 {
+	if got := ColorsComplement(rowsOf(dis), []int32{0, 1}, 2, &sc); got != 2 {
 		t.Fatalf("active {0,1} colours = %d, want 2", got)
 	}
-	if got := ColorsComplement(dis, []int32{2, 3}, 2, &sc); got != 1 {
+	if got := ColorsComplement(rowsOf(dis), []int32{2, 3}, 2, &sc); got != 1 {
 		t.Fatalf("active {2,3} colours = %d, want 1", got)
 	}
-	if got := ColorsComplement(dis, nil, len(dis), &sc); got != 2 {
+	if got := ColorsComplement(rowsOf(dis), nil, len(dis), &sc); got != 2 {
 		t.Fatalf("all active colours = %d, want 2", got)
 	}
 }
@@ -177,7 +193,7 @@ func TestColorsComplementMatchesReference(t *testing.T) {
 			}
 		}
 		for limit := 0; limit <= len(active); limit++ {
-			if ColorsComplement(dis, active, limit, &sc) != referenceColors(dis, active, limit) {
+			if ColorsComplement(rowsOf(dis), active, limit, &sc) != referenceColors(dis, active, limit) {
 				return false
 			}
 		}
@@ -185,7 +201,7 @@ func TestColorsComplementMatchesReference(t *testing.T) {
 		for v := range all {
 			all[v] = int32(v)
 		}
-		return ColorsComplement(dis, nil, n, &sc) == referenceColors(dis, all, n)
+		return ColorsComplement(rowsOf(dis), nil, n, &sc) == referenceColors(dis, all, n)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -201,7 +217,7 @@ func TestColorsComplementWarmAllocations(t *testing.T) {
 	for i := 0; i < 20*n; i++ {
 		b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
-	dis := dissimOf(b.Build())
+	dis := rowsOf(dissimOf(b.Build()))
 	active := make([]int32, 0, n)
 	for v := 0; v < n; v += 2 {
 		active = append(active, int32(v))

@@ -41,7 +41,7 @@ func (s *state) boundExceeds(kind Bound, thr int) bool {
 }
 
 // colorCount greedily colours the similarity graph J' (the complement
-// of the dissimilarity lists restricted to H); a clique of size q needs
+// of the dissimilarity rows restricted to H); a clique of size q needs
 // q colours, so the colour count bounds |R|. The count stops at
 // limit+1, so a limit of |H| or more gives the whole count.
 func (s *state) colorCount(limit int) int {
@@ -50,7 +50,7 @@ func (s *state) colorCount(limit int) int {
 	if len(h) == 0 {
 		return 0
 	}
-	return color.ColorsComplement(s.p.dissim, h, limit, &s.colors)
+	return color.ColorsComplement(s.rows[s.p.n:], h, limit, &s.colors)
 }
 
 // simPeelBound peels H by ascending similarity degree, optionally with
@@ -88,7 +88,7 @@ func (s *state) colorCount(limit int) int {
 // The peel runs on the component's bitset rows: H is a copy of the M∪C
 // mask, dIn(v) = |dissim(v) ∧ H|, and a removed vertex's partners and
 // neighbours left in H are the bits of its rows ANDed with H, visited in
-// ascending order as a walk of its lists would visit them.
+// ascending order.
 func (s *state) simPeelBound(structural bool, thr int) int {
 	inH := s.peelH
 	copy(inH, s.maskMC)
@@ -141,13 +141,13 @@ func (s *state) simPeelBound(structural bool, thr int) int {
 			inH[u>>6] &^= 1 << (u & 63)
 			removedTotal++
 			for _, e := range s.disOf(u) {
-				for x := e.w & inH[e.i]; x != 0; x &= x - 1 {
-					q.raise(e.i<<6 | int32(bits.TrailingZeros64(x)))
+				for x := e.W & inH[e.I]; x != 0; x &= x - 1 {
+					q.raise(e.I<<6 | int32(bits.TrailingZeros64(x)))
 				}
 			}
 			for _, e := range s.adjOf(u) {
-				for x := e.w & inH[e.i]; x != 0; x &= x - 1 {
-					nb := e.i<<6 | int32(bits.TrailingZeros64(x))
+				for x := e.W & inH[e.I]; x != 0; x &= x - 1 {
+					nb := e.I<<6 | int32(bits.TrailingZeros64(x))
 					sdeg[nb]--
 					if structural && sdeg[nb] < int32(s.p.k) {
 						queue = append(queue, nb)

@@ -10,12 +10,13 @@ import (
 // bruteKPrimeMax computes the exact largest k' such that a (k,k')-core
 // exists on the problem's full vertex set (Definition 6): the maximum
 // over subsets U with structural min-degree >= k of the minimum
-// similarity degree inside U. Exponential; n <= 16.
-func bruteKPrimeMax(p *problem) int {
+// similarity degree inside U, judged on the problem's lists l.
+// Exponential; n <= 16.
+func bruteKPrimeMax(p *problem, l *problemLists) int {
 	n := p.n
 	best := -1
 	isDissim := func(a, b int32) bool {
-		for _, d := range p.dissim[a] {
+		for _, d := range l.dissim[a] {
 			if d == b {
 				return true
 			}
@@ -31,7 +32,7 @@ func bruteKPrimeMax(p *problem) int {
 				continue
 			}
 			deg := 0
-			for _, nb := range p.adj[u] {
+			for _, nb := range l.adj[u] {
 				if mask&(1<<uint(nb)) != 0 {
 					deg++
 				}
@@ -90,11 +91,12 @@ func TestDoubleKcoreBoundExact(t *testing.T) {
 			}
 			checked++
 			st := rootState(prob)
+			l := oracleLists(inst.g, inst.p.Oracle, prob)
 			got := st.bound(BoundDoubleKcore)
-			want := bruteKPrimeMax(prob) + 1
+			want := bruteKPrimeMax(prob, l) + 1
 			if got != want {
 				t.Fatalf("trial %d: double-kcore bound = %d, want k'max+1 = %d (n=%d, k=%d, adj=%v, dissim=%v)",
-					trial, got, want, prob.n, prob.k, prob.adj, prob.dissim)
+					trial, got, want, prob.n, prob.k, l.adj, l.dissim)
 			}
 		}
 	}

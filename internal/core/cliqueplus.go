@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 	"time"
 
@@ -71,63 +72,57 @@ func CliquePlus(g *graph.Graph, p Params, opt CliqueOptions) (*Result, error) {
 
 // kcoreComponents peels the structural subgraph induced by the local
 // vertex set q down to its k-core and returns its connected components.
+// It walks the adjacency rows against dense masks of the survivors and
+// of the vertices a component has reached.
 func kcoreComponents(p *problem, q []int32) [][]int32 {
-	in := make(map[int32]bool, len(q))
+	in := make([]uint64, rowWords(p.n))
 	for _, v := range q {
-		in[v] = true
-	}
-	deg := make(map[int32]int32, len(q))
-	degOf := func(v int32) int32 {
-		var d int32
-		for _, nb := range p.adj[v] {
-			if in[nb] {
-				d++
-			}
-		}
-		return d
+		setBit(in, v)
 	}
 	// Degrees against the full set first; removals are marked only
 	// afterwards, so the cascade decrements each edge exactly once.
+	deg := make(map[int32]int32, len(q))
 	for _, v := range q {
-		deg[v] = degOf(v)
+		deg[v] = andCount(p.adjOf(v), in)
 	}
 	var queue []int32
 	for _, v := range q {
 		if deg[v] < int32(p.k) {
 			queue = append(queue, v)
-			in[v] = false
+			in[v>>6] &^= 1 << (v & 63)
 		}
 	}
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, nb := range p.adj[v] {
-			if !in[nb] {
-				continue
-			}
-			deg[nb]--
-			if deg[nb] < int32(p.k) {
-				in[nb] = false
-				queue = append(queue, nb)
+		for _, e := range p.adjOf(v) {
+			for x := e.W & in[e.I]; x != 0; x &= x - 1 {
+				nb := e.I<<6 | int32(bits.TrailingZeros64(x))
+				if deg[nb]--; deg[nb] < int32(p.k) {
+					in[e.I] &^= x & -x
+					queue = append(queue, nb)
+				}
 			}
 		}
 	}
 	// Components of the survivors.
 	var comps [][]int32
-	seen := make(map[int32]bool, len(q))
+	seen := make([]uint64, len(in))
 	for _, v := range q {
-		if !in[v] || seen[v] {
+		if !hasBit(in, v) || hasBit(seen, v) {
 			continue
 		}
 		comp := []int32{v}
-		seen[v] = true
+		setBit(seen, v)
 		stack := []int32{v}
 		for len(stack) > 0 {
 			u := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, nb := range p.adj[u] {
-				if in[nb] && !seen[nb] {
-					seen[nb] = true
+			for _, e := range p.adjOf(u) {
+				x := e.W & in[e.I] &^ seen[e.I]
+				seen[e.I] |= x
+				for ; x != 0; x &= x - 1 {
+					nb := e.I<<6 | int32(bits.TrailingZeros64(x))
 					comp = append(comp, nb)
 					stack = append(stack, nb)
 				}

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"krcore/internal/binenc"
+	"krcore/internal/bitset"
 	"krcore/internal/graph"
 	"krcore/internal/kcore"
 	"krcore/internal/simgraph"
@@ -18,18 +19,18 @@ func (pr *Prepared) K() int { return pr.p.K }
 // AppendPrepared serialises the candidate components of one (k,r)
 // problem: K, the source-graph vertex count, the maintained per-vertex
 // core numbers (format v2), then per component the structural
-// adjacency, the dissimilarity lists and the local-to-global vertex
-// mapping. Derived state (maxDeg, the byDeg order, pair counts, the
-// component-id map) is recomputed on decode, keeping the encoding
-// canonical.
+// adjacency, the dissimilarity lists (each row written as its
+// ascending list) and the local-to-global vertex mapping. Derived
+// state (the rows, maxDeg, the byDeg order, the component-id map) is
+// recomputed on decode, keeping the encoding canonical.
 func AppendPrepared(b *binenc.Buffer, pr *Prepared) {
 	b.U32(uint32(pr.p.K))
 	b.U64(uint64(pr.n))
 	b.I32s(pr.coreNums)
 	b.U64(uint64(len(pr.probs)))
 	for _, p := range pr.probs {
-		graph.AppendAdjacency(b, p.adj)
-		simgraph.AppendDissim(b, &simgraph.Dissim{Lists: p.dissim, Pairs: p.pairs})
+		graph.AppendAdjacency(b, rowLists(p.rows[:p.n]))
+		simgraph.AppendDissim(b, &simgraph.Dissim{Lists: rowLists(p.rows[p.n:])})
 		b.I32s(p.orig)
 	}
 }
@@ -46,9 +47,13 @@ func AppendPrepared(b *binenc.Buffer, pr *Prepared) {
 // component adjacency and dissimilarity lists sorted and in local
 // range, local and global vertex counts consistent, the
 // local-to-global mapping strictly ascending within the source graph,
-// every component member's core number at least K, and every component
-// a k-core of its own adjacency — symmetric, with at least K neighbours
-// per member — which the search's root assumes (state.prune).
+// every component member's core number at least K, every component a
+// k-core of its own adjacency — symmetric, with at least K neighbours
+// per member — which the search's root assumes (state.prune), and its
+// dissimilarity lists symmetric and disjoint from its adjacency: the
+// search's sums count every dissimilar pair from both ends, and every
+// filtered edge joins a similar pair. The rows are then built from the
+// lists, which are not kept.
 func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	filtered *graph.Graph, withCore bool) (*Prepared, error) {
 	k := int(r.U32())
@@ -88,6 +93,7 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	if err := pr.p.validate(); err != nil {
 		return nil, err
 	}
+	var w rowWriter // one scratch serves every component
 	for i := 0; i < cnt; i++ {
 		adj, _, err := graph.DecodeAdjacency(r)
 		if err != nil {
@@ -120,14 +126,6 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 			}
 			pr.compID[v] = orig[0]
 		}
-		p := &problem{
-			k:      k,
-			n:      len(adj),
-			adj:    adj,
-			dissim: d.Lists,
-			pairs:  d.Pairs,
-			orig:   orig,
-		}
 		for u, nbs := range adj {
 			if len(nbs) < k {
 				return nil, fmt.Errorf("core: component %d: member %d has %d neighbours, below k=%d", i, u, len(nbs), k)
@@ -137,8 +135,17 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 					return nil, fmt.Errorf("core: component %d: member %d lists %d, which does not list it back", i, u, v)
 				}
 			}
-			p.maxDeg = max(p.maxDeg, len(nbs))
+			for _, v := range d.Lists[u] {
+				if _, ok := slices.BinarySearch(d.Lists[v], int32(u)); !ok {
+					return nil, fmt.Errorf("core: component %d: member %d is dissimilar to %d, which does not list it back", i, u, v)
+				}
+			}
+			if v, ok := firstCommon(nbs, d.Lists[u]); ok {
+				return nil, fmt.Errorf("core: component %d: member %d has %d both as a neighbour and as a dissimilar partner", i, u, v)
+			}
 		}
+		rows, maxDeg := rowsFromLists(&w, adj, d.Lists)
+		p := &problem{k: k, n: len(adj), rows: rows, orig: orig, maxDeg: maxDeg}
 		pr.probs = append(pr.probs, p)
 	}
 	// Re-derive the maximum-search component order exactly as
@@ -147,4 +154,37 @@ func DecodePrepared(r *binenc.Reader, o *similarity.Oracle, wantN int,
 	pr.byDeg = append([]*problem(nil), pr.probs...)
 	sort.SliceStable(pr.byDeg, func(i, j int) bool { return pr.byDeg[i].maxDeg > pr.byDeg[j].maxDeg })
 	return pr, nil
+}
+
+// firstCommon returns the least member of two ascending lists.
+func firstCommon(a, b []int32) (int32, bool) {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			a = a[1:]
+		case a[0] > b[0]:
+			b = b[1:]
+		default:
+			return a[0], true
+		}
+	}
+	return 0, false
+}
+
+// rowsFromLists returns the rows of the ascending adjacency lists, then
+// of the dissimilarity lists, in one buffer written through the scratch
+// w, and the length of the longest adjacency list.
+func rowsFromLists(w *rowWriter, adj, dissim [][]int32) ([][]bitset.Entry, int) {
+	w.reset()
+	maxDeg := 0
+	for _, l := range adj {
+		w.list(l)
+		w.end()
+		maxDeg = max(maxDeg, len(l))
+	}
+	for _, l := range dissim {
+		w.list(l)
+		w.end()
+	}
+	return w.rows(), maxDeg
 }

@@ -126,21 +126,24 @@ func TestDecodePreparedRejectsCorruption(t *testing.T) {
 	if _, err := DecodePrepared(binenc.NewReader(mut), p.Oracle, n, filtered, true); err == nil {
 		t.Fatal("out-of-range core number accepted")
 	}
-	// A component that is not a k-core of its own adjacency. The search
-	// prunes only what its own transitions touch, so the root must be
-	// one: the largest component, edited on a copy and re-encoded.
+	// A component that is not a k-core of its own adjacency, or whose
+	// dissimilarity lists are asymmetric or meet its adjacency. The
+	// search prunes only what its own transitions touch, so the root
+	// must be a k-core; its sums count every dissimilar pair from both
+	// ends; and preparation trusts every edge as a similar pair. The
+	// largest component, edited on a copy of its lists and re-encoded.
 	k := pr.K()
 	for _, tc := range []struct {
 		name, want string
-		edit       func(adj [][]int32)
+		edit       func(adj, dis [][]int32)
 	}{
-		{"member cut to k-1 neighbours, lists kept symmetric", "below k", func(adj [][]int32) {
+		{"member cut to k-1 neighbours, lists kept symmetric", "below k", func(adj, _ [][]int32) {
 			for _, v := range adj[0][k-1:] {
 				adj[v] = slices.DeleteFunc(adj[v], func(x int32) bool { return x == 0 })
 			}
 			adj[0] = adj[0][:k-1]
 		}},
-		{"neighbour not listed back", "does not list it back", func(adj [][]int32) {
+		{"neighbour not listed back", "does not list it back", func(adj, _ [][]int32) {
 			for u := range adj {
 				if len(adj[u]) > k {
 					adj[u] = adj[u][1:]
@@ -149,14 +152,31 @@ func TestDecodePreparedRejectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no member has more than k neighbours")
 		}},
+		{"dissimilar partner not listed back", "is dissimilar to", func(_, dis [][]int32) {
+			for u := range dis {
+				if len(dis[u]) > 0 {
+					dis[u] = dis[u][1:]
+					return
+				}
+			}
+			t.Fatal("no member has a dissimilar partner")
+		}},
+		{"edge listed as a dissimilar pair", "both as a neighbour and as a dissimilar partner", func(adj, dis [][]int32) {
+			u, v := int32(0), adj[0][0]
+			dis[u] = slices.Insert(dis[u], sortedIndex(dis[u], v), v)
+			dis[v] = slices.Insert(dis[v], sortedIndex(dis[v], u), u)
+		}},
 	} {
 		big := largest(t, pr.probs)
-		bad := *big
-		bad.adj = make([][]int32, len(big.adj))
-		for u := range bad.adj {
-			bad.adj[u] = slices.Clone(big.adj[u])
+		adj, dis := rowLists(big.rows[:big.n]), rowLists(big.rows[big.n:])
+		for _, l := range [][][]int32{adj, dis} {
+			for u := range l {
+				l[u] = slices.Clone(l[u])
+			}
 		}
-		tc.edit(bad.adj)
+		tc.edit(adj, dis)
+		bad := *big
+		bad.rows, bad.maxDeg = rowsFromLists(new(rowWriter), adj, dis)
 		edited := *pr
 		edited.probs = slices.Clone(pr.probs)
 		edited.probs[slices.Index(pr.probs, big)] = &bad
@@ -167,4 +187,10 @@ func TestDecodePreparedRejectsCorruption(t *testing.T) {
 			t.Fatalf("%s: got %v, want an error saying %q", tc.name, err, tc.want)
 		}
 	}
+}
+
+// sortedIndex returns where v belongs in the ascending list l.
+func sortedIndex(l []int32, v int32) int {
+	i, _ := slices.BinarySearch(l, v)
+	return i
 }

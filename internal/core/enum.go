@@ -308,8 +308,8 @@ func (s *state) earlyTerminate() bool {
 		}
 		mw[v>>6] &^= 1 << (v & 63)
 		for _, e := range s.adjOf(v) {
-			for x := e.w & mw[e.i] &^ s.maskM[e.i]; x != 0; x &= x - 1 {
-				queue = append(queue, e.i<<6|int32(bits.TrailingZeros64(x)))
+			for x := e.W & mw[e.I] &^ s.maskM[e.I]; x != 0; x &= x - 1 {
+				queue = append(queue, e.I<<6|int32(bits.TrailingZeros64(x)))
 			}
 		}
 	}

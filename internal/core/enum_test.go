@@ -200,9 +200,10 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 		inst := randomInstance(rng, 12)
 		bud := &budget{}
 		for _, prob := range prepare(inst.g, inst.p) {
+			lists := oracleLists(inst.g, inst.p.Oracle, prob)
 			for _, retention := range []bool{true, false} {
 				st := newState(prob, bud)
-				if err := st.checkInvariants(); err != nil {
+				if err := st.checkInvariants(lists); err != nil {
 					t.Fatalf("trial %d initial state: %v", trial, err)
 				}
 				var walk func(depth, m int)
@@ -210,14 +211,14 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 					if depth > 6 || !st.prune(retention, m) {
 						return
 					}
-					if err := st.checkInvariants(); err != nil {
+					if err := st.checkInvariants(lists); err != nil {
 						t.Fatalf("trial %d, retention %t, after prune: %v", trial, retention, err)
 					}
-					if err := st.checkFixpoint(retention); err != nil {
+					if err := st.checkFixpoint(lists, retention); err != nil {
 						t.Fatalf("trial %d, retention %t, after prune: %v", trial, retention, err)
 					}
 					if st.sumDpC == 0 {
-						checkLeafVerdicts(t, fmt.Sprintf("trial %d, retention %t", trial, retention), inst, st, &cover)
+						checkLeafVerdicts(t, fmt.Sprintf("trial %d, retention %t", trial, retention), inst, lists, st, &cover)
 					}
 					ch, ok := st.chooseVertex(OrderDegree, 5, retention, false)
 					if !ok {
@@ -225,18 +226,18 @@ func TestStateInvariantsDuringSearch(t *testing.T) {
 					}
 					m = st.mark()
 					st.expand(ch.v)
-					if err := st.checkInvariants(); err != nil {
+					if err := st.checkInvariants(lists); err != nil {
 						t.Fatalf("trial %d, retention %t, after expand: %v", trial, retention, err)
 					}
 					walk(depth+1, m)
 					st.rewind(m)
-					if err := st.checkInvariants(); err != nil {
+					if err := st.checkInvariants(lists); err != nil {
 						t.Fatalf("trial %d, retention %t, after rewind: %v", trial, retention, err)
 					}
 					st.discard(ch.v)
 					walk(depth+1, m)
 					st.rewind(m)
-					if err := st.checkInvariants(); err != nil {
+					if err := st.checkInvariants(lists); err != nil {
 						t.Fatalf("trial %d, retention %t, after shrink rewind: %v", trial, retention, err)
 					}
 				}
@@ -260,7 +261,7 @@ type leafCover struct{ maximal, extended, branched int }
 // state as it found it (the trail, the statuses, the leaf's cores and
 // every counter, checkInvariants), and a check that branches, run
 // again, allocates nothing.
-func checkLeafVerdicts(t *testing.T, what string, inst testInstance, st *state, cover *leafCover) {
+func checkLeafVerdicts(t *testing.T, what string, inst testInstance, lists *problemLists, st *state, cover *leafCover) {
 	t.Helper()
 	st.leafCores()
 	leaf, leafEnd := slices.Clone(st.leaf), slices.Clone(st.leafEnd)
@@ -272,7 +273,7 @@ func checkLeafVerdicts(t *testing.T, what string, inst testInstance, st *state, 
 		if len(r) < st.p.k+1 {
 			continue
 		}
-		want := bruteMaximal(inst, st, r)
+		want := bruteMaximal(inst, lists, st, r)
 		if want {
 			cover.maximal++
 		} else {
@@ -293,7 +294,7 @@ func checkLeafVerdicts(t *testing.T, what string, inst testInstance, st *state, 
 				!slices.Equal(st.leaf, leaf) || !slices.Equal(st.leafEnd, leafEnd) {
 				t.Fatalf("%s, core %v, check order %v: the check changed the state", what, r, order)
 			}
-			if err := st.checkInvariants(); err != nil {
+			if err := st.checkInvariants(lists); err != nil {
 				t.Fatalf("%s, core %v, check order %v, after the check: %v", what, r, order, err)
 			}
 		}
@@ -331,10 +332,10 @@ func TestCheckCoreNeedsConnectivity(t *testing.T) {
 // bruteMaximal reports, by trying every subset, whether no non-empty
 // set U of E's vertices similar to all of the core r makes r∪U a
 // connected (k,r)-core, judged on inst's graph and oracle.
-func bruteMaximal(inst testInstance, st *state, r []int32) bool {
+func bruteMaximal(inst testInstance, lists *problemLists, st *state, r []int32) bool {
 	var eligible []int32
 	for _, v := range listMembers(st, statusE) {
-		if !slices.ContainsFunc(st.p.dissim[v], func(d int32) bool { return slices.Contains(r, d) }) {
+		if !slices.ContainsFunc(lists.dissim[v], func(d int32) bool { return slices.Contains(r, d) }) {
 			eligible = append(eligible, v)
 		}
 	}

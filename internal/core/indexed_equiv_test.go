@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"krcore/internal/dataset"
@@ -68,18 +69,18 @@ func TestIndexedPrepareMatchesSerialOnPresets(t *testing.T) {
 		}
 		for c := range ps {
 			a, b := ps[c], pi[c]
-			if a.n != b.n || a.pairs != b.pairs || a.maxDeg != b.maxDeg {
-				t.Fatalf("%s comp %d: header mismatch (%d,%d,%d) vs (%d,%d,%d)",
-					tc.name, c, a.n, a.pairs, a.maxDeg, b.n, b.pairs, b.maxDeg)
+			if a.n != b.n || a.maxDeg != b.maxDeg {
+				t.Fatalf("%s comp %d: header mismatch (%d,%d) vs (%d,%d)",
+					tc.name, c, a.n, a.maxDeg, b.n, b.maxDeg)
 			}
 			for i := range a.orig {
 				if a.orig[i] != b.orig[i] {
 					t.Fatalf("%s comp %d: orig differs at %d", tc.name, c, i)
 				}
 			}
-			for u := 0; u < a.n; u++ {
-				if !equalCores(a.adj[u], b.adj[u]) || !equalCores(a.dissim[u], b.dissim[u]) {
-					t.Fatalf("%s comp %d: adjacency/dissim differ at local %d", tc.name, c, u)
+			for r := range a.rows {
+				if !slices.Equal(a.rows[r], b.rows[r]) {
+					t.Fatalf("%s comp %d: row %d differs", tc.name, c, r)
 				}
 			}
 		}

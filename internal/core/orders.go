@@ -199,7 +199,7 @@ func (s *state) countCandidates() {
 // Each removed vertex r loses dpC[r] pairs and deg(r, M∪C) edges; pairs
 // and edges internal to S∪W1∪W2 are counted twice by these sums. The
 // double counting is deliberately left in: correcting it costs a scan
-// of every removed vertex's dissimilarity list (the dominant term on
+// of every removed vertex's dissimilarity row (the dominant term on
 // dense components), biases every candidate the same way, and the
 // measure is already a two-hop heuristic (Section 7.2). In the expand
 // branch v itself keeps its edges — it moves to M, staying inside M∪C —
@@ -230,8 +230,8 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 	var removed int32 // |rem|
 	if expandBranch {
 		for _, e := range s.disOf(v) {
-			x := e.w & maskC[e.i]
-			rem[e.i], front[e.i] = x, x
+			x := e.W & maskC[e.I]
+			rem[e.I], front[e.I] = x, x
 		}
 		removed = s.counts[v].dpC
 	} else {
@@ -240,7 +240,7 @@ func (s *state) simulateBranch(v int32, expandBranch bool) branchSim {
 		removed = 1
 	}
 	k := int32(s.p.k)
-	// nbr is all zero outside a wave: buildRows zeroes it, and the
+	// nbr is all zero outside a wave: initMasks zeroes it, and the
 	// candidate loop clears each word it reads.
 	for wave := 0; wave < 2; wave++ {
 		empty := true

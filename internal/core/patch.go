@@ -272,7 +272,7 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 			continue
 		}
 		// A component whose vertex set survived intact with no member's
-		// attributes changed keeps its dissimilarity lists — the O(size²)
+		// attributes changed keeps its dissimilarity rows — the O(size²)
 		// half of a rebuild — and only re-derives the induced adjacency
 		// from the new filtered graph.
 		if ob != nil && sameVerts(ob, comp) && noneAttrTouched(comp, attrTouched) {
@@ -344,7 +344,7 @@ func patchIncremental(old *Prepared, filtered *graph.Graph, p Params, d PatchDel
 // component with no touched member. Equal vertex sequences imply equal
 // local ids; no touched member implies identical induced adjacency
 // (every changed filtered edge has a touched endpoint, so a changed
-// internal edge would mark a member) and identical dissimilarity lists
+// internal edge would mark a member) and identical dissimilarity rows
 // (attribute changes mark their vertex).
 func reusable(ob *problem, comp []int32, touched []bool) bool {
 	if len(ob.orig) != len(comp) {
@@ -401,40 +401,36 @@ func noneAttrTouched(comp []int32, attrTouched map[int32]bool) bool {
 // restructureProblem rebuilds one component's local problem after a
 // structure-only change that preserved its vertex set. The vertex
 // sequence — hence the local id mapping — is ob's; the dissimilarity
-// lists, a function of the unchanged vertex set and attributes only,
+// rows, a function of the unchanged vertex set and attributes only,
 // are shared outright. Only the adjacency rows of touched vertices are
-// re-derived from the new filtered graph (an untouched vertex has no
-// incident filtered-edge change, so its induced row is ob's row);
-// every other row is shared too. Bit-identical to buildProblem on the
-// same component without the O(size²) bulk similarity pass or the
-// O(component edges) induced-subgraph rebuild.
+// re-derived from the new filtered graph, into a fresh buffer (an
+// untouched vertex has no incident filtered-edge change, so its
+// induced row is ob's row); every other row is shared too.
+// Bit-identical to builder.build on the same component without the
+// O(size²) pair pass or the O(component edges) adjacency rebuild.
 func restructureProblem(filtered *graph.Graph, ob *problem, comp []int32, touched []bool) *problem {
-	pr := &problem{
-		k:      ob.k,
-		n:      ob.n,
-		adj:    append([][]int32(nil), ob.adj...),
-		dissim: ob.dissim,
-		pairs:  ob.pairs,
-		orig:   ob.orig,
-	}
+	pr := &problem{k: ob.k, n: ob.n, rows: slices.Clone(ob.rows), orig: ob.orig}
+	var w rowWriter
+	var moved []int32 // the touched local ids, in the order w holds their rows
 	for u, g := range pr.orig {
 		if !touched[g] {
 			continue
 		}
-		// The lookup of graph.Induced: local ids are indexes in the
-		// ascending comp, so the row ascends as the neighbours do.
-		var row []int32
+		// Local ids are indexes in the ascending comp, so the row
+		// ascends as the neighbours do.
 		for _, x := range filtered.Neighbors(g) {
 			if l, ok := slices.BinarySearch(comp, x); ok {
-				row = append(row, int32(l))
+				w.bit(int32(l))
 			}
 		}
-		pr.adj[u] = row
+		w.end()
+		moved = append(moved, int32(u))
 	}
-	for _, row := range pr.adj {
-		if len(row) > pr.maxDeg {
-			pr.maxDeg = len(row)
-		}
+	for i, row := range w.rows() {
+		pr.rows[moved[i]] = row
+	}
+	for v := int32(0); v < int32(pr.n); v++ {
+		pr.maxDeg = max(pr.maxDeg, rowCount(pr.adjOf(v)))
 	}
 	return pr
 }

@@ -181,7 +181,8 @@ func samePrepared(t *testing.T, label string, got, want *Prepared) {
 // is bit-identical — same encoding, same core numbers, same component
 // ids, same maximum — to a fresh preparation. A second pass with a
 // one-vertex visit budget forces the full-recompute fallback and must
-// produce the same answer.
+// produce the same answer. Every Prepared it makes holds the rows of
+// its components' oracle lists (checkRowsAgainstOracle).
 func TestPatchPreparedDeltaRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	incremental, full := 0, 0
@@ -245,6 +246,8 @@ func TestPatchPreparedDeltaRandomized(t *testing.T) {
 			}
 			label := fmt.Sprintf("trial %d step %d", trial, step)
 			samePrepared(t, label, pr2, fresh)
+			checkRowsAgainstOracle(t, label, pr2, filtered2, oracle)
+			checkRowsAgainstOracle(t, label+" (fresh)", fresh, filtered2, oracle)
 			pm, err := pr2.FindMaximum(MaxOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -266,6 +269,7 @@ func TestPatchPreparedDeltaRandomized(t *testing.T) {
 				t.Fatalf("%s: one-vertex budget still took the incremental path", label)
 			}
 			samePrepared(t, label+" (fallback)", pr2b, fresh)
+			checkRowsAgainstOracle(t, label+" (fallback)", pr2b, filtered2, oracle)
 			filtered, pr = filtered2, pr2
 		}
 	}

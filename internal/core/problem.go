@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 
+	"krcore/internal/bitset"
 	"krcore/internal/graph"
 	"krcore/internal/kcore"
 	"krcore/internal/simgraph"
@@ -15,13 +16,14 @@ import (
 // Algorithm 1: a connected component of the k-core of the graph after
 // removing dissimilar edges, re-indexed with local vertex ids 0..n-1.
 type problem struct {
-	k      int
-	n      int
-	adj    [][]int32 // structural adjacency (all edges join similar vertices)
-	dissim [][]int32 // pairwise-dissimilar local vertex lists, sorted
-	pairs  int       // number of dissimilar pairs
-	orig   []int32   // local id -> global id
-	maxDeg int       // maximum structural degree (for component ordering)
+	k int
+	n int
+	// rows holds the bitset rows (rows.go): rows[v] is v's structural
+	// adjacency (all edges join similar vertices), rows[n+v] its
+	// dissimilar partners.
+	rows   [][]bitset.Entry
+	orig   []int32 // local id -> global id
+	maxDeg int     // maximum structural degree (for component ordering)
 }
 
 // Prepared holds the candidate components of one (k,r) problem, the
@@ -107,9 +109,9 @@ func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
 // problems. Components smaller than k+1 vertices cannot host a
 // (k,r)-core and are skipped.
 //
-// Each component's dissimilarity lists come from one pass over its
+// Each component's dissimilarity rows come from one pass over its
 // vertex pairs with the oracle engine's exact pair test
-// (simgraph.BuildDissimBulk, simindex.NewPairTest): a gather over the
+// (simgraph.DissimPass, simindex.NewPairTest): a gather over the
 // probing vertex's dense key row for the keyword metrics, r² for the
 // Euclidean one. An engine without a test (Brute over a custom metric,
 // Serial, or a caller's own engine attached with Oracle.SetBulk)
@@ -117,13 +119,13 @@ func FilterDissimilar(g *graph.Graph, o *similarity.Oracle) *graph.Graph {
 // writes their complement.
 // Either agrees with the oracle on every pair, so the resulting
 // problems — and every core derived from them — are unchanged. One
-// test and one local-id scratch serve all the components of a
+// test, one pass and one scratch of rows serve all the components of a
 // preparation.
 //
 // The filtered graph's edges are trusted as similar pairs: the pass
 // skips them. The graph must therefore come from FilterDissimilar (or
 // krcore.Engine, or simgraph.PatchFiltered) with the same oracle; a
-// graph holding a dissimilar edge yields wrong dissimilarity lists.
+// graph holding a dissimilar edge yields wrong dissimilarity rows.
 func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -136,7 +138,7 @@ func PrepareFiltered(filtered *graph.Graph, p Params) (*Prepared, error) {
 // connected components and builds their local problems, in O(n+m) plus
 // the components it builds. With old non-nil, a component whose vertex
 // set is unchanged and has no touched member keeps old's problem
-// object, including the dissimilarity lists that would otherwise cost
+// object, including the dissimilarity rows that would otherwise cost
 // bulk similarity work to rebuild. touched[v] must then mark every
 // vertex whose incident filtered edges or attributes changed (length
 // filtered.N()), and p must carry old's K and an oracle that agrees with
@@ -195,14 +197,17 @@ func prepare(g *graph.Graph, p Params) []*problem {
 
 // builder constructs the local problems of one preparation's
 // components: it holds the oracle's pair test, or the bulk engine of
-// an oracle without one, and the local-id scratch of graph.Induced,
-// which every component reuses.
+// an oracle without one, and scratch every component reuses: the
+// local ids of the component's members, the pair pass and the rows
+// before their copy into the problem.
 type builder struct {
 	filtered *graph.Graph
 	k        int
 	test     similarity.PairTest
 	src      similarity.BulkSource // nil when test is set
-	local    []int32
+	local    []int32               // local id + 1 of each member, 0 elsewhere
+	pass     simgraph.DissimPass
+	rows     rowWriter
 }
 
 func newBuilder(filtered *graph.Graph, p Params) *builder {
@@ -219,30 +224,50 @@ func newBuilder(filtered *graph.Graph, p Params) *builder {
 }
 
 // build constructs the local problem for one component of the
-// filtered k-core.
+// filtered k-core, ascending: its adjacency rows from the filtered
+// graph's neighbours, then its dissimilarity rows from one pair pass.
 func (b *builder) build(comp []int32) *problem {
-	sub, orig := b.filtered.Induced(comp, b.local)
-	pr := &problem{
-		k:    b.k,
-		n:    sub.N(),
-		adj:  make([][]int32, sub.N()),
-		orig: orig,
+	n := len(comp)
+	w := &b.rows
+	w.reset()
+	for i, v := range comp {
+		b.local[v] = int32(i) + 1
 	}
-	for u := 0; u < sub.N(); u++ {
-		pr.adj[u] = sub.Neighbors(int32(u))
-		if len(pr.adj[u]) > pr.maxDeg {
-			pr.maxDeg = len(pr.adj[u])
+	maxDeg := 0
+	for _, v := range comp {
+		deg := 0
+		// Neighbours ascend, and so do their local ids.
+		for _, x := range b.filtered.Neighbors(v) {
+			if l := b.local[x]; l != 0 {
+				w.bit(l - 1)
+				deg++
+			}
 		}
+		w.end()
+		maxDeg = max(maxDeg, deg)
+	}
+	for _, v := range comp {
+		b.local[v] = 0
 	}
 	// Every filtered edge joins a similar pair: the test need not
 	// decide those again, nor the engine score them.
-	known := pr.adj
+	hint := func(i int, mark []uint64) { orRow(mark, w.row(i)) }
 	if b.src != nil {
-		known = b.src.SimilarAdjacency(orig, pr.adj)
+		adj := make([][]bitset.Entry, n)
+		for i := range adj {
+			adj[i] = w.row(i)
+		}
+		known := b.src.SimilarAdjacency(comp, rowLists(adj))
+		hint = func(i int, mark []uint64) { simgraph.MarkList(mark, known[i]) }
 	}
-	d := simgraph.BuildDissimBulk(b.test, orig, known)
-	pr.dissim, pr.pairs = d.Lists, d.Pairs
-	return pr
+	b.pass.Run(b.test, comp, hint)
+	for i := 0; i < n; i++ {
+		below, above := b.pass.Partners(i)
+		w.list(below)
+		w.list(above)
+		w.end()
+	}
+	return &problem{k: b.k, n: n, rows: w.rows(), orig: slices.Clone(comp), maxDeg: maxDeg}
 }
 
 // toGlobal maps sorted local vertex ids to sorted global ids.

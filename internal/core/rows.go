@@ -1,60 +1,138 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
 
-// Bitset rows of a component. A search state holds one adjacency row
-// and one dissimilarity row per vertex, bitsets over the component's n
-// vertices, plus dense masks of M, C, E and M∪C, ⌈n/64⌉ words each,
-// that transition keeps current. A row is stored as its nonzero words
-// with their word indexes, the container idea of Roaring bitmaps, so
-// ANDing it with a dense mask visits only those words: no more word
-// operations than a walk of the vertex's list, whether the component is
-// narrow and dense or wide and sparse. The state's per-vertex counters
-// are such ANDs and popcounts (state.go), and so are the Δ1/Δ2
-// simulation (simulateBranch), the (k,k')-core bound (simPeelBound) and
-// the connectivity search (reach), on every component. A row never has
-// more entries than its list has elements, so the rows take at most
-// four times the bytes of the lists.
+	"krcore/internal/bitset"
+)
+
+// Bitset rows of a component. Every problem holds one adjacency row and
+// one dissimilarity row per vertex, sparse bitsets over the component's
+// n vertices (bitset.Entry), written once when the component is
+// prepared (builder.build, restructureProblem, DecodePrepared) and read
+// by every search of it. A row is stored as its nonzero words with
+// their word indexes, so ANDing it with a dense mask visits only those
+// words: no more word operations than a walk of the vertex's list,
+// whether the component is narrow and dense or wide and sparse. A
+// search state adds dense masks of M, C, E and M∪C, ⌈n/64⌉ words each,
+// that transition keeps current. The state's per-vertex counters are
+// ANDs and popcounts of rows against masks (state.go), and so are the
+// Δ1/Δ2 simulation (simulateBranch), the (k,k')-core bound
+// (simPeelBound) and the connectivity search (reach). A row never has
+// more entries than its vertex has partners.
 //
 // A row's entries ascend by word index and its bits ascend within a
-// word, so a walk over a row visits the members of the sorted list in
-// list order.
-
-// rowEntry is one nonzero word of a row: bits w of word i, which holds
-// the vertices 64i to 64i+63.
-type rowEntry struct {
-	w uint64
-	i int32
-}
+// word, so a walk over a row visits its members in ascending order.
 
 // rowWords is the width of a dense bitset over n vertices.
 func rowWords(n int) int { return (n + 63) / 64 }
 
-// buildRows fills the state's rows from p's lists, all of them in one
-// pooled entry buffer, and zeroes its masks and dense scratch.
-func (s *state) buildRows() {
-	n, w := s.p.n, rowWords(s.p.n)
+// adjOf returns v's adjacency row.
+func (p *problem) adjOf(v int32) []bitset.Entry { return p.rows[v] }
+
+// adjOf and disOf return v's adjacency and dissimilarity rows.
+func (s *state) adjOf(v int32) []bitset.Entry { return s.rows[v] }
+
+func (s *state) disOf(v int32) []bitset.Entry { return s.rows[s.p.n+int(v)] }
+
+// rowWriter collects rows in reusable scratch, one open row at a time,
+// and copies them into one buffer of their exact size.
+type rowWriter struct {
+	ents  []bitset.Entry
+	ends  []int32 // end of each closed row in ents
+	start int     // start of the open row
+}
+
+func (w *rowWriter) reset() { w.ents, w.ends, w.start = w.ents[:0], w.ends[:0], 0 }
+
+// bit adds v, above every member of the open row, to it.
+func (w *rowWriter) bit(v int32) {
+	i, b := v>>6, uint64(1)<<(v&63)
+	if last := len(w.ents) - 1; last >= w.start && w.ents[last].I == i {
+		w.ents[last].W |= b
+		return
+	}
+	w.ents = append(w.ents, bitset.Entry{W: b, I: i})
+}
+
+// list adds the ascending list, above every member of the open row, to
+// it.
+func (w *rowWriter) list(l []int32) {
+	for _, v := range l {
+		w.bit(v)
+	}
+}
+
+// end closes the open row.
+func (w *rowWriter) end() {
+	w.ends = append(w.ends, int32(len(w.ents)))
+	w.start = len(w.ents)
+}
+
+// row returns closed row r, a view of the scratch valid until the next
+// reset.
+func (w *rowWriter) row(r int) []bitset.Entry {
+	start := int32(0)
+	if r > 0 {
+		start = w.ends[r-1]
+	}
+	return w.ents[start:w.ends[r]:w.ends[r]]
+}
+
+// rows copies the closed rows into one buffer and returns their
+// headers, in the order they were closed.
+func (w *rowWriter) rows() [][]bitset.Entry {
+	buf := make([]bitset.Entry, len(w.ents))
+	copy(buf, w.ents)
+	rows := make([][]bitset.Entry, len(w.ends))
+	start := int32(0)
+	for r, end := range w.ends {
+		rows[r] = buf[start:end:end]
+		start = end
+	}
+	return rows
+}
+
+// appendMembers appends the members of row to dst in ascending order.
+func appendMembers(dst []int32, row []bitset.Entry) []int32 {
+	for _, e := range row {
+		for x := e.W; x != 0; x &= x - 1 {
+			dst = append(dst, e.I<<6|int32(bits.TrailingZeros64(x)))
+		}
+	}
+	return dst
+}
+
+// rowLists returns the rows as lists, ascending, in one backing array.
+func rowLists(rows [][]bitset.Entry) [][]int32 {
+	total := 0
+	for _, row := range rows {
+		total += rowCount(row)
+	}
+	backing := make([]int32, 0, total)
+	lists := make([][]int32, len(rows))
+	for r, row := range rows {
+		off := len(backing)
+		backing = appendMembers(backing, row)
+		lists[r] = backing[off:len(backing):len(backing)]
+	}
+	return lists
+}
+
+// rowCount returns the number of members of row.
+func rowCount(row []bitset.Entry) int {
+	c := 0
+	for _, e := range row {
+		c += bits.OnesCount64(e.W)
+	}
+	return c
+}
+
+// initMasks sizes the state's masks and dense scratch to its problem
+// and zeroes them.
+func (s *state) initMasks() {
+	w := rowWords(s.p.n)
 	s.words = w
-	size := 0
-	for v := 0; v < n; v++ {
-		size += min(len(s.p.adj[v]), w) + min(len(s.p.dissim[v]), w)
-	}
-	if cap(s.entries) < size {
-		// Headers past 2n, left by a larger component, would keep the old
-		// buffer alive in the pool.
-		clear(s.rows[:cap(s.rows)])
-		s.entries = make([]rowEntry, size)
-	}
-	s.rows = resize(s.rows, 2*n)
-	buf := s.entries[:0]
-	for v := 0; v < n; v++ {
-		start := len(buf)
-		buf = appendRow(buf, s.p.adj[v])
-		s.rows[v] = buf[start:len(buf):len(buf)]
-		start = len(buf)
-		buf = appendRow(buf, s.p.dissim[v])
-		s.rows[n+v] = buf[start:len(buf):len(buf)]
-	}
 	s.maskBuf = resize(s.maskBuf, 12*w)
 	dense := s.maskBuf
 	take := func() []uint64 {
@@ -67,25 +145,6 @@ func (s *state) buildRows() {
 	s.simRem, s.simFront, s.simNext, s.simNbr = take(), take(), take(), take()
 	s.peelH, s.tight = take(), take()
 }
-
-// appendRow appends the row of the sorted list to buf.
-func appendRow(buf []rowEntry, list []int32) []rowEntry {
-	start := len(buf)
-	for _, u := range list {
-		i, b := u>>6, uint64(1)<<(u&63)
-		if last := len(buf) - 1; last >= start && buf[last].i == i {
-			buf[last].w |= b
-		} else {
-			buf = append(buf, rowEntry{w: b, i: i})
-		}
-	}
-	return buf
-}
-
-// adjOf and disOf return v's adjacency and dissimilarity rows.
-func (s *state) adjOf(v int32) []rowEntry { return s.rows[v] }
-
-func (s *state) disOf(v int32) []rowEntry { return s.rows[s.p.n+int(v)] }
 
 // maskStatus sets v's bits of the status masks from its status.
 func (s *state) maskStatus(v int32) {
@@ -111,18 +170,18 @@ func setBit(row []uint64, v int32) { row[v>>6] |= 1 << (v & 63) }
 func hasBit(row []uint64, v int32) bool { return row[v>>6]&(1<<(v&63)) != 0 }
 
 // andCount returns |row ∧ mask|.
-func andCount(row []rowEntry, mask []uint64) int32 {
+func andCount(row []bitset.Entry, mask []uint64) int32 {
 	c := 0
 	for _, e := range row {
-		c += bits.OnesCount64(e.w & mask[e.i])
+		c += bits.OnesCount64(e.W & mask[e.I])
 	}
 	return int32(c)
 }
 
 // meets reports whether row ∧ mask has a member.
-func meets(row []rowEntry, mask []uint64) bool {
+func meets(row []bitset.Entry, mask []uint64) bool {
 	for _, e := range row {
-		if e.w&mask[e.i] != 0 {
+		if e.W&mask[e.I] != 0 {
 			return true
 		}
 	}
@@ -130,9 +189,9 @@ func meets(row []rowEntry, mask []uint64) bool {
 }
 
 // orRow ORs row into the dense bitset dst.
-func orRow(dst []uint64, row []rowEntry) {
+func orRow(dst []uint64, row []bitset.Entry) {
 	for _, e := range row {
-		dst[e.i] |= e.w
+		dst[e.I] |= e.W
 	}
 }
 

@@ -7,27 +7,35 @@ import (
 	"slices"
 	"testing"
 
+	"krcore/internal/binenc"
+	"krcore/internal/bitset"
 	"krcore/internal/dataset"
+	"krcore/internal/graph"
 	"krcore/internal/similarity"
 )
 
-// TestRowKernelsMatchLists walks search trees the way
-// TestStateInvariantsDuringSearch does and, at every node, checks the
-// state against its list oracles (checkInvariants, checkFixpoint) and
-// runs the row kernels beside their list-walking oracles (listKernels):
-// the Δ simulation of both branches of every candidate, the
-// (k,k')-core peel with and without its cascade, and early termination
-// (Theorem 5). Once per component it also checks the rows themselves
-// against the lists. The random instances have 10–700 vertices, so
-// their rows span one to eleven words; the presets add the components
-// the serving paths search, and the large sparse component of the
-// benchmarks rows 30 words wide, few of them nonzero.
-func TestRowKernelsMatchLists(t *testing.T) {
-	type component struct {
-		p     *problem
-		nodes int // search nodes to compare at
+// oracleComponent is a prepared component, its lists built by
+// oracleLists, and how many search nodes TestRowKernelsMatchLists
+// compares the kernels at.
+type oracleComponent struct {
+	p     *problem
+	lists *problemLists
+	nodes int
+}
+
+// kernelComponents prepares the components the row tests check: 40
+// random instances of 10–700 vertices, so rows one to eleven words
+// wide; the four presets at k = 5 and their default r, the components
+// the serving paths search; and the large sparse component of the
+// benchmarks, its rows 30 words wide with few of them nonzero.
+func kernelComponents(t *testing.T) []oracleComponent {
+	t.Helper()
+	var comps []oracleComponent
+	add := func(g *graph.Graph, p Params, nodes int) {
+		for _, prob := range prepare(g, p) {
+			comps = append(comps, oracleComponent{prob, oracleLists(g, p.Oracle, prob), nodes})
+		}
 	}
-	var comps []component
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 40; trial++ {
 		n := 10 + rng.Intn(691)
@@ -35,9 +43,7 @@ func TestRowKernelsMatchLists(t *testing.T) {
 		if trial%2 == 1 {
 			inst = keywordInstanceOfSize(rng, n)
 		}
-		for _, p := range prepare(inst.g, inst.p) {
-			comps = append(comps, component{p, 40})
-		}
+		add(inst.g, inst.p, 40)
 	}
 	widths := map[int]bool{}
 	wide := false
@@ -63,22 +69,108 @@ func TestRowKernelsMatchLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range prepare(d.Graph, Params{K: 5, Oracle: similarity.NewOracle(d.Metric(), r)}) {
-			comps = append(comps, component{p, 40})
-		}
+		add(d.Graph, Params{K: 5, Oracle: similarity.NewOracle(d.Metric(), r)}, 40)
 	}
 	sparse := largeSparseInstance()
 	biggest := largest(t, prepare(sparse.g, sparse.p))
 	if w := rowWords(biggest.n); w != 30 {
 		t.Fatalf("the large sparse component has rows %d words wide, want 30", w)
 	}
-	comps = append(comps, component{biggest, 3})
+	comps = append(comps, oracleComponent{biggest, oracleLists(sparse.g, sparse.p.Oracle, biggest), 3})
+	return comps
+}
 
+// TestRowsMatchOracle checks the rows preparation writes against lists
+// built without it (oracleLists): on the components kernelComponents
+// prepares, and on the dataset presets' components after a snapshot
+// round trip (AppendPrepared, DecodePrepared), which rebuilds the rows
+// from the lists it reads.
+func TestRowsMatchOracle(t *testing.T) {
+	for i, c := range kernelComponents(t) {
+		compareRows(t, fmt.Sprintf("component %d", i), c.p, c.lists)
+	}
+	for _, preset := range []string{"brightkite", "gowalla", "dblp", "pokec"} {
+		d, err := dataset.Load(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := d.DefaultThreshold()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := similarity.NewOracle(d.Metric(), r)
+		filtered := FilterDissimilar(d.Graph, o)
+		pr, err := PrepareFiltered(filtered, Params{K: 4, Oracle: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b binenc.Buffer
+		AppendPrepared(&b, pr)
+		got, err := DecodePrepared(binenc.NewReader(b.Bytes()), o, d.Graph.N(), filtered, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowsAgainstOracle(t, preset+" decoded", got, d.Graph, o)
+	}
+}
+
+// TestRowsSmallerThanLists checks, on each dataset preset at its
+// default r and k = 4–6, that the components' rows take fewer bytes
+// than their oracle lists would: 24 bytes per slice header and 16 per
+// row entry against 24 per header and 4 per list element.
+func TestRowsSmallerThanLists(t *testing.T) {
+	const header, entry, element = 24, 16, 4
+	oracles := map[string]*similarity.Oracle{}
+	for _, preset := range []string{"brightkite", "gowalla", "dblp", "pokec"} {
+		d, err := dataset.Load(preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rowBytes, listBytes int
+		for k := 4; k <= 6; k++ {
+			for _, p := range presetPrepared(t, oracles, preset, k).probs {
+				l := oracleLists(d.Graph, oracles[preset], p)
+				rowBytes += header * len(p.rows)
+				for _, row := range p.rows {
+					rowBytes += entry * len(row)
+				}
+				for _, lists := range [][][]int32{l.adj, l.dissim} {
+					for _, list := range lists {
+						listBytes += header + element*len(list)
+					}
+				}
+			}
+		}
+		t.Logf("%s, k = 4–6: rows %d bytes, lists %d bytes", preset, rowBytes, listBytes)
+		if rowBytes >= listBytes {
+			t.Errorf("%s, k = 4–6: rows take %d bytes, lists %d", preset, rowBytes, listBytes)
+		}
+	}
+}
+
+// checkRowsAgainstOracle fails t unless every component of pr, prepared
+// on g (or on g filtered) with the oracle o, holds the rows of its
+// oracle lists.
+func checkRowsAgainstOracle(t *testing.T, what string, pr *Prepared, g *graph.Graph, o *similarity.Oracle) {
+	t.Helper()
+	for i, p := range pr.probs {
+		compareRows(t, fmt.Sprintf("%s, component %d", what, i), p, oracleLists(g, o, p))
+	}
+}
+
+// TestRowKernelsMatchLists walks search trees the way
+// TestStateInvariantsDuringSearch does on the components
+// kernelComponents prepares and, at every node, checks the state
+// against the components' oracle lists (checkInvariants,
+// checkFixpoint) and runs the row kernels beside their list-walking
+// oracles (listKernels): the Δ simulation of both branches of every
+// candidate, the (k,k')-core peel with and without its cascade, and
+// early termination (Theorem 5).
+func TestRowKernelsMatchLists(t *testing.T) {
 	var cover kernelCover
-	for i, c := range comps {
+	for i, c := range kernelComponents(t) {
 		st := newState(c.p, &budget{})
-		compareRows(t, i, st)
-		lists := newListKernels(c.p.n)
+		lists := newListKernels(c.lists)
 		nodes := 0
 		var walk func(depth, m int)
 		walk = func(depth, m int) {
@@ -86,10 +178,10 @@ func TestRowKernelsMatchLists(t *testing.T) {
 				return
 			}
 			nodes++
-			if err := st.checkInvariants(); err != nil {
+			if err := st.checkInvariants(c.lists); err != nil {
 				t.Fatalf("component %d after prune: %v", i, err)
 			}
-			if err := st.checkFixpoint(true); err != nil {
+			if err := st.checkFixpoint(c.lists, true); err != nil {
 				t.Fatalf("component %d after prune: %v", i, err)
 			}
 			compareKernels(t, i, st, lists, &cover)
@@ -104,7 +196,7 @@ func TestRowKernelsMatchLists(t *testing.T) {
 			st.discard(ch.v)
 			walk(depth+1, m)
 			st.rewind(m)
-			if err := st.checkInvariants(); err != nil {
+			if err := st.checkInvariants(c.lists); err != nil {
 				t.Fatalf("component %d after rewind: %v", i, err)
 			}
 		}
@@ -154,7 +246,7 @@ func FuzzSearchDecisions(f *testing.F) {
 		var cover kernelCover // one input need not reach both kinds
 		for i, p := range prepare(inst.g, inst.p) {
 			st := newState(p, &budget{})
-			lists := newListKernels(p.n)
+			lists := newListKernels(oracleLists(inst.g, inst.p.Oracle, p))
 			for step, m := 0, 0; st.prune(true, m); step++ {
 				checkBoundDecisions(t, fmt.Sprintf("component %d, step %d", i, step), st)
 				compareKernels(t, i, st, lists, &cover)
@@ -178,28 +270,37 @@ func FuzzSearchDecisions(f *testing.F) {
 	})
 }
 
-// compareRows fails t unless every row of st holds exactly the members
-// of its list, in list order, in no more entries than the list has
-// elements.
-func compareRows(t *testing.T, comp int, st *state) {
+// compareRows fails t unless p has one adjacency and one dissimilarity
+// row per vertex, each holding exactly the members of its list in l in
+// no more entries than the list has elements, and unless p's maxDeg is
+// the longest adjacency list's length.
+func compareRows(t *testing.T, what string, p *problem, l *problemLists) {
 	t.Helper()
-	for v := int32(0); v < int32(st.p.n); v++ {
+	if len(p.rows) != 2*p.n || len(l.adj) != p.n {
+		t.Fatalf("%s: %d rows and %d lists for %d vertices", what, len(p.rows), len(l.adj), p.n)
+	}
+	maxDeg := 0
+	for v := int32(0); v < int32(p.n); v++ {
+		maxDeg = max(maxDeg, len(l.adj[v]))
 		for _, r := range []struct {
 			name string
-			row  []rowEntry
+			row  []bitset.Entry
 			list []int32
-		}{{"adjacency", st.adjOf(v), st.p.adj[v]}, {"dissimilarity", st.disOf(v), st.p.dissim[v]}} {
+		}{{"adjacency", p.rows[v], l.adj[v]}, {"dissimilarity", p.rows[p.n+int(v)], l.dissim[v]}} {
 			var got []int32
 			for _, e := range r.row {
-				for x := e.w; x != 0; x &= x - 1 {
-					got = append(got, e.i<<6|int32(bits.TrailingZeros64(x)))
+				for x := e.W; x != 0; x &= x - 1 {
+					got = append(got, e.I<<6|int32(bits.TrailingZeros64(x)))
 				}
 			}
 			if len(r.row) > len(r.list) || !slices.Equal(got, r.list) {
-				t.Fatalf("component %d, v=%d: %s row holds %v in %d entries, list %v",
-					comp, v, r.name, got, len(r.row), r.list)
+				t.Fatalf("%s, v=%d: %s row holds %v in %d entries, list %v",
+					what, v, r.name, got, len(r.row), r.list)
 			}
 		}
+	}
+	if p.maxDeg != maxDeg {
+		t.Fatalf("%s: maxDeg %d, longest adjacency list %d", what, p.maxDeg, maxDeg)
 	}
 }
 
@@ -214,7 +315,7 @@ func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover
 		if !st.eligible(v, false) { // every candidate, a superset of the eligible ones
 			continue
 		}
-		tightNeighbour := slices.ContainsFunc(st.p.adj[v], func(u int32) bool {
+		tightNeighbour := slices.ContainsFunc(lists.adj[v], func(u int32) bool {
 			return st.status[u] == statusC && lists.degMC[u] <= int32(st.p.k)
 		})
 		if tightNeighbour {
@@ -242,10 +343,11 @@ func compareKernels(t *testing.T, comp int, st *state, lists *listKernels, cover
 	}
 }
 
-// listKernels walks a state's adjacency and dissimilarity lists to
-// compute what simulateBranch, simPeelBound and earlyTerminate compute
-// on its rows and masks, with scratch of its own.
+// listKernels walks a component's oracle lists to compute what
+// simulateBranch, simPeelBound and earlyTerminate compute on its rows
+// and masks, with scratch of its own.
 type listKernels struct {
+	*problemLists
 	epoch               int32
 	degMC, dpC          []int32 // by list walks at the node (count)
 	mark, deg, degEpoch []int32
@@ -255,18 +357,20 @@ type listKernels struct {
 	bins                binQueue
 }
 
-func newListKernels(n int) *listKernels {
+func newListKernels(l *problemLists) *listKernels {
+	n := len(l.adj)
 	return &listKernels{
-		degMC:    make([]int32, n),
-		dpC:      make([]int32, n),
-		mark:     make([]int32, n),
-		deg:      make([]int32, n),
-		degEpoch: make([]int32, n),
-		inH:      make([]bool, n),
-		inW:      make([]bool, n),
-		seen:     make([]bool, n),
-		sdeg:     make([]int32, n),
-		degW:     make([]int32, n),
+		problemLists: l,
+		degMC:        make([]int32, n),
+		dpC:          make([]int32, n),
+		mark:         make([]int32, n),
+		deg:          make([]int32, n),
+		degEpoch:     make([]int32, n),
+		inH:          make([]bool, n),
+		inW:          make([]bool, n),
+		seen:         make([]bool, n),
+		sdeg:         make([]int32, n),
+		degW:         make([]int32, n),
 		bins: binQueue{
 			key:  make([]int32, n),
 			pos:  make([]int32, n),
@@ -280,7 +384,7 @@ func newListKernels(n int) *listKernels {
 // current node of s, as countCandidates does on the rows.
 func (l *listKernels) count(s *state) {
 	for v := range l.degMC {
-		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		a, d := statusCounts(s, l.adj[v]), statusCounts(s, l.dissim[v])
 		l.degMC[v], l.dpC[v] = a[statusM]+a[statusC], d[statusC]
 	}
 }
@@ -307,7 +411,7 @@ func (l *listKernels) simulate(s *state, v int32, expandBranch bool) branchSim {
 		return l.deg[u]
 	}
 	if expandBranch {
-		for _, d := range s.p.dissim[v] {
+		for _, d := range l.dissim[v] {
 			if s.status[d] == statusC {
 				markRemoved(d)
 			}
@@ -319,7 +423,7 @@ func (l *listKernels) simulate(s *state, v int32, expandBranch bool) branchSim {
 	for wave := 0; wave < 2 && len(frontier) > 0; wave++ {
 		start := len(removed)
 		for _, r := range frontier {
-			for _, nb := range s.p.adj[r] {
+			for _, nb := range l.adj[r] {
 				if s.status[nb] != statusC || l.mark[nb] == ep {
 					continue
 				}
@@ -356,7 +460,7 @@ func (l *listKernels) peel(s *state, structural bool) int {
 	q, sdeg := l.bins, l.sdeg
 	for _, v := range h {
 		dIn := int32(0)
-		for _, d := range s.p.dissim[v] {
+		for _, d := range l.dissim[v] {
 			if inH[d] {
 				dIn++
 			}
@@ -384,12 +488,12 @@ func (l *listKernels) peel(s *state, structural bool) int {
 			}
 			inH[u] = false
 			removedTotal++
-			for _, d := range s.p.dissim[u] {
+			for _, d := range l.dissim[u] {
 				if inH[d] {
 					q.raise(d)
 				}
 			}
-			for _, nb := range s.p.adj[u] {
+			for _, nb := range l.adj[u] {
 				if !inH[nb] {
 					continue
 				}
@@ -417,7 +521,7 @@ func (l *listKernels) earlyTerminate(s *state) bool {
 	clear(inW)
 	var w []int32
 	for _, v := range listMembers(s, statusE) {
-		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		a, d := statusCounts(s, l.adj[v]), statusCounts(s, l.dissim[v])
 		if d[statusC] != 0 {
 			continue
 		}
@@ -433,8 +537,8 @@ func (l *listKernels) earlyTerminate(s *state) bool {
 		return false
 	}
 	degIn := func(v int32) int32 {
-		d := statusCounts(s, s.p.adj[v])[statusM]
-		for _, nb := range s.p.adj[v] {
+		d := statusCounts(s, l.adj[v])[statusM]
+		for _, nb := range l.adj[v] {
 			if inW[nb] {
 				d++
 			}
@@ -454,7 +558,7 @@ func (l *listKernels) earlyTerminate(s *state) bool {
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, nb := range s.p.adj[v] {
+		for _, nb := range l.adj[v] {
 			if !inW[nb] {
 				continue
 			}
@@ -474,7 +578,7 @@ func (l *listKernels) earlyTerminate(s *state) bool {
 	for len(queue) > 0 {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, nb := range s.p.adj[v] {
+		for _, nb := range l.adj[v] {
 			if !seen[nb] && (inW[nb] || s.status[nb] == statusM) {
 				seen[nb] = true
 				queue = append(queue, nb)

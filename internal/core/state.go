@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"krcore/internal/bitset"
 	"krcore/internal/color"
 )
 
@@ -57,12 +58,11 @@ type state struct {
 
 	bud *budget
 
-	// Bitset rows and masks (rows.go), words wide. rows holds the
-	// adjacency rows, then the dissimilarity rows, all slices of
-	// entries; the masks and dense scratch are slices of maskBuf.
+	// Bitset rows and masks (rows.go), words wide. rows is the
+	// problem's: its adjacency rows, then its dissimilarity rows. The
+	// masks and dense scratch are slices of maskBuf.
 	words                             int
-	rows                              [][]rowEntry
-	entries                           []rowEntry
+	rows                              [][]bitset.Entry
 	maskM, maskC, maskE, maskMC       []uint64
 	reached                           []uint64 // reach's result
 	pending                           []uint64 // prune's retention seeds
@@ -114,8 +114,7 @@ func newState(p *problem, bud *budget) *state {
 		scratch:  s.scratch[:0],
 		leaf:     s.leaf[:0],
 		leafEnd:  s.leafEnd[:0],
-		rows:     s.rows,
-		entries:  s.entries,
+		rows:     p.rows,
 		maskBuf:  s.maskBuf,
 		counts:   resize(s.counts, n),
 		rngState: 0x9E3779B97F4A7C15,
@@ -128,7 +127,7 @@ func newState(p *problem, bud *budget) *state {
 		sdeg:   resize(s.sdeg, n),
 		colors: s.colors,
 	}
-	s.buildRows()
+	s.initMasks()
 	for v := 0; v < n; v++ {
 		s.transition(int32(v), statusC) // the initial population is not undoable
 	}
@@ -137,7 +136,7 @@ func newState(p *problem, bud *budget) *state {
 
 // release returns s to the pool. s must not be used afterwards.
 func (s *state) release() {
-	s.p, s.bud = nil, nil // keep no problem or budget alive from the pool
+	s.p, s.bud, s.rows = nil, nil, nil // keep no problem, rows or budget alive from the pool
 	statePool.Put(s)
 }
 
@@ -241,8 +240,8 @@ func (s *state) discard(v int32) {
 func (s *state) expand(u int32) {
 	s.apply(u, statusM)
 	for _, e := range s.disOf(u) {
-		for x := e.w & (s.maskC[e.i] | s.maskE[e.i]); x != 0; x &= x - 1 {
-			s.apply(e.i<<6|int32(bits.TrailingZeros64(x)), statusOut)
+		for x := e.W & (s.maskC[e.I] | s.maskE[e.I]); x != 0; x &= x - 1 {
+			s.apply(e.I<<6|int32(bits.TrailingZeros64(x)), statusOut)
 		}
 	}
 }
@@ -304,8 +303,8 @@ func (s *state) propagate(c change, retention bool) bool {
 	k := int32(s.p.k)
 	if inMC(c.from) && !inMC(c.to) {
 		for _, e := range s.adjOf(c.v) {
-			for x := e.w & s.maskMC[e.i]; x != 0; x &= x - 1 {
-				nb := e.i<<6 | int32(bits.TrailingZeros64(x))
+			for x := e.W & s.maskMC[e.I]; x != 0; x &= x - 1 {
+				nb := e.I<<6 | int32(bits.TrailingZeros64(x))
 				if s.degMC(nb) >= k {
 					continue
 				}
@@ -382,9 +381,9 @@ func (s *state) reach(seen, allowed []uint64) {
 			front[i] = 0
 			for ; x != 0; x &= x - 1 {
 				for _, e := range s.adjOf(int32(i<<6 | bits.TrailingZeros64(x))) {
-					if y := e.w & allowed[e.i] &^ seen[e.i]; y != 0 {
-						seen[e.i] |= y
-						next[e.i] |= y
+					if y := e.W & allowed[e.I] &^ seen[e.I]; y != 0 {
+						seen[e.I] |= y
+						next[e.I] |= y
 						grew = true
 					}
 				}

@@ -1,14 +1,41 @@
 package core
 
-// Oracles of the search state, computed by walking the adjacency and
-// dissimilarity lists: the counters, sums and masks the state derives
-// from its masks (checkInvariants), and the fixpoint prune must leave
-// (checkFixpoint).
+// Oracles of the search state, computed by walking a component's
+// adjacency and dissimilarity lists, which oracleLists builds without
+// the preparation under test: the counters, sums and masks the state
+// derives from its rows and masks (checkInvariants), and the fixpoint
+// prune must leave (checkFixpoint).
 
 import (
 	"fmt"
 	"slices"
+
+	"krcore/internal/graph"
+	"krcore/internal/simgraph"
+	"krcore/internal/similarity"
 )
+
+// problemLists are a component's adjacency and dissimilarity lists,
+// ascending, by local id.
+type problemLists struct{ adj, dissim [][]int32 }
+
+// oracleLists builds p's lists from the graph g it was prepared on and
+// the oracle o, independently of preparation: graph.Induced on p's
+// members, keeping the edges whose ends o finds similar (the
+// dissimilar-edge filter), and simgraph.BuildDissim, one
+// Oracle.Similar per pair.
+func oracleLists(g *graph.Graph, o *similarity.Oracle, p *problem) *problemLists {
+	sub, _ := g.Induced(p.orig, make([]int32, g.N()))
+	l := &problemLists{adj: make([][]int32, p.n), dissim: simgraph.BuildDissim(o, p.orig).Lists}
+	for u := range l.adj {
+		for _, v := range sub.Neighbors(int32(u)) {
+			if o.Similar(p.orig[u], p.orig[v]) {
+				l.adj[u] = append(l.adj[u], v)
+			}
+		}
+	}
+	return l
+}
 
 // statusCounts returns how many members of list hold each status.
 func statusCounts(s *state, list []int32) (c [4]int32) {
@@ -30,13 +57,13 @@ func listMembers(s *state, statuses ...byte) []int32 {
 }
 
 // checkInvariants verifies the similarity invariant (Equation 2), every
-// counter the masks give against a walk of the lists, the set sizes and
-// sums, and the M, C, E and M∪C masks.
-func (s *state) checkInvariants() error {
+// counter the rows and masks give against a walk of the lists l, the
+// set sizes and sums, and the M, C, E and M∪C masks.
+func (s *state) checkInvariants(l *problemLists) error {
 	cntM, cntC, cntE := 0, 0, 0
 	var sum, edges int64
 	for v := int32(0); v < int32(s.p.n); v++ {
-		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		a, d := statusCounts(s, l.adj[v]), statusCounts(s, l.dissim[v])
 		dmc, dm := a[statusM]+a[statusC], a[statusM]
 		pm, pc, pe := d[statusM], d[statusC], d[statusE]
 		if s.degMC(v) != dmc || s.degM(v) != dm || s.dpM(v) != pm || s.dpC(v) != pc || s.dpE(v) != pe {
@@ -88,17 +115,17 @@ func (s *state) checkInvariants() error {
 	return nil
 }
 
-// checkFixpoint verifies, on the lists, the state a successful prune
+// checkFixpoint verifies, on the lists l, the state a successful prune
 // leaves: no candidate or M vertex has fewer than k neighbours in M∪C
 // (Theorem 2), no candidate or E vertex is dissimilar to M (Theorem 3),
 // with retention on no similarity-free candidate has k neighbours in M
 // (Remark 1), and with M non-empty a walk from a vertex of M inside M∪C
 // reaches every vertex of M∪C.
-func (s *state) checkFixpoint(retention bool) error {
+func (s *state) checkFixpoint(l *problemLists, retention bool) error {
 	k := int32(s.p.k)
 	for v := int32(0); v < int32(s.p.n); v++ {
 		st := s.status[v]
-		a, d := statusCounts(s, s.p.adj[v]), statusCounts(s, s.p.dissim[v])
+		a, d := statusCounts(s, l.adj[v]), statusCounts(s, l.dissim[v])
 		if deg := a[statusM] + a[statusC]; inMC(st) && deg < k {
 			return fmt.Errorf("v=%d with status %d has %d neighbours in M∪C, below k=%d", v, st, deg, k)
 		}
@@ -120,7 +147,7 @@ func (s *state) checkFixpoint(retention bool) error {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, nb := range s.p.adj[u] {
+		for _, nb := range l.adj[u] {
 			if inMC(s.status[nb]) && !seen[nb] {
 				seen[nb] = true
 				stack = append(stack, nb)

@@ -10,6 +10,7 @@
 package simgraph
 
 import (
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -68,11 +69,10 @@ func SimilarityGraph(o *similarity.Oracle, vertices []int32) *graph.Graph {
 }
 
 // BuildDissimBulk computes the same Dissim as BuildDissim through an
-// exact pair test (see simindex.NewPairTest): it probes each local
-// vertex i once, tests i against every j < i that known does not hint,
-// and writes the dissimilarity lists from the pairs that fail. No
-// similar adjacency is built, so its cost is one test per unhinted
-// pair plus the dissimilar pairs it writes.
+// exact pair test (see simindex.NewPairTest): it runs one DissimPass
+// over the vertices and writes the dissimilarity lists from the pairs
+// that fail. No similar adjacency is built, so its cost is one test per
+// unhinted pair plus the dissimilar pairs it writes.
 //
 // known is an optional hint (nil for none, else one row per vertex):
 // known[i] lists local ids j whose pair with i is similar, such as the
@@ -83,59 +83,128 @@ func SimilarityGraph(o *similarity.Oracle, vertices []int32) *graph.Graph {
 // known. The result is bit-identical to BuildDissim for the test's
 // oracle.
 func BuildDissimBulk(t similarity.PairTest, vertices []int32, known [][]int32) *Dissim {
+	var pass DissimPass
+	var hint func(i int, mark []uint64)
+	if known != nil {
+		hint = func(i int, mark []uint64) { MarkList(mark, known[i]) }
+	}
+	pairs := pass.Run(t, vertices, hint)
+	n := len(vertices)
+	d := &Dissim{Lists: make([][]int32, n), Pairs: pairs}
+	backing := make([]int32, 0, 2*pairs)
+	for i := range d.Lists {
+		below, above := pass.Partners(i)
+		off := len(backing)
+		backing = append(append(backing, below...), above...)
+		d.Lists[i] = backing[off:len(backing):len(backing)]
+	}
+	return d
+}
+
+// MarkList sets the bits of list's members in the dense bitset mark.
+func MarkList(mark []uint64, list []int32) {
+	for _, j := range list {
+		mark[j>>6] |= 1 << (j & 63)
+	}
+}
+
+// DissimPass finds the dissimilar pairs of a vertex set with one pass
+// of an exact pair test, and keeps its working arrays for the next set:
+// a preparation runs one pass per component, so the arrays grow to the
+// largest component and serve them all. A DissimPass must not be shared
+// by concurrent calls; its zero value is ready to use.
+type DissimPass struct {
+	mark  []uint64 // the probing vertex's hinted partners, dense
+	below []int32  // each vertex's dissimilar partners below it, one run per vertex
+	start []int32  // vertex i's run is below[start[i]:start[i+1]]
+	above []int32  // each vertex's dissimilar partners above it, ascending, one run per vertex
+	aEnd  []int32  // vertex i's run is above[aEnd[i-1]:aEnd[i]]
+}
+
+// Run decides the pairs of vertices (local ids 0..n-1, local id i for
+// vertices[i]) with the pair test t: it probes each local vertex i
+// once and tests it against every j < i that hint does not mark. hint,
+// when not nil, is called once per i before i's tests with a zeroed
+// dense bitset over the local ids, ⌈n/64⌉ words, and sets in it local
+// ids whose pair with i is similar; the pass clears it again. A nil t
+// finds every unhinted pair dissimilar. Run returns the number of
+// dissimilar pairs, which Partners lists until the next Run.
+func (d *DissimPass) Run(t similarity.PairTest, vertices []int32, hint func(i int, mark []uint64)) int {
 	if t == nil {
 		t = noneSimilar{}
 	}
 	n := len(vertices)
-	// back holds each vertex's dissimilar partners below it, ascending,
-	// one run per vertex from start[i]; deg counts both directions.
-	var back []int32
-	start := make([]int32, n+1)
-	deg := make([]int32, n)
-	hinted := make([]int32, n) // stamp = probing vertex + 1
+	mark := resize(d.mark, (n+63)/64)
+	below := d.below[:0]
+	start := resize(d.start, n+1)
+	aEnd := resize(d.aEnd, n) // the partners above each vertex, counted
 	for i := 0; i < n; i++ {
-		start[i] = int32(len(back))
-		stamp := int32(i) + 1
-		if known != nil {
-			for _, j := range known[i] {
-				hinted[j] = stamp
-			}
+		start[i] = int32(len(below))
+		if hint != nil {
+			hint(i, mark)
 		}
 		t.Probe(vertices[i])
-		for j := 0; j < i; j++ {
-			if hinted[j] == stamp {
-				continue
+		for wi := 0; wi<<6 < i; wi++ {
+			x := ^mark[wi]
+			if rest := i - wi<<6; rest < 64 {
+				x &= 1<<rest - 1 // only the partners below i
 			}
-			// Appended always and kept only if dissimilar: the outcome
-			// is a count, not a branch the CPU must guess.
-			dis := int32(1)
-			if t.Similar(vertices[j]) {
-				dis = 0
+			for ; x != 0; x &= x - 1 {
+				j := int32(wi<<6 | bits.TrailingZeros64(x))
+				// Appended always and kept only if dissimilar: the
+				// outcome is a count, not a branch the CPU must guess.
+				dis := int32(1)
+				if t.Similar(vertices[j]) {
+					dis = 0
+				}
+				below = append(below, j)
+				below = below[:int32(len(below))-1+dis]
+				aEnd[j] += dis
 			}
-			back = append(back, int32(j))
-			back = back[:int32(len(back))-1+dis]
-			deg[j] += dis
 		}
-		deg[i] += int32(len(back)) - start[i]
+		if hint != nil {
+			clear(mark)
+		}
 	}
-	start[n] = int32(len(back))
-	d := &Dissim{Lists: make([][]int32, n), Pairs: len(back)}
-	backing := make([]int32, 2*len(back))
-	off := int32(0)
-	for i := range d.Lists {
-		d.Lists[i] = backing[off : off : off+deg[i]]
-		off += deg[i]
+	start[n] = int32(len(below))
+	// In ascending i, vertex i pushes itself onto the runs of its
+	// partners below it: every run above ascends, no sort.
+	end := int32(0)
+	for j, c := range aEnd {
+		aEnd[j] = end // the run's start, advanced to its end by the fill
+		end += c
 	}
-	// In ascending i, a list receives its own run (the partners below
-	// it) before any partner above it pushes itself: sorted, no sort.
+	above := resize(d.above, len(below))
 	for i := 0; i < n; i++ {
-		run := back[start[i]:start[i+1]]
-		d.Lists[i] = append(d.Lists[i], run...)
-		for _, j := range run {
-			d.Lists[j] = append(d.Lists[j], int32(i))
+		for _, j := range below[start[i]:start[i+1]] {
+			above[aEnd[j]] = int32(i)
+			aEnd[j]++
 		}
 	}
-	return d
+	d.mark, d.below, d.start, d.above, d.aEnd = mark, below, start, above, aEnd
+	return len(below)
+}
+
+// Partners returns local vertex i's dissimilar partners below i and
+// above i found by the last Run, each ascending. The slices are views
+// of the pass's arrays, valid until its next Run.
+func (d *DissimPass) Partners(i int) (below, above []int32) {
+	aStart := int32(0)
+	if i > 0 {
+		aStart = d.aEnd[i-1]
+	}
+	return d.below[d.start[i]:d.start[i+1]], d.above[aStart:d.aEnd[i]]
+}
+
+// resize returns buf re-sliced to n zeroed elements, reusing its
+// backing array when it is large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // noneSimilar is the pair test of BuildDissimBulk when known holds

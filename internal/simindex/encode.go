@@ -26,10 +26,10 @@ const (
 )
 
 // AppendIndex serialises the derived per-vertex arrays of a bulk
-// similarity index — the part of the index that cost a pass over the
-// attribute store to build — so a snapshot load reattaches the store
-// and skips the construction scan entirely. Only the three built-in
-// indexes serialise; Brute and Serial carry no state worth saving and
+// similarity index: the grid's cells, and the inverted indexes' prefix
+// lengths and the weighted one's totals, which it computes from the
+// store (those indexes keep neither). Only the three built-in indexes
+// serialise; Brute and Serial carry no state worth saving and
 // snapshots reject their (custom-metric) oracles earlier anyway.
 func AppendIndex(b *binenc.Buffer, src similarity.BulkSource) error {
 	switch ix := src.(type) {
@@ -50,11 +50,24 @@ func AppendIndex(b *binenc.Buffer, src similarity.BulkSource) error {
 		b.I64s(ix.cy)
 	case *Inverted:
 		b.U8(tagInverted)
-		b.I32s(ix.prefix)
+		var prefix []int32
+		if ix.r > 0 {
+			prefix = ix.prefixes(allVertices(ix.store.N()))
+		}
+		b.I32s(prefix)
 	case *WeightedInverted:
 		b.U8(tagWeightedInverted)
-		b.F64s(ix.total)
-		b.I32s(ix.prefix)
+		var totals []float64
+		var prefix []int32
+		if ix.r > 0 {
+			totals = make([]float64, ix.store.N())
+			for u := range totals {
+				totals[u] = ix.store.Total(int32(u))
+			}
+			prefix = ix.prefixes(allVertices(ix.store.N()))
+		}
+		b.F64s(totals)
+		b.I32s(prefix)
 	default:
 		return fmt.Errorf("simindex: cannot serialise index %T", src)
 	}
@@ -67,6 +80,8 @@ func AppendIndex(b *binenc.Buffer, src similarity.BulkSource) error {
 // decoded index is validated against the oracle: tag matching the
 // metric, array lengths matching the store, flags matching the
 // threshold — so it behaves bit-identically to a freshly built one.
+// The inverted indexes' arrays are validated and dropped: the indexes
+// derive them from the store.
 func DecodeIndex(r *binenc.Reader, o *similarity.Oracle) (similarity.BulkSource, error) {
 	tag := r.U8()
 	thr := o.Threshold()
@@ -108,33 +123,33 @@ func DecodeIndex(r *binenc.Reader, o *similarity.Oracle) (similarity.BulkSource,
 		if tag != tagInverted {
 			return nil, fmt.Errorf("simindex: index tag %d for Jaccard metric, want inverted", tag)
 		}
-		iv := &Inverted{store: m.Store, r: thr, prefix: r.I32s()}
+		prefix := r.I32s()
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("simindex: inverted: %w", err)
 		}
-		if err := checkPrefix(iv.prefix, thr, m.Store.N(), m.Store.Len); err != nil {
+		if err := checkPrefix(prefix, thr, m.Store.N(), m.Store.Len); err != nil {
 			return nil, fmt.Errorf("simindex: inverted: %w", err)
 		}
-		return iv, nil
+		return NewInverted(m.Store, thr), nil
 	case similarity.WeightedJaccard:
 		if tag != tagWeightedInverted {
 			return nil, fmt.Errorf("simindex: index tag %d for weighted-Jaccard metric, want weighted inverted", tag)
 		}
-		iv := &WeightedInverted{store: m.Store, r: thr, total: r.F64s(), prefix: r.I32s()}
+		totals, prefix := r.F64s(), r.I32s()
 		if err := r.Err(); err != nil {
 			return nil, fmt.Errorf("simindex: weighted inverted: %w", err)
 		}
-		if err := checkPrefix(iv.prefix, thr, m.Store.N(), m.Store.Len); err != nil {
+		if err := checkPrefix(prefix, thr, m.Store.N(), m.Store.Len); err != nil {
 			return nil, fmt.Errorf("simindex: weighted inverted: %w", err)
 		}
-		if thr > 0 && len(iv.total) != m.Store.N() {
+		if thr > 0 && len(totals) != m.Store.N() {
 			return nil, fmt.Errorf("simindex: weighted inverted: totals for %d vertices, store has %d",
-				len(iv.total), m.Store.N())
+				len(totals), m.Store.N())
 		}
-		if thr <= 0 && iv.total != nil {
+		if thr <= 0 && totals != nil {
 			return nil, fmt.Errorf("simindex: weighted inverted: totals present at threshold %g", thr)
 		}
-		return iv, nil
+		return NewWeightedInverted(m.Store, thr), nil
 	default:
 		return nil, fmt.Errorf("simindex: cannot decode index for metric %T", o.Metric())
 	}
@@ -159,4 +174,13 @@ func checkPrefix(prefix []int32, thr float64, n int, lenOf func(int32) int) erro
 		return fmt.Errorf("prefix lengths present at threshold %g", thr)
 	}
 	return nil
+}
+
+// allVertices returns 0..n-1.
+func allVertices(n int) []int32 {
+	vs := make([]int32, n)
+	for i := range vs {
+		vs[i] = int32(i)
+	}
+	return vs
 }

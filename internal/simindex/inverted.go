@@ -13,24 +13,27 @@ import (
 // with Jaccard >= r must share a keyword inside both prefixes, so
 // candidate pairs are exactly the co-occurrences in the prefix lists.
 // Candidates whose size-ratio upper bound min/max < r are rejected
-// before the exact intersection.
+// before the exact intersection. The index keeps no per-vertex array:
+// SimilarAdjacency computes the prefix lengths of the vertices it is
+// given.
 type Inverted struct {
-	store  *attr.Keywords
-	r      float64
-	prefix []int32 // indexed prefix length per vertex
+	store *attr.Keywords
+	r     float64
 }
 
 // NewInverted builds the inverted index for the store at threshold r.
 func NewInverted(store *attr.Keywords, r float64) *Inverted {
-	iv := &Inverted{store: store, r: r}
-	if r > 0 {
-		n := store.N()
-		iv.prefix = make([]int32, n)
-		for u := 0; u < n; u++ {
-			iv.prefix[u] = jaccardPrefixLen(store.Len(int32(u)), r)
-		}
+	return &Inverted{store: store, r: r}
+}
+
+// prefixes returns the prefix length of every vertex of vs, by
+// position, at r > 0.
+func (iv *Inverted) prefixes(vs []int32) []int32 {
+	out := make([]int32, len(vs))
+	for i, v := range vs {
+		out[i] = jaccardPrefixLen(iv.store.Len(v), iv.r)
 	}
-	return iv
+	return out
 }
 
 // jaccardPrefixLen returns the prefix length of a set of the given
@@ -81,11 +84,9 @@ func (iv *Inverted) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 		// Every score is >= 0 >= r: all pairs are similar.
 		return completeAdjacency(len(vertices))
 	}
+	prefix := iv.prefixes(vertices)
 	return invertedAdjacency(len(vertices),
-		func(i int32) []int32 {
-			v := vertices[i]
-			return iv.store.Vertex(v)[:iv.prefix[v]]
-		},
+		func(i int32) []int32 { return iv.store.Vertex(vertices[i])[:prefix[i]] },
 		func(i, j int32) bool { return iv.pairSimilar(vertices[i], vertices[j]) },
 	)
 }
@@ -96,33 +97,29 @@ func (iv *Inverted) SimilarAdjacency(vertices []int32, _ [][]int32) [][]int32 {
 // if two vertices share no prefix key, Σmin is bounded by the smaller
 // suffix weight and the score stays below r. Candidates failing the
 // weight-ratio bound min(W_u,W_v)/max(W_u,W_v) >= r are rejected before
-// the exact merge.
+// the exact merge. W is the store's total (attr.Weighted.Total), which
+// does not depend on r, so a new threshold copies no per-vertex array:
+// SimilarAdjacency computes the prefix lengths of the vertices it is
+// given.
 type WeightedInverted struct {
-	store  *attr.Weighted
-	r      float64
-	total  []float64 // per-vertex weight sum
-	prefix []int32
+	store *attr.Weighted
+	r     float64
 }
 
 // NewWeightedInverted builds the weighted inverted index for the store
 // at threshold r.
 func NewWeightedInverted(store *attr.Weighted, r float64) *WeightedInverted {
-	iv := &WeightedInverted{store: store, r: r}
-	if r > 0 {
-		n := store.N()
-		iv.total = make([]float64, n)
-		iv.prefix = make([]int32, n)
-		for u := 0; u < n; u++ {
-			ws := store.Weights(int32(u))
-			var w float64
-			for _, x := range ws {
-				w += x
-			}
-			iv.total[u] = w
-			iv.prefix[u] = weightedPrefixLen(ws, w, r)
-		}
+	return &WeightedInverted{store: store, r: r}
+}
+
+// prefixes returns the prefix length of every vertex of vs, by
+// position, at r > 0.
+func (iv *WeightedInverted) prefixes(vs []int32) []int32 {
+	out := make([]int32, len(vs))
+	for i, v := range vs {
+		out[i] = weightedPrefixLen(iv.store.Weights(v), iv.store.Total(v), iv.r)
 	}
-	return iv
+	return out
 }
 
 // weightedPrefixLen returns the smallest prefix length p such that the
@@ -147,7 +144,7 @@ func weightedPrefixLen(ws []float64, total, r float64) int32 {
 // with the weight-ratio reject first.
 func (iv *WeightedInverted) pairSimilar(u, v int32) bool {
 	if iv.r > 0 {
-		wa, wb := iv.total[u], iv.total[v]
+		wa, wb := iv.store.Total(u), iv.store.Total(v)
 		if wa > wb {
 			wa, wb = wb, wa
 		}
@@ -172,11 +169,9 @@ func (iv *WeightedInverted) SimilarAdjacency(vertices []int32, _ [][]int32) [][]
 			return iv.pairSimilar(vertices[i], vertices[j])
 		})
 	}
+	prefix := iv.prefixes(vertices)
 	return invertedAdjacency(len(vertices),
-		func(i int32) []int32 {
-			v := vertices[i]
-			return iv.store.Keys(v)[:iv.prefix[v]]
-		},
+		func(i int32) []int32 { return iv.store.Keys(vertices[i])[:prefix[i]] },
 		func(i, j int32) bool { return iv.pairSimilar(vertices[i], vertices[j]) },
 	)
 }

@@ -16,8 +16,8 @@ import (
 //     vertex's keys (indexed by the store's dense key ids), so
 //     inter/union is the oracle's exact key.
 //   - WeightedInverted gathers Σmin the same way and takes
-//     W_u + W_v − Σmin as the denominator; see weightedTest for when it
-//     falls back to the oracle's merge.
+//     W_u + W_v − Σmin as the denominator, W being the store's totals;
+//     see weightedTest for when it falls back to the oracle's merge.
 //
 // Any other engine (Serial, Brute over a custom metric, or a caller's
 // own engine attached with Oracle.SetBulk) has no test: NewPairTest
@@ -42,7 +42,6 @@ func NewPairTest(o *similarity.Oracle) similarity.PairTest {
 		}
 		return &weightedTest{
 			store: ix.store,
-			total: ix.total,
 			r:     ix.r,
 			band:  band,
 			row:   make([]float64, ix.store.NumIDs()),
@@ -138,10 +137,10 @@ const (
 // non-negative, which the store guarantees.
 type weightedTest struct {
 	store   *attr.Weighted
-	total   []float64 // W per vertex, summed in key order; nil at r <= 0
 	r, band float64
 	row     []float64
 	u       int32
+	wu      float64 // the probing vertex's total weight
 	ids     []int32
 }
 
@@ -149,7 +148,7 @@ func (t *weightedTest) Probe(u int32) {
 	for _, id := range t.ids {
 		t.row[id] = 0
 	}
-	t.u, t.ids = u, t.store.IDs(u)
+	t.u, t.wu, t.ids = u, t.store.Total(u), t.store.IDs(u)
 	for i, w := range t.store.Weights(u) {
 		t.row[t.ids[i]] = w
 	}
@@ -174,7 +173,7 @@ func (t *weightedTest) Similar(v int32) bool {
 	// No sum overflows while W_u + W_v stays below half the largest
 	// float; the comparison also fails for an infinite or NaN total,
 	// as the band test does for a NaN ratio.
-	total := t.total[t.u] + t.total[v]
+	total := t.wu + t.store.Total(v)
 	q := num / (total - num)
 	if total <= math.MaxFloat64/2 && len(t.ids)+len(ids) <= gatherMaxLen && math.Abs(q-t.r) > t.band {
 		return q >= t.r
